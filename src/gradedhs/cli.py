@@ -23,6 +23,7 @@ import numpy as np
 from . import __version__
 from .gradedcore import DENSE_SITE_CAP, GradedDim, commutator_norm
 from .qmrops import (
+    FactorStore,
     SiteConfig,
     commutator_eval,
     f_identity_eta_spread,
@@ -166,70 +167,110 @@ def cmd_verify(cfg: RunConfig) -> int:
     return 0 if report.passed() else 1
 
 
+#: multiples of eta at which ``ops`` re-assembles the four-block identities
+#: (their defect does not depend on eta)
+ETA_SPREAD = tuple(1 + 0.2 * t for t in range(5))
+
+
+def _spread_etas(eta: complex) -> list[complex]:
+    return [eta * s for s in ETA_SPREAD]
+
+
 def _draw_positions(length: int, eta: complex, hbar: complex, rng) -> SiteConfig:
+    """Random positions off the pole lattice for every shift ``ops`` uses:
+    two eta-steps at eta (commutators) and one step at each spread eta."""
     for _ in range(200):
         z = tuple(
             complex(rng.uniform(0, 1), rng.uniform(0.1, 0.4)) for _ in range(length)
         )
         try:
-            return SiteConfig(length, z, eta, hbar)
+            site = SiteConfig(length, z, eta, hbar)
+            site.validate_shifts(2)
+            for spread_eta in _spread_etas(eta):
+                SiteConfig(length, z, spread_eta, hbar)
         except ValueError:
             continue
-    raise RuntimeError("could not draw a nonsingular site configuration")
+        return site
+    raise ConfigError("could not draw a site configuration off the pole lattice")
+
+
+def _draw_case(cfg: RunConfig, spec: RMatrixSpec, pairs: list, rng) -> tuple:
+    """Positions, then the probe functions of each order pair, in draw order."""
+    site = _draw_positions(cfg.length, cfg.eta, cfg.hbar, rng)
+    probes = max(1, min(cfg.samples, 10))
+    fs = [
+        [random_test_function(cfg.length, rng, dim=spec.dim) for _ in range(probes)]
+        for _ in pairs
+    ]
+    return site, fs
+
+
+def _ops_plan(cfg: RunConfig) -> tuple[tuple, list]:
+    """Orders of the four-block identities and order pairs of the commutators."""
+    orders = cfg.orders or tuple(range(1, cfg.length))
+    bad = [k for k in orders if not 1 <= k <= cfg.length]
+    if bad:
+        raise ConfigError(f"operator orders {bad} out of range 1..{cfg.length}")
+    identities = orders if cfg.check in ("f-identity", "all") else ()
+    pairs = []
+    if cfg.check in ("commute", "all"):
+        pairs = [(k, l) for k in orders for l in orders if l > k]
+    if not identities and not pairs:
+        raise ConfigError(
+            f"--check {cfg.check} with orders {list(orders)} leaves nothing to check"
+        )
+    return identities, pairs
+
+
+def _ops_rows(cfg: RunConfig, spec: RMatrixSpec, site: SiteConfig, identities, pairs, probes):
+    rows = []
+    for k in identities:
+        res = f_identity_residual(spec, site, k)
+        spread = f_identity_eta_spread(spec, site, k, _spread_etas(cfg.eta))
+        tol = cfg.tolerances.get("f_identity", 1e-10)
+        rows.append(
+            {
+                "check": "f_identity",
+                "spec": str(spec),
+                "k": k,
+                "residual": res,
+                "eta_spread": spread,
+                "tolerance": tol,
+                "verdict": "pass" if max(res, spread) <= tol else "fail",
+            }
+        )
+    store = FactorStore(spec, site)
+    for (k, l), fs in zip(pairs, probes):
+        worst = 0.0
+        for f in fs:
+            worst = max(worst, commutator_eval(spec, site, k, l, f, store=store))
+        tol = cfg.tolerances.get("commute", 1e-9)
+        rows.append(
+            {
+                "check": "commute",
+                "spec": str(spec),
+                "k": k,
+                "l": l,
+                "residual": worst,
+                "tolerance": tol,
+                "verdict": "pass" if worst <= tol else "fail",
+            }
+        )
+    return rows
 
 
 def cmd_ops(cfg: RunConfig) -> int:
     specs = _specs(cfg)
+    identities, pairs = _ops_plan(cfg)
     rng = np.random.default_rng(cfg.seed)
     rows = []
-    ok = True
     for spec in specs:
-        site = _draw_positions(cfg.length, cfg.eta, cfg.hbar, rng)
-        orders = cfg.orders or tuple(range(1, cfg.length))
-        if cfg.check in ("f-identity", "all"):
-            for k in orders:
-                res = f_identity_residual(spec, site, k)
-                spread = f_identity_eta_spread(
-                    spec, site, k, [cfg.eta * (1 + 0.2 * t) for t in range(5)]
-                )
-                tol = cfg.tolerances.get("f_identity", 1e-10)
-                verdict = "pass" if max(res, spread) <= tol else "fail"
-                ok &= verdict == "pass"
-                rows.append(
-                    {
-                        "check": "f_identity",
-                        "spec": str(spec),
-                        "k": k,
-                        "residual": res,
-                        "eta_spread": spread,
-                        "tolerance": tol,
-                        "verdict": verdict,
-                    }
-                )
-        if cfg.check in ("commute", "all"):
-            probes = max(1, min(cfg.samples, 10))
-            for k in orders:
-                for l in orders:
-                    if l <= k:
-                        continue
-                    worst = 0.0
-                    for _ in range(probes):
-                        f = random_test_function(cfg.length, rng, dim=spec.dim)
-                        worst = max(worst, commutator_eval(spec, site, k, l, f))
-                    tol = cfg.tolerances.get("commute", 1e-9)
-                    verdict = "pass" if worst <= tol else "fail"
-                    ok &= verdict == "pass"
-                    rows.append(
-                        {
-                            "check": "commute",
-                            "spec": str(spec),
-                            "k": k,
-                            "l": l,
-                            "residual": worst,
-                            "tolerance": tol,
-                            "verdict": verdict,
-                        }
-                    )
+        site, probes = _draw_case(cfg, spec, pairs, rng)
+        try:
+            rows += _ops_rows(cfg, spec, site, identities, pairs, probes)
+        except ValueError as exc:  # PoleError included
+            raise ConfigError(f"{spec}: {exc}") from exc
+    ok = all(row["verdict"] == "pass" for row in rows)
     doc = {
         "command": "ops",
         "config": cfg.to_dict(),

@@ -476,13 +476,14 @@ def _range_sign(parities: tuple[int, ...], lo: int, hi: int) -> np.ndarray:
 class _FactorPlan:
     """Precomputed application recipe for one embedded two-site factor.
 
-    The coefficient array is split into slot-parity sectors.  A sector whose
-    nonzeros sit at (a==b, c==d) acts as a diagonal gate; one whose nonzeros
-    sit at (b==c, d==a) acts as a weighted swap of the two site axes, the
-    parity string over the legs in between folded into the weight.  Anything
-    else falls back to a generic two-axis contraction.  Both R-matrix
-    families decompose into one diagonal and one swap sector, which keeps
-    the hot path at two elementwise passes per factor.
+    The coefficient array is split into slot-parity sectors.  Nonzeros at
+    (a==b, c==d) act as a diagonal gate; nonzeros at (b==c, d==a) act as a
+    weighted swap of the two site axes, the parity string over the legs in
+    between folded into the weight.  An even sector holding both kinds (the
+    same-parity flips sit beside the diagonal) becomes one action of each.
+    Anything else falls back to a generic two-axis contraction.  Both
+    R-matrix families decompose into diagonal and swap actions only, which
+    keeps the hot path at elementwise passes per factor.
     """
 
     __slots__ = ("i", "j", "shape", "actions")
@@ -515,13 +516,21 @@ class _FactorPlan:
                     # at the earlier site, absorbed into the gate
                     G = G * sgn[None, None, :, None]
                 smid = _range_sign(pkey, i + 1, j - 1) if q2 else np.ones(nmid)
-                if not lead and np.all(nz[:, 0] == nz[:, 2]) and np.all(nz[:, 1] == nz[:, 3]):
-                    W = np.einsum("acac->ac", G).reshape(1, n, 1, n, 1)
-                    actions.append(("diag", W, None, None))
-                elif not lead and np.all(nz[:, 1] == nz[:, 2]) and np.all(nz[:, 3] == nz[:, 0]):
-                    W = np.einsum("acca->ac", G)
-                    Wb = (W[:, None, :] * smid[None, :, None]).reshape(1, n, nmid, n, 1)
-                    actions.append(("swap", Wb, None, None))
+                is_diag = (nz[:, 0] == nz[:, 2]) & (nz[:, 1] == nz[:, 3])
+                is_swap = (nz[:, 1] == nz[:, 2]) & (nz[:, 3] == nz[:, 0])
+                if not lead and np.all(is_diag | is_swap):
+                    all_diag = bool(np.all(is_diag))
+                    mixed = not all_diag and not np.all(is_swap)
+                    if all_diag or mixed:
+                        W = np.einsum("acac->ac", G).reshape(1, n, 1, n, 1)
+                        actions.append(("diag", W, None, None))
+                    if not all_diag:
+                        W = np.einsum("acca->ac", G)
+                        if mixed:
+                            # the a == c entries went to the diagonal action
+                            W = W * (1.0 - np.eye(n))
+                        Wb = (W[:, None, :] * smid[None, :, None]).reshape(1, n, nmid, n, 1)
+                        actions.append(("swap", Wb, None, None))
                 else:
                     slead = _range_sign(pkey, 1, i - 1) if lead else None
                     smid_arg = smid if q2 else None

@@ -21,9 +21,18 @@ compositions track the exact exponential shift action on test functions,
 so there is no interpolation error anywhere.  Subsets are enumerated
 lexicographically and subset sums use a fixed pairwise (tree) reduction.
 
+The normalized R-factors act on vectors through the factor plans of
+``gradedcore`` (one diagonal and one swap pass per factor, O(n^L) work
+each), never as embedded n^L x n^L matrices.  The plans live in a
+:class:`FactorStore` that the caller creates, one per (spec, site
+configuration), and passes to :func:`commutator_eval`; it is shared by
+both operators of a commutator, every nested evaluation and every probe
+function, so each distinct factor is built once.  A call without a store
+makes its own.
+
 The commutativity of the spin operators is equivalent to a family of
 four-block R-matrix identities in the *unnormalized* matrices; those are
-assembled by :func:`f_identity`.
+assembled by :func:`f_identity` as dense products of embedded factors.
 """
 
 from __future__ import annotations
@@ -34,7 +43,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .gradedcore import GradedDim, LocalOperator, embed_realized, sigma_mask
+from .gradedcore import GradedDim, LocalOperator, _FactorPlan, embed_realized, sigma_mask
 from .rmatrix import RMatrixSpec, build_r, build_r_normalized, phi
 
 _FLOOR = 1e-300
@@ -159,6 +168,16 @@ def _tree_sum(items: list):
     return work[0]
 
 
+def _check_spec_cfg(spec: RMatrixSpec, cfg: SiteConfig) -> None:
+    if abs(spec.hbar - cfg.hbar) > 1e-14:
+        raise ValueError("spec.hbar and cfg.hbar disagree")
+
+
+def _check_order(k: int, length: int) -> None:
+    if not 1 <= k <= length:
+        raise ValueError(f"order k={k} out of range 1..{length}")
+
+
 # ---------------------------------------------------------------------------
 # scalar operators
 # ---------------------------------------------------------------------------
@@ -188,8 +207,7 @@ def _scalar_d_value(k: int, hbar: complex, eta: complex, f, z: np.ndarray):
 
 def scalar_d(k: int, cfg: SiteConfig, f) -> complex:
     """Value of the k-th scalar difference operator applied to f at cfg.z."""
-    if not 1 <= k <= cfg.length:
-        raise ValueError(f"order k={k} out of range 1..{cfg.length}")
+    _check_order(k, cfg.length)
     return _scalar_d_value(k, cfg.hbar, cfg.eta, f, np.array(cfg.z, dtype=complex))
 
 
@@ -268,45 +286,90 @@ class DifferenceOperator:
 
 
 class _RFactorCache:
-    """Realized embedded normalized R-matrices, keyed by sites and argument."""
+    """Realized embedded unnormalized R-matrices, keyed by sites and argument.
 
-    def __init__(self, spec: RMatrixSpec, length: int, normalized: bool = True):
+    Serves the dense four-block products of :func:`f_identity`.
+    """
+
+    def __init__(self, spec: RMatrixSpec, length: int):
         self.spec = spec
         self.length = length
-        self.build = build_r_normalized if normalized else build_r
         self._store: dict = {}
 
     def get(self, i: int, j: int, arg: complex) -> np.ndarray:
         key = (i, j, arg)
         if key not in self._store:
-            self._store[key] = embed_realized(self.build(self.spec, arg), (i, j), self.length)
+            self._store[key] = embed_realized(build_r(self.spec, arg), (i, j), self.length)
         return self._store[key]
 
 
-def _spin_d_value(spec: RMatrixSpec, k: int, eta: complex, f, z: np.ndarray, cache=None):
-    L = len(z)
-    if cache is None:
-        cache = _RFactorCache(spec, L)
-    d = spec.dim.n ** L
+class FactorStore:
+    """Factor plans of the spin operators for one spec and site configuration.
+
+    Every normalized factor Rbar_ij(arg) is held as a ``_FactorPlan`` keyed
+    by (i, j, exact argument), so it is built once however many operators,
+    nested evaluations and probe functions reach it.  Per (order, evaluation
+    point) the store also keeps the subset recipes: phi-prefactor, shifted
+    point and the plans in application order.  Only the plans' O(n^2)
+    weights are held, never L-leg matrices.  Create one per (spec, site
+    configuration) and pass it to every evaluation that shares them.
+    """
+
+    def __init__(self, spec: RMatrixSpec, cfg: SiteConfig):
+        _check_spec_cfg(spec, cfg)
+        self.spec = spec
+        self.length = cfg.length
+        self.eta = cfg.eta
+        self._plans: dict = {}
+        self._recipes: dict = {}
+
+    def check(self, spec: RMatrixSpec, cfg: SiteConfig) -> None:
+        """Refuse a spec or configuration the stored factors do not belong to."""
+        _check_spec_cfg(spec, cfg)
+        if spec != self.spec or cfg.length != self.length or cfg.eta != self.eta:
+            raise ValueError("factor store was built for another spec or configuration")
+
+    def plan(self, i: int, j: int, arg: complex) -> _FactorPlan:
+        key = (i, j, arg)
+        plan = self._plans.get(key)
+        if plan is None:
+            op = build_r_normalized(self.spec, arg)
+            plan = self._plans[key] = _FactorPlan(self.spec.dim, self.length, (i, j), op)
+        return plan
+
+    def recipe(self, k: int, z: np.ndarray) -> list:
+        """(prefactor, shifted point, plans in application order) per subset."""
+        key = (k, z.tobytes())
+        recipe = self._recipes.get(key)
+        if recipe is None:
+            eta = self.eta
+            recipe = []
+            for term in DifferenceOperator(k, self.length).subset_terms():
+                zs = z.copy()
+                for i in term.subset:
+                    zs[i - 1] -= eta
+                # factors act on the vector from the right end of the product string
+                plans = [self.plan(i, j, z[i - 1] - eta - z[j - 1])
+                         for (i, j) in reversed(term.right_sites)]
+                plans += [self.plan(j, i, z[j - 1] - z[i - 1])
+                          for (j, i) in reversed(term.left_sites)]
+                recipe.append((_phi_prefactor(self.spec.hbar, z, term.subset), zs, plans))
+            self._recipes[key] = recipe
+        return recipe
+
+
+def _spin_d_value(store: FactorStore, k: int, f, z: np.ndarray):
+    d = store.spec.dim.n ** len(z)
+    bufs = [np.empty(d, dtype=complex) for _ in range(3)]
     vals = []
-    for term in DifferenceOperator(k, L).subset_terms():
-        pref = _phi_prefactor(spec.hbar, z, term.subset)
-        zs = z.copy()
-        for i in term.subset:
-            zs[i - 1] -= eta
+    for pref, zs, plans in store.recipe(k, z):
         vec = np.asarray(f.value(zs), dtype=complex).reshape(d)
-        # factors act on the vector from the right end of the product string
-        for (i, j) in reversed(term.right_sites):
-            vec = cache.get(i, j, z[i - 1] - eta - z[j - 1]) @ vec
-        for (j, i) in reversed(term.left_sites):
-            vec = cache.get(j, i, z[j - 1] - z[i - 1]) @ vec
+        for slot, plan in enumerate(plans):
+            out = bufs[slot % 2]
+            plan.apply_into(vec, out, bufs[2])
+            vec = out
         vals.append(pref * vec)
     return _tree_sum(vals)
-
-
-def _check_spec_cfg(spec: RMatrixSpec, cfg: SiteConfig) -> None:
-    if abs(spec.hbar - cfg.hbar) > 1e-14:
-        raise ValueError("spec.hbar and cfg.hbar disagree")
 
 
 def spin_d(spec: RMatrixSpec, k: int, cfg: SiteConfig, f) -> np.ndarray:
@@ -314,28 +377,36 @@ def spin_d(spec: RMatrixSpec, k: int, cfg: SiteConfig, f) -> np.ndarray:
 
     Reduces to :func:`scalar_d` when the graded dimension is 1.
     """
-    _check_spec_cfg(spec, cfg)
-    if not 1 <= k <= cfg.length:
-        raise ValueError(f"order k={k} out of range 1..{cfg.length}")
-    return _spin_d_value(spec, k, cfg.eta, f, np.array(cfg.z, dtype=complex))
+    store = FactorStore(spec, cfg)
+    _check_order(k, cfg.length)
+    return _spin_d_value(store, k, f, np.array(cfg.z, dtype=complex))
 
 
-def spin_d_operator(spec: RMatrixSpec, k: int, eta: complex) -> Callable:
+def spin_d_operator(store: FactorStore, k: int) -> Callable:
     """The k-th spin operator as an evaluator transformer (for composition)."""
 
     def op(f):
-        return _Deferred(lambda z: _spin_d_value(spec, k, eta, f, z))
+        return _Deferred(lambda z: _spin_d_value(store, k, f, z))
 
     return op
 
 
-def commutator_eval(spec: RMatrixSpec, cfg: SiteConfig, k: int, l: int, f) -> float:
-    """Normalized norm of ([D_k, D_l] f)(cfg.z) for the spin operators."""
-    _check_spec_cfg(spec, cfg)
+def commutator_eval(
+    spec: RMatrixSpec, cfg: SiteConfig, k: int, l: int, f, store: FactorStore | None = None
+) -> float:
+    """Normalized norm of ([D_k, D_l] f)(cfg.z) for the spin operators.
+
+    Both operators and all nested evaluations share ``store``; without one,
+    a store is made for this call.
+    """
+    if store is None:
+        store = FactorStore(spec, cfg)
+    else:
+        store.check(spec, cfg)
     cfg.validate_shifts(2)
     z0 = np.array(cfg.z, dtype=complex)
-    dk = spin_d_operator(spec, k, cfg.eta)
-    dl = spin_d_operator(spec, l, cfg.eta)
+    dk = spin_d_operator(store, k)
+    dl = spin_d_operator(store, l)
     v_kl = np.asarray(dk(dl(f)).value(z0))
     v_lk = np.asarray(dl(dk(f)).value(z0))
     num = np.linalg.norm(v_kl - v_lk)
@@ -360,18 +431,17 @@ def scalar_commutator_eval(cfg: SiteConfig, k: int, l: int, f) -> float:
 
 
 def _f_identity_assembled(spec: RMatrixSpec, cfg: SiteConfig, k: int):
+    """The defect sum over subsets of (F- - F+), and the sum of ||F+|| + ||F-||."""
+    _check_spec_cfg(spec, cfg)
+    _check_order(k, cfg.length)
     L = cfg.length
     z = np.array(cfg.z, dtype=complex)
     eta = cfg.eta
     d = spec.dim.n ** L
-    cache = _RFactorCache(spec, L, normalized=False)
-    norms: dict = {}
+    cache = _RFactorCache(spec, L)
 
     def R(i, j, shifted=False):
-        arg = z[i - 1] - z[j - 1] - (eta if shifted else 0.0)
-        mat = cache.get(i, j, arg)
-        norms[(i, j, shifted)] = np.linalg.norm(mat)
-        return mat
+        return cache.get(i, j, z[i - 1] - z[j - 1] - (eta if shifted else 0.0))
 
     total = np.zeros((d, d), dtype=complex)
     scale = 0.0
@@ -403,7 +473,6 @@ def _f_identity_assembled(spec: RMatrixSpec, cfg: SiteConfig, k: int):
                 fp = fp @ R(it, m)
         # F- block 1: slots t = 1..k; descending m in [1, i_t), m not in earlier I
         fm = np.eye(d, dtype=complex)
-        term_scale = 1.0
         for t in range(k):
             it = subset[t]
             earlier = set(subset[:t])
@@ -411,7 +480,6 @@ def _f_identity_assembled(spec: RMatrixSpec, cfg: SiteConfig, k: int):
                 if m in earlier:
                     continue
                 fm = fm @ R(m, it)
-                term_scale *= norms[(m, it, False)]
         # F- block 2: slots t = k..1; ascending j over all sites outside I
         for t in range(k - 1, -1, -1):
             it = subset[t]
@@ -419,7 +487,6 @@ def _f_identity_assembled(spec: RMatrixSpec, cfg: SiteConfig, k: int):
                 if j in inside:
                     continue
                 fm = fm @ R(it, j, shifted=True)
-                term_scale *= norms[(it, j, True)]
         # F- block 3: slots t = 1..k; descending l in (i_t, L], l not in later I
         for t in range(k):
             it = subset[t]
@@ -428,9 +495,8 @@ def _f_identity_assembled(spec: RMatrixSpec, cfg: SiteConfig, k: int):
                 if l in later:
                     continue
                 fm = fm @ R(l, it)
-                term_scale *= norms[(l, it, False)]
         total += fm - fp
-        scale += term_scale
+        scale += np.linalg.norm(fp) + np.linalg.norm(fm)
     if spec.dim.n_odd:
         total = sigma_mask(spec.dim, L) * total
     return LocalOperator(spec.dim, L, total), scale
@@ -438,16 +504,16 @@ def _f_identity_assembled(spec: RMatrixSpec, cfg: SiteConfig, k: int):
 
 def f_identity(spec: RMatrixSpec, cfg: SiteConfig, k: int) -> LocalOperator:
     """Assembled commutativity defect (should vanish) as an L-leg operator."""
-    _check_spec_cfg(spec, cfg)
-    if not 1 <= k <= cfg.length:
-        raise ValueError(f"order k={k} out of range 1..{cfg.length}")
     op, _ = _f_identity_assembled(spec, cfg, k)
     return op
 
 
 def f_identity_residual(spec: RMatrixSpec, cfg: SiteConfig, k: int) -> float:
-    """Norm of the assembled defect over the summed factor-norm scale."""
-    _check_spec_cfg(spec, cfg)
+    """Norm of the assembled defect over sum_I (||F+_I|| + ||F-_I||).
+
+    Each product's norm is taken whole, so a defect that survives in any
+    subset's product reads O(1), however large or small the single factors.
+    """
     op, scale = _f_identity_assembled(spec, cfg, k)
     return float(op.norm() / (scale + _FLOOR))
 

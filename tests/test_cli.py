@@ -1,6 +1,19 @@
 import json
 
-from gradedhs.cli import RunConfig, main
+import numpy as np
+import pytest
+
+from gradedhs import PoleError, SiteConfig, cli
+from gradedhs.cli import (
+    RunConfig,
+    _build_parser,
+    _config_from_args,
+    _draw_case,
+    _ops_plan,
+    _specs,
+    _spread_etas,
+    main,
+)
 
 
 def run_cli(args, tmp_path, monkeypatch):
@@ -144,3 +157,77 @@ def test_chain_limit_without_target_is_config_error(tmp_path, monkeypatch):
         monkeypatch,
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "nm,length,seed",
+    # the first draw of each sat on the pole lattice at a second eta-step
+    # or at a spread eta, which once crashed the command with a traceback
+    [("1,1", 5, 178592536), ("2,1", 4, 67168915)],
+)
+def test_ops_draws_positions_valid_for_every_shift(nm, length, seed, tmp_path, monkeypatch):
+    args = ["ops", "--family", "all", "--nm", nm, "--L", str(length), "--seed", str(seed),
+            "--samples", "1"]
+    assert run_cli(args, tmp_path, monkeypatch) == 0
+    doc = json.loads((tmp_path / "ops_report.json").read_text())
+    assert doc["results"] and all(r["verdict"] == "pass" for r in doc["results"])
+
+
+def test_ops_rejects_order_beyond_length(tmp_path, monkeypatch):
+    assert run_cli(["ops", "--L", "3", "--k", "5"], tmp_path, monkeypatch) == 2
+    assert run_cli(["ops", "--L", "3", "--k", "0,1"], tmp_path, monkeypatch) == 2
+    assert not (tmp_path / "ops_report.json").exists()
+
+
+def test_ops_without_rows_is_config_error(tmp_path, monkeypatch):
+    # a single order has no commutator pair
+    args = ["ops", "--nm", "1,1", "--L", "3", "--k", "2", "--check", "commute"]
+    assert run_cli(args, tmp_path, monkeypatch) == 2
+    assert run_cli(["ops", "--nm", "1,1", "--L", "2", "--check", "commute"], tmp_path,
+                   monkeypatch) == 2
+    assert not (tmp_path / "ops_report.json").exists()
+
+
+def test_ops_pole_error_exits_2(tmp_path, monkeypatch, capsys):
+    def on_pole(*args, **kwargs):
+        raise PoleError("z=1 is within 1e-12 of an integer")
+
+    monkeypatch.setattr(cli, "commutator_eval", on_pole)
+    args = ["ops", "--nm", "1,1", "--L", "3", "--check", "commute"]
+    assert run_cli(args, tmp_path, monkeypatch) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_ops_reports_are_seed_deterministic(tmp_path, monkeypatch):
+    args = ["ops", "--family", "uq", "--nm", "2,1", "--L", "3", "--samples", "2", "--seed", "4"]
+    reports = []
+    for _ in range(2):
+        assert run_cli(args, tmp_path, monkeypatch) == 0
+        reports.append((tmp_path / "ops_report.json").read_bytes())
+    assert reports[0] == reports[1]
+
+
+def _benchmark_ops_seeds(seed):
+    # program seeds of the benchmark's ops cases, derived as in
+    # perfbench/workloads.py (seed_rng, program_seed)
+    rng = np.random.default_rng([seed, sum(map(ord, "ops"))])
+    return [int(rng.integers(1, 2**31 - 1)) for _ in range(2)]
+
+
+def test_ops_draws_valid_positions_for_benchmark_seeds():
+    # draws only, no operator is evaluated
+    cases = (("1,1", 5), ("2,1", 4))
+    for seed in range(400):
+        for (nm, length), prog_seed in zip(cases, _benchmark_ops_seeds(seed)):
+            args = ["ops", "--family", "all", "--nm", nm, "--L", str(length),
+                    "--seed", str(prog_seed)]
+            cfg = _config_from_args(_build_parser().parse_args(args))
+            _, pairs = _ops_plan(cfg)
+            rng = np.random.default_rng(cfg.seed)
+            specs = _specs(cfg)
+            for spec in specs:
+                # the last spec's probes come after every position draw
+                site, _ = _draw_case(cfg, spec, pairs if spec != specs[-1] else [], rng)
+                site.validate_shifts(2)
+                for eta in _spread_etas(cfg.eta):
+                    SiteConfig(length, site.z, eta, cfg.hbar)

@@ -16,7 +16,8 @@ from gradedhs import (
     random_state,
     super_multiply,
 )
-from gradedhs.gradedcore import ProductTerm
+from gradedhs.gradedcore import ProductTerm, _FactorPlan, embed_realized
+from gradedhs.rmatrix import RFamily, RMatrixSpec, build_f_derivative, build_r, build_r_normalized
 
 DIMS = [GradedDim(1, 1), GradedDim(2, 0), GradedDim(2, 1), GradedDim(1, 2), GradedDim(2, 2)]
 
@@ -319,6 +320,37 @@ def test_single_embedded_permutation_apply(rng):
     free_result = ChainOperator(dim, 3, terms=op.terms).apply(st).amplitudes
     dense_result = op.realize() @ st.amplitudes
     assert np.allclose(free_result, dense_result, atol=1e-14)
+
+
+def _plan_apply(plan, vec):
+    out, tmp = np.empty_like(vec), np.empty_like(vec)
+    plan.apply_into(vec, out, tmp)
+    return out
+
+
+@pytest.mark.parametrize("dim", DIMS)
+@pytest.mark.parametrize("fam", list(RFamily))
+def test_r_factor_plans_split_into_diag_and_swap(dim, fam, rng):
+    # R, Rbar and F have only e_aa x e_cc and e_ac x e_ca entries; a sector
+    # holding both (same-parity flips) must split, never fall to "gen"
+    L = 4
+    spec = RMatrixSpec(fam, dim, 0.3)
+    vec = rng.standard_normal(dim.n ** L) + 1j * rng.standard_normal(dim.n ** L)
+    for build in (build_r, build_r_normalized, build_f_derivative):
+        op = build(spec, 0.27 + 0.19j)
+        for sites in ((1, 3), (4, 2), (2, 3), (3, 2)):
+            plan = _FactorPlan(dim, L, sites, op)
+            assert [kind for kind, *_ in plan.actions if kind == "gen"] == []
+            ref = embed_realized(op, sites, L) @ vec
+            err = np.linalg.norm(_plan_apply(plan, vec) - ref) / np.linalg.norm(ref)
+            assert err < 1e-13, (build.__name__, sites, err)
+
+
+def test_mixed_parity_r_keeps_one_diag_and_one_swap():
+    # at (1|1) the flips are odd, so the even sector is purely diagonal
+    spec = RMatrixSpec(RFamily.UQ_GLNM, GradedDim(1, 1), 0.3)
+    plan = _FactorPlan(spec.dim, 5, (2, 4), build_r_normalized(spec, 0.31 + 0.2j))
+    assert [kind for kind, *_ in plan.actions] == ["diag", "swap"]
 
 
 def test_dense_cap_enforced():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gradedhs import (
+    FactorStore,
     GradedDim,
     RFamily,
     RMatrixSpec,
@@ -19,6 +20,10 @@ from gradedhs import (
     scalar_d,
     spin_d,
 )
+from gradedhs import qmrops
+from gradedhs.gradedcore import embed_realized
+from gradedhs.qmrops import DifferenceOperator
+from gradedhs.verify import mutated_r_builder
 
 HBAR = 0.3 + 0.0j
 ETA = 0.17 + 0.06j
@@ -166,6 +171,74 @@ def test_commutator_residual_independent_of_probe(rng):
     assert max(vals) < 1e-9
 
 
+def dense_spin_d(spec, k, cfg, f):
+    """Reference route: every factor embedded as a dense n^L x n^L matrix."""
+    L = cfg.length
+    z = np.array(cfg.z, dtype=complex)
+    eta = cfg.eta
+    vals = []
+    for term in DifferenceOperator(k, L).subset_terms():
+        pref = 1.0 + 0.0j
+        for (j, i) in term.phi_pairs:
+            pref *= phi(spec.hbar, z[j - 1] - z[i - 1])
+        vec = f.value(cfg.shifted(term.subset))
+        for (i, j) in reversed(term.right_sites):
+            arg = z[i - 1] - eta - z[j - 1]
+            vec = embed_realized(build_r_normalized(spec, arg), (i, j), L) @ vec
+        for (j, i) in reversed(term.left_sites):
+            arg = z[j - 1] - z[i - 1]
+            vec = embed_realized(build_r_normalized(spec, arg), (j, i), L) @ vec
+        vals.append(pref * vec)
+    return sum(vals)
+
+
+@pytest.mark.parametrize("fam", list(RFamily))
+@pytest.mark.parametrize("nm", [(1, 1), (2, 1), (1, 2)])
+@pytest.mark.parametrize("length", [3, 4])
+def test_spin_d_matches_dense_reference(fam, nm, length, rng):
+    spec = RMatrixSpec(fam, GradedDim(*nm), HBAR)
+    cfg = draw_cfg(length, rng)
+    f = random_test_function(length, rng, dim=spec.dim)
+    for k in range(1, length):
+        ref = dense_spin_d(spec, k, cfg, f)
+        got = spin_d(spec, k, cfg, f)
+        assert np.linalg.norm(got - ref) / np.linalg.norm(ref) < 1e-13
+
+
+def test_factor_store_builds_each_factor_once(rng, monkeypatch):
+    spec = RMatrixSpec(RFamily.UQ_GLNM, GradedDim(2, 1), HBAR)
+    cfg = cfg_of(Z4)
+    calls = []
+
+    def counting(spec_, z):
+        calls.append(z)
+        return build_r_normalized(spec_, z)
+
+    monkeypatch.setattr(qmrops, "build_r_normalized", counting)
+    store = FactorStore(spec, cfg)
+    probes = [random_test_function(4, rng, dim=spec.dim) for _ in range(3)]
+    shared = [commutator_eval(spec, cfg, 1, 3, f, store=store) for f in probes]
+    first = len(calls)
+    assert first == len(set(calls))  # one build per distinct argument
+    assert max(shared) < 1e-9
+    commutator_eval(spec, cfg, 1, 3, probes[0], store=store)
+    commutator_eval(spec, cfg, 2, 3, probes[1], store=store)
+    assert len(calls) == first
+    # a call without a store builds its own and gives the same value
+    assert commutator_eval(spec, cfg, 1, 3, probes[0]) == shared[0]
+
+
+def test_factor_store_refuses_other_configuration():
+    spec = RMatrixSpec(RFamily.UQ_GLNM, GradedDim(1, 1), HBAR)
+    store = FactorStore(spec, cfg_of(Z3))
+    f = random_test_function(3, np.random.default_rng(1), dim=spec.dim)
+    with pytest.raises(ValueError):
+        commutator_eval(spec, cfg_of(Z3, eta=0.21 + 0.06j), 1, 2, f, store=store)
+    other = RMatrixSpec(RFamily.ZN_GRADED, GradedDim(1, 1), HBAR)
+    with pytest.raises(ValueError):
+        commutator_eval(other, cfg_of(Z3), 1, 2, f, store=store)
+
+
 def test_spec_cfg_hbar_mismatch_rejected(rng):
     spec = RMatrixSpec(RFamily.UQ_GLNM, GradedDim(1, 1), 0.31)
     cfg = cfg_of(Z3)  # hbar = 0.3
@@ -228,6 +301,21 @@ def test_f_identity_rejects_bad_order():
     cfg = cfg_of(Z3)
     with pytest.raises(ValueError):
         f_identity(spec, cfg, 0)
+    for k in (0, 4, 5):
+        with pytest.raises(ValueError):
+            f_identity_residual(spec, cfg, k)
+
+
+@pytest.mark.parametrize("fam", list(RFamily))
+def test_f_identity_residual_catches_flipped_entry(fam, rng, monkeypatch):
+    # the defect is measured against whole products, sum_I (||F+|| + ||F-||),
+    # so a broken R reads O(1) at L = 6 as well
+    spec = RMatrixSpec(fam, GradedDim(1, 1), HBAR)
+    cfg = draw_cfg(6, rng)
+    assert f_identity_residual(spec, cfg, 1) < 1e-10
+    # (1, 2) is the e_12 (x) e_21 flip entry at (1|1)
+    monkeypatch.setattr(qmrops, "build_r", mutated_r_builder(1, 2, base=qmrops.build_r))
+    assert f_identity_residual(spec, cfg, 1) > 1e-2
 
 
 def test_difference_operator_subset_structure():
