@@ -290,7 +290,7 @@ class ChainOperator:
                     _check_sites(i, j, length)
                     if op.legs != 2 or op.dim != dim:
                         raise ValueError("factors must be two-leg operators on the chain dim")
-        self._plans: list | None = None
+        self._plans: _PlanNode | None = None
         self._realized: np.ndarray | None = None
 
     @property
@@ -564,39 +564,92 @@ class _FactorPlan:
             out_flat[:] = 0.0
 
 
-def _term_plans(op: ChainOperator) -> list[tuple[complex, list[_FactorPlan]]]:
+class _PlanNode:
+    """Node of the prefix tree of a factor-term operator's application
+    sequences.  Its state is the input with the factors on its path applied;
+    ``coeff`` sums the coefficients of the terms that end here, and each
+    child edge applies one more factor plan."""
+
+    __slots__ = ("coeff", "children")
+
+    def __init__(self) -> None:
+        self.coeff = 0.0
+        self.children: dict | list = {}
+
+
+def _plan_tree(op: ChainOperator) -> _PlanNode:
+    """Factor plans of ``op`` merged on shared application-order prefixes.
+
+    Terms that start (in application order, the last factor of the product
+    first) with the same factors share those applications, and a factor that
+    recurs across terms gets one plan.  Children are ordered by subtree size,
+    largest last, so a node's state is released as soon as its largest
+    subtree starts and chains of single children run in two buffers.
+    """
     if op._plans is None:
-        plans = []
+        root = _PlanNode()
+        plans: dict = {}
         for term in op.terms:
-            fp = [_FactorPlan(op.dim, op.length, sites, fac) for sites, fac in term.factors]
-            fp.reverse()  # application order: last factor of the product first
-            plans.append((term.coeff, fp))
-        op._plans = plans
+            node = root
+            for sites, fac in reversed(term.factors):
+                key = (sites, fac.entries.tobytes())
+                plan = plans.get(key)
+                if plan is None:
+                    plan = plans[key] = _FactorPlan(op.dim, op.length, sites, fac)
+                edge = node.children.get(key)
+                if edge is None:
+                    edge = node.children[key] = (plan, _PlanNode())
+                node = edge[1]
+            node.coeff += term.coeff
+
+        def order(node: _PlanNode) -> int:
+            sized = [(order(child), plan, child) for plan, child in node.children.values()]
+            sized.sort(key=lambda item: item[0])
+            node.children = [(plan, child) for _, plan, child in sized]
+            return 1 + sum(size for size, _, _ in sized)
+
+        order(root)
+        op._plans = root
     return op._plans
+
+
+def _apply_tree(node: _PlanNode, state: np.ndarray, owned: bool, pool: list,
+                total: np.ndarray, tmp: np.ndarray) -> None:
+    """Add the terms below ``node`` applied to ``state`` into ``total``.
+
+    ``owned`` marks a pool buffer, returned to ``pool`` once no child needs
+    it; ``tmp`` is scratch shared with the factor plans.
+    """
+    if node.coeff == 1.0:
+        total += state
+    elif node.coeff:
+        np.multiply(state, node.coeff, out=tmp)
+        total += tmp
+    last = len(node.children) - 1
+    for idx, (plan, child) in enumerate(node.children):
+        out = pool.pop() if pool else np.empty_like(state)
+        plan.apply_into(state, out, tmp)
+        if idx == last and owned:
+            pool.append(state)
+        _apply_tree(child, out, True, pool, total, tmp)
+    if last < 0 and owned:
+        pool.append(state)
 
 
 def apply(op: ChainOperator, state: ChainState) -> ChainState:
     """Apply a chain operator to a state.
 
     Factor-term operators are applied matrix-free, one embedded two-site
-    factor at a time, ping-ponging between preallocated buffers; dense
-    operators go through the realized matrix.
+    factor at a time along the prefix tree of their terms, with buffers
+    recycled through a pool; dense operators go through the realized
+    matrix.
     """
     if op.dim != state.dim or op.length != state.length:
         raise ValueError("operator and state dimensions do not match")
     if op.terms is not None:
         vec = state.amplitudes
         total = np.zeros_like(vec)
-        bufs = (np.empty_like(vec), np.empty_like(vec))
-        tmp = np.empty_like(vec)
-        for coeff, plans in _term_plans(op):
-            cur = vec
-            slot = 0
-            for plan in plans:
-                plan.apply_into(cur, bufs[slot], tmp)
-                cur = bufs[slot]
-                slot = 1 - slot
-            total += coeff * cur
+        _apply_tree(_plan_tree(op), vec, False, [], total, np.empty_like(vec))
         return ChainState(op.dim, op.length, total)
     return ChainState(op.dim, op.length, op.realize() @ state.amplitudes)
 

@@ -322,6 +322,54 @@ def test_single_embedded_permutation_apply(rng):
     assert np.allclose(free_result, dense_result, atol=1e-14)
 
 
+@pytest.mark.parametrize("dim", [GradedDim(1, 1), GradedDim(2, 1)])
+def test_prefix_tree_apply_matches_term_by_term(dim, rng):
+    # terms drawn from a small factor pool so that application-order
+    # prefixes, whole terms and single factors recur; one term is empty
+    L = 4
+    n2 = dim.n ** 2
+    pool = []
+    for sites in ((1, 2), (3, 1), (2, 4), (4, 3)):
+        ent = rng.standard_normal((n2, n2)) + 1j * rng.standard_normal((n2, n2))
+        pool.append((sites, LocalOperator(dim, 2, ent)))
+    terms = [ProductTerm(0.5 - 0.25j, ())]
+    for _ in range(12):
+        picks = rng.integers(0, len(pool), size=int(rng.integers(1, 5)))
+        factors = tuple(pool[int(p)] for p in picks)
+        terms.append(ProductTerm(complex(rng.standard_normal(), rng.standard_normal()), factors))
+    terms += [terms[3], ProductTerm(1.0, terms[5].factors)]
+    st = random_state(dim, L, rng)
+    before = st.amplitudes.copy()
+    free_result = ChainOperator(dim, L, terms=terms).apply(st).amplitudes
+    assert np.array_equal(st.amplitudes, before)
+    ref = sum(ChainOperator(dim, L, terms=(t,)).apply(st).amplitudes for t in terms)
+    assert np.linalg.norm(free_result - ref) / np.linalg.norm(ref) < 1e-13
+    dense_result = ChainOperator.from_terms(dim, L, terms).realize() @ before
+    assert np.linalg.norm(free_result - dense_result) / np.linalg.norm(dense_result) < 1e-12
+
+
+def test_h1_prefix_tree_shares_leading_factors(rng):
+    # the terms of pair (i, k) apply Rbar_{i,i-1} .. Rbar_{i,k+1} first, so
+    # per i the tree holds i-2 shared leading factors, i-1 F factors and
+    # i - k trailing factors below each F: 60 edges at L = 6 instead of 70
+    from gradedhs.chain import hamiltonian_h1
+    from gradedhs.gradedcore import _plan_tree
+
+    L = 6
+    spec = RMatrixSpec(RFamily.UQ_GLNM, GradedDim(1, 1), 0.3)
+    h1 = hamiltonian_h1(spec, L)
+
+    def edges(node):
+        return sum(1 + edges(child) for _, child in node.children)
+
+    assert sum(len(t.factors) for t in h1.terms) == 70
+    assert edges(_plan_tree(h1)) == sum(2 * i - 3 + i * (i - 1) // 2 for i in range(2, L + 1))
+    st = random_state(spec.dim, L, rng)
+    ref = h1.realize() @ st.amplitudes
+    err = np.linalg.norm(h1.apply(st).amplitudes - ref) / np.linalg.norm(ref)
+    assert err < 1e-12
+
+
 def _plan_apply(plan, vec):
     out, tmp = np.empty_like(vec), np.empty_like(vec)
     plan.apply_into(vec, out, tmp)
