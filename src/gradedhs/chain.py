@@ -208,9 +208,6 @@ def hamiltonian_h2(spec: RMatrixSpec, length: int) -> ChainOperator:
                         continue
                     factors.append(((l, j), _rb(spec, x, l, j)))
                 terms.append(ProductTerm(pref, tuple(factors)))
-    if not terms:
-        d = spec.dim.n ** length
-        return ChainOperator(spec.dim, length, dense=np.zeros((d, d), dtype=complex))
     return ChainOperator.from_terms(spec.dim, length, terms)
 
 
@@ -246,9 +243,6 @@ def htilde_k(spec: RMatrixSpec, length: int, k: int) -> ChainOperator:
                 op = _fb(spec, x, it, j) if q == dpos else _rb(spec, x, it, j)
                 factors.append(((it, j), op))
             terms.append(ProductTerm(pref, tuple(factors)))
-    if not terms:
-        d = spec.dim.n ** length
-        return ChainOperator(spec.dim, length, dense=np.zeros((d, d), dtype=complex))
     return ChainOperator.from_terms(spec.dim, length, terms)
 
 
@@ -286,24 +280,33 @@ def c_factorized_h1(spec: RMatrixSpec, length: int) -> ChainOperator:
 
 
 def nonrelativistic_limit_h1(
-    spec: RMatrixSpec, length: int, hbar_ladder: Sequence[float] = (1e-3, 5e-4, 2.5e-4)
+    spec: RMatrixSpec,
+    length: int,
+    hbar_ladder: Sequence[float] = (1e-3, 5e-4, 2.5e-4, 1.25e-4),
 ) -> ChainOperator:
-    """Richardson-extrapolated limit of H1 / hbar as hbar -> 0."""
-    h0, h1, h2 = hbar_ladder
-    if not math.isclose(h1 / h0, 0.5, rel_tol=1e-12) or not math.isclose(
-        h2 / h1, 0.5, rel_tol=1e-12
+    """Richardson-extrapolated limit of H1 / hbar as hbar -> 0.
+
+    H1 / hbar is a power series in hbar, so each column of the Neville
+    tableau over the ladder (ratio 1/2) removes one more power; the last
+    two entries of the final row give the error estimate.
+    """
+    if len(hbar_ladder) < 2 or any(
+        not math.isclose(b / a, 0.5, rel_tol=1e-12) for a, b in zip(hbar_ladder, hbar_ladder[1:])
     ):
-        raise ValueError("the hbar ladder must be geometric with ratio 1/2")
+        raise ValueError("the hbar ladder must have two or more levels with ratio 1/2")
 
     def f(h: float) -> np.ndarray:
         sp = RMatrixSpec(spec.family, spec.dim, h)
         return hamiltonian_h1(sp, length).to_dense() / h
 
-    f0, f1, f2 = f(h0), f(h1), f(h2)
-    r1 = 2.0 * f1 - f0
-    r2 = 2.0 * f2 - f1
-    limit = (4.0 * r2 - r1) / 3.0
-    err = np.linalg.norm(limit - r2) / (np.linalg.norm(limit) + _FLOOR)
+    row = [f(hbar_ladder[0])]
+    for h in hbar_ladder[1:]:
+        new = [f(h)]
+        for k, prev in enumerate(row, start=1):
+            new.append((2.0 ** k * new[-1] - prev) / (2.0 ** k - 1.0))
+        row = new
+    limit = row[-1]
+    err = np.linalg.norm(limit - row[-2]) / (np.linalg.norm(limit) + _FLOOR)
     if err > 1e-5:
         raise RuntimeError(f"Richardson extrapolation did not settle (estimate {err:.2e})")
     return ChainOperator(spec.dim, length, dense=limit)

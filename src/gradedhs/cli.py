@@ -290,19 +290,36 @@ def cmd_ops(cfg: RunConfig) -> int:
     return 0 if ok else 1
 
 
+#: smallest distance of hbar * L from the integers that ``chain`` accepts;
+#: at hbar * L in Z some x_i - x_j + hbar of the equilibrium lies on a pole
+HBAR_L_MARGIN = 1e-6
+
+
+def _check_chain_poles(hbar: complex, length: int) -> None:
+    scaled = hbar * length
+    gap = abs(scaled - round(scaled.real))
+    if gap < HBAR_L_MARGIN:
+        raise ConfigError(
+            f"hbar * L = {scaled:g} is within {HBAR_L_MARGIN:g} of an integer: some "
+            f"x_i - x_j + hbar of the L = {length} equilibrium sits on a pole"
+        )
+
+
 def cmd_chain(cfg: RunConfig) -> int:
     if cfg.family == "all":
         raise ConfigError("the chain command needs a single --family (uq or zn)")
     specs = _specs(cfg)
-    out = _out_dir(cfg)
-    rows = []
-    ok = True
     for spec in specs:
         dim_total = spec.dim.n ** cfg.length
         if dim_total > DENSE_SITE_CAP:
             raise ConfigError(
                 f"chain dimension {dim_total} exceeds the dense cap {DENSE_SITE_CAP}"
             )
+    _check_chain_poles(cfg.hbar, cfg.length)
+    out = _out_dir(cfg)
+    rows = []
+    ok = True
+    for spec in specs:
         h1 = chain_mod.hamiltonian_h1(spec, cfg.length)
         h2 = chain_mod.hamiltonian_h2(spec, cfg.length)
         comm = commutator_norm(h1, h2)
@@ -446,7 +463,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "ops":
             return cmd_ops(cfg)
         return cmd_chain(cfg)
-    except ConfigError as exc:
+    except (ConfigError, PoleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

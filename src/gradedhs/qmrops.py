@@ -334,7 +334,7 @@ class FactorStore:
         plan = self._plans.get(key)
         if plan is None:
             op = build_r_normalized(self.spec, arg)
-            plan = self._plans[key] = _FactorPlan(self.spec.dim, self.length, (i, j), op)
+            plan = self._plans[key] = _FactorPlan(self.spec.dim, (i, j), op)
         return plan
 
     def recipe(self, k: int, z: np.ndarray) -> list:

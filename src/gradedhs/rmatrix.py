@@ -34,7 +34,7 @@ import numpy as np
 from .gradedcore import (
     GradedDim,
     LocalOperator,
-    graded_permutation,
+    _swap_legs as r_transposed,  # leg exchange P op P, public here
     super_multiply,
 )
 
@@ -298,12 +298,6 @@ def build_f_derivative(spec: RMatrixSpec, z: complex) -> LocalOperator:
                 / S ** 2
             )
     return LocalOperator(spec.dim, 2, F)
-
-
-def r_transposed(op: LocalOperator) -> LocalOperator:
-    """Leg-exchanged two-site operator: P op P under the graded product."""
-    P = graded_permutation(op.dim)
-    return super_multiply(super_multiply(P, op), P)
 
 
 # ---------------------------------------------------------------------------

@@ -186,6 +186,27 @@ def test_limit_ladder_validation():
     spec = spec_of(RFamily.UQ_GLNM, (1, 1))
     with pytest.raises(ValueError):
         nonrelativistic_limit_h1(spec, 3, hbar_ladder=(1e-3, 3e-4, 1e-4))
+    with pytest.raises(ValueError):
+        nonrelativistic_limit_h1(spec, 3, hbar_ladder=(1e-3,))
+
+
+@pytest.mark.parametrize("fam,target", [(RFamily.UQ_GLNM, haldane_shastry_target),
+                                        (RFamily.ZN_GRADED, anisotropic_target)])
+def test_limit_at_seven_sites(fam, target):
+    # the three-level ladder's truncation error reached 1.09e-5 here
+    spec = spec_of(fam, (1, 1))
+    limit = nonrelativistic_limit_h1(spec, 7).to_dense()
+    assert np.max(np.abs(limit - target(spec.dim, 7).to_dense())) <= 1e-6
+
+
+def test_limit_deeper_ladder_is_closer():
+    spec = spec_of(RFamily.UQ_GLNM, (1, 1))
+    target = haldane_shastry_target(spec.dim, 5).to_dense()
+    devs = [
+        np.max(np.abs(nonrelativistic_limit_h1(spec, 5, ladder).to_dense() - target))
+        for ladder in ((1e-3, 5e-4, 2.5e-4), (1e-3, 5e-4, 2.5e-4, 1.25e-4))
+    ]
+    assert devs[1] < devs[0] / 10
 
 
 # ---------------------------------------------------------------------------

@@ -122,6 +122,30 @@ def test_chain_dense_cap_exceeded(tmp_path, monkeypatch):
     assert code == 2
 
 
+def test_chain_hbar_times_length_on_integer_exits_before_building(tmp_path, monkeypatch, capsys):
+    # default hbar 0.3 at L = 10: x_i - x_j + hbar hits the pole lattice
+    def build(*args, **kwargs):
+        raise AssertionError("built a Hamiltonian")
+
+    monkeypatch.setattr(cli.chain_mod, "hamiltonian_h1", build)
+    assert run_cli(["chain", "--family", "uq", "--nm", "1,1", "--L", "10"], tmp_path,
+                   monkeypatch) == 2
+    assert "hbar * L" in capsys.readouterr().err
+    assert run_cli(["chain", "--family", "zn", "--nm", "1,1", "--L", "5", "--hbar", "0.4"],
+                   tmp_path, monkeypatch) == 2
+    assert not (tmp_path / "chain_report.json").exists()
+
+
+def test_chain_pole_error_exits_2(tmp_path, monkeypatch, capsys):
+    def on_pole(*args, **kwargs):
+        raise PoleError("z=1 is within 1e-12 of an integer")
+
+    monkeypatch.setattr(cli.chain_mod, "hamiltonian_h1", on_pole)
+    assert run_cli(["chain", "--family", "uq", "--nm", "1,1", "--L", "3"], tmp_path,
+                   monkeypatch) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_chain_requires_single_family(tmp_path, monkeypatch):
     code = run_cli(["chain", "--family", "all", "--nm", "1,1", "--L", "3"], tmp_path, monkeypatch)
     assert code == 2

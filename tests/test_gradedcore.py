@@ -16,7 +16,9 @@ from gradedhs import (
     random_state,
     super_multiply,
 )
-from gradedhs.gradedcore import ProductTerm, _FactorPlan, embed_realized
+from gradedhs import gradedcore
+from gradedhs.chain import hamiltonian_h1, hamiltonian_h2, htilde_k
+from gradedhs.gradedcore import ProductTerm, _FactorPlan, _plan_tree, embed_realized, sigma_mask
 from gradedhs.rmatrix import RFamily, RMatrixSpec, build_f_derivative, build_r, build_r_normalized
 
 DIMS = [GradedDim(1, 1), GradedDim(2, 0), GradedDim(2, 1), GradedDim(1, 2), GradedDim(2, 2)]
@@ -285,6 +287,109 @@ def test_embed_invalid_sites():
 # ---------------------------------------------------------------------------
 
 
+def product_reference(dim, L, terms):
+    """Realized matrix sum_t coeff_t prod_f embed_realized(f): each factor
+    embedded on its own (Kronecker block and permutation conjugations) and
+    the products taken as d x d matrices, apart from the factor plans that
+    build dense forms and apply operators."""
+    d = dim.n ** L
+    total = np.zeros((d, d), dtype=complex)
+    for term in terms:
+        mat = np.eye(d, dtype=complex)
+        for sites, op in term.factors:
+            mat = mat @ embed_realized(op, sites, L)
+        total += term.coeff * mat
+    return total
+
+
+def random_factor(dim, rng):
+    n2 = dim.n ** 2
+    return LocalOperator(dim, 2, rng.standard_normal((n2, n2)) + 1j * rng.standard_normal((n2, n2)))
+
+
+def random_terms(dim, L, rng):
+    """Terms of random full factors (odd sectors take the generic plan
+    path) on both site orders, complex weights, one empty term and one
+    duplicated term."""
+    pool = [(sites, random_factor(dim, rng)) for sites in ((1, 2), (3, 1), (2, L), (L, 2))]
+    terms = [ProductTerm(0.5 - 0.25j, ())]
+    for _ in range(5):
+        picks = rng.integers(0, len(pool), size=int(rng.integers(1, 4)))
+        coeff = complex(rng.standard_normal(), rng.standard_normal())
+        terms.append(ProductTerm(coeff, tuple(pool[int(p)] for p in picks)))
+    return terms + [terms[2]]
+
+
+def rel_max(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
+@pytest.mark.parametrize("dim", [GradedDim(2, 0), GradedDim(1, 1), GradedDim(2, 1), GradedDim(1, 2)])
+def test_dense_and_apply_match_product_reference(dim, rng):
+    L = 4
+    terms = random_terms(dim, L, rng)
+    ref = product_reference(dim, L, terms)
+    op = ChainOperator.from_terms(dim, L, terms)
+    assert rel_max(op.realize(), ref) < 1e-12
+    assert rel_max(op.to_dense(), sigma_mask(dim, L) * ref) < 1e-12
+    st = random_state(dim, L, rng)
+    expected = ref @ st.amplitudes
+    got = ChainOperator(dim, L, terms=terms).apply(st).amplitudes
+    assert np.linalg.norm(got - expected) / np.linalg.norm(expected) < 1e-12
+    if dim.n_odd:
+        kinds = {kind for sites, fac in terms[1].factors
+                 for kind, *_ in _FactorPlan(dim, sites, fac).actions}
+        assert "gen" in kinds
+
+
+def test_dense_build_over_several_column_blocks(rng, monkeypatch):
+    dim, L = GradedDim(2, 1), 3
+    terms = random_terms(dim, L, rng)
+    ref = product_reference(dim, L, terms)
+    # 27 columns in blocks of 4, the last one partial
+    monkeypatch.setattr(gradedcore, "_DENSE_BLOCK_AMPS", 4 * dim.n ** L + 1)
+    assert rel_max(ChainOperator.from_terms(dim, L, terms).realize(), ref) < 1e-12
+    monkeypatch.setattr(gradedcore, "_DENSE_BLOCK_AMPS", 1)
+    assert rel_max(ChainOperator.from_terms(dim, L, terms).realize(), ref) < 1e-12
+
+
+@pytest.mark.parametrize("fam", list(RFamily))
+@pytest.mark.parametrize("L", [4, 5, 6])
+def test_chain_hamiltonians_match_product_reference(fam, L):
+    spec = RMatrixSpec(fam, GradedDim(1, 1), 0.3)
+    for op in (hamiltonian_h1(spec, L), hamiltonian_h2(spec, L), htilde_k(spec, L, 3)):
+        assert rel_max(op.realize(), product_reference(spec.dim, L, op.terms)) < 1e-12
+
+
+def test_dense_form_is_lazy_and_shares_the_plans(rng):
+    dim, L = GradedDim(1, 1), 3
+    op = ChainOperator.from_terms(dim, L, random_terms(dim, L, rng))
+    assert op._dense is None and op._realized is None
+    dense = op.to_dense()
+    assert op.to_dense() is dense
+    tree = op._plans
+    assert tree is not None
+    op.apply(random_state(dim, L, rng))
+    assert op._plans is tree
+
+
+def test_add_terms_only_and_dense_only(rng, monkeypatch):
+    dim, L = GradedDim(1, 1), 3
+    terms = random_terms(dim, L, rng)
+    d = dim.n ** L
+    dense = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    expected = ChainOperator.from_terms(dim, L, terms).to_dense() + dense
+    for total in (ChainOperator(dim, L, terms=terms) + ChainOperator(dim, L, dense=dense),
+                  ChainOperator(dim, L, dense=dense) + ChainOperator(dim, L, terms=terms)):
+        assert total.terms is None
+        assert np.allclose(total.to_dense(), expected, rtol=0, atol=1e-13)
+    both = ChainOperator(dim, L, terms=terms) + ChainOperator(dim, L, terms=terms)
+    assert len(both.terms) == 2 * len(terms)
+    monkeypatch.setattr(gradedcore, "DENSE_SITE_CAP", d - 1)
+    with pytest.raises(ValueError, match="no dense form above the cap"):
+        ChainOperator(dim, L, terms=terms) + ChainOperator(dim, L, dense=dense)
+
+
 def test_apply_identity_factors_leaves_state(rng):
     dim = GradedDim(1, 1)
     st = random_state(dim, 3, rng)
@@ -306,9 +411,8 @@ def test_matrix_free_apply_matches_dense(dim, rng):
             ent = rng.standard_normal((n2, n2)) + 1j * rng.standard_normal((n2, n2))
             factors.append(((int(i), int(j)), LocalOperator(dim, 2, ent)))
         terms.append(ProductTerm(complex(rng.standard_normal(), rng.standard_normal()), tuple(factors)))
-    op = ChainOperator.from_terms(dim, L, terms)
     st = random_state(dim, L, rng)
-    dense_result = op.realize() @ st.amplitudes
+    dense_result = product_reference(dim, L, terms) @ st.amplitudes
     free_result = ChainOperator(dim, L, terms=terms).apply(st).amplitudes
     assert np.linalg.norm(free_result - dense_result) / np.linalg.norm(dense_result) < 1e-12
 
@@ -344,7 +448,7 @@ def test_prefix_tree_apply_matches_term_by_term(dim, rng):
     assert np.array_equal(st.amplitudes, before)
     ref = sum(ChainOperator(dim, L, terms=(t,)).apply(st).amplitudes for t in terms)
     assert np.linalg.norm(free_result - ref) / np.linalg.norm(ref) < 1e-13
-    dense_result = ChainOperator.from_terms(dim, L, terms).realize() @ before
+    dense_result = product_reference(dim, L, terms) @ before
     assert np.linalg.norm(free_result - dense_result) / np.linalg.norm(dense_result) < 1e-12
 
 
@@ -352,9 +456,6 @@ def test_h1_prefix_tree_shares_leading_factors(rng):
     # the terms of pair (i, k) apply Rbar_{i,i-1} .. Rbar_{i,k+1} first, so
     # per i the tree holds i-2 shared leading factors, i-1 F factors and
     # i - k trailing factors below each F: 60 edges at L = 6 instead of 70
-    from gradedhs.chain import hamiltonian_h1
-    from gradedhs.gradedcore import _plan_tree
-
     L = 6
     spec = RMatrixSpec(RFamily.UQ_GLNM, GradedDim(1, 1), 0.3)
     h1 = hamiltonian_h1(spec, L)
@@ -365,7 +466,7 @@ def test_h1_prefix_tree_shares_leading_factors(rng):
     assert sum(len(t.factors) for t in h1.terms) == 70
     assert edges(_plan_tree(h1)) == sum(2 * i - 3 + i * (i - 1) // 2 for i in range(2, L + 1))
     st = random_state(spec.dim, L, rng)
-    ref = h1.realize() @ st.amplitudes
+    ref = product_reference(spec.dim, L, h1.terms) @ st.amplitudes
     err = np.linalg.norm(h1.apply(st).amplitudes - ref) / np.linalg.norm(ref)
     assert err < 1e-12
 
@@ -387,7 +488,7 @@ def test_r_factor_plans_split_into_diag_and_swap(dim, fam, rng):
     for build in (build_r, build_r_normalized, build_f_derivative):
         op = build(spec, 0.27 + 0.19j)
         for sites in ((1, 3), (4, 2), (2, 3), (3, 2)):
-            plan = _FactorPlan(dim, L, sites, op)
+            plan = _FactorPlan(dim, sites, op)
             assert [kind for kind, *_ in plan.actions if kind == "gen"] == []
             ref = embed_realized(op, sites, L) @ vec
             err = np.linalg.norm(_plan_apply(plan, vec) - ref) / np.linalg.norm(ref)
@@ -397,7 +498,7 @@ def test_r_factor_plans_split_into_diag_and_swap(dim, fam, rng):
 def test_mixed_parity_r_keeps_one_diag_and_one_swap():
     # at (1|1) the flips are odd, so the even sector is purely diagonal
     spec = RMatrixSpec(RFamily.UQ_GLNM, GradedDim(1, 1), 0.3)
-    plan = _FactorPlan(spec.dim, 5, (2, 4), build_r_normalized(spec, 0.31 + 0.2j))
+    plan = _FactorPlan(spec.dim, (2, 4), build_r_normalized(spec, 0.31 + 0.2j))
     assert [kind for kind, *_ in plan.actions] == ["diag", "swap"]
 
 
