@@ -197,7 +197,7 @@ def _draw_positions(length: int, eta: complex, hbar: complex, rng) -> SiteConfig
 def _draw_case(cfg: RunConfig, spec: RMatrixSpec, pairs: list, rng) -> tuple:
     """Positions, then the probe functions of each order pair, in draw order."""
     site = _draw_positions(cfg.length, cfg.eta, cfg.hbar, rng)
-    probes = max(1, min(cfg.samples, 10))
+    probes = min(cfg.samples, 10)
     fs = [
         [random_test_function(cfg.length, rng, dim=spec.dim) for _ in range(probes)]
         for _ in pairs
@@ -224,9 +224,11 @@ def _ops_plan(cfg: RunConfig) -> tuple[tuple, list]:
 
 def _ops_rows(cfg: RunConfig, spec: RMatrixSpec, site: SiteConfig, identities, pairs, probes):
     rows = []
+    # one store serves every order, every spread eta and the commutator probes
+    store = FactorStore(spec, site)
     for k in identities:
-        res = f_identity_residual(spec, site, k)
-        spread = f_identity_eta_spread(spec, site, k, _spread_etas(cfg.eta))
+        res = f_identity_residual(spec, site, k, store=store)
+        spread = f_identity_eta_spread(spec, site, k, _spread_etas(cfg.eta), store=store)
         tol = cfg.tolerances.get("f_identity", 1e-10)
         rows.append(
             {
@@ -239,11 +241,8 @@ def _ops_rows(cfg: RunConfig, spec: RMatrixSpec, site: SiteConfig, identities, p
                 "verdict": "pass" if max(res, spread) <= tol else "fail",
             }
         )
-    store = FactorStore(spec, site)
     for (k, l), fs in zip(pairs, probes):
-        worst = 0.0
-        for f in fs:
-            worst = max(worst, commutator_eval(spec, site, k, l, f, store=store))
+        worst = commutator_eval(spec, site, k, l, fs, store=store)
         tol = cfg.tolerances.get("commute", 1e-9)
         rows.append(
             {
@@ -425,6 +424,8 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     hbar = DEFAULT_HBAR if args.command == "verify" else chain_mod.DEFAULT_HBAR
     if args.hbar is not None:
         hbar = _parse_complex(args.hbar, "--hbar")
+    if args.samples < 1:
+        raise ConfigError(f"--samples must be at least 1, got {args.samples}")
     cfg = RunConfig(
         command=args.command,
         dims=_parse_nm(args.nm),

@@ -25,14 +25,18 @@ The normalized R-factors act on vectors through the factor plans of
 ``gradedcore`` (one diagonal and one swap pass per factor, O(n^L) work
 each), never as embedded n^L x n^L matrices.  The plans live in a
 :class:`FactorStore` that the caller creates, one per (spec, site
-configuration), and passes to :func:`commutator_eval`; it is shared by
-both operators of a commutator, every nested evaluation and every probe
-function, so each distinct factor is built once.  A call without a store
-makes its own.
+positions), and passes to :func:`commutator_eval`; it is shared by both
+operators of a commutator and every nested evaluation, so each distinct
+factor is built once.  The probe functions of one call run together as
+the columns of a (n^L, P) block, so each plan pass serves all of them.
+A call without a store makes its own.
 
 The commutativity of the spin operators is equivalent to a family of
 four-block R-matrix identities in the *unnormalized* matrices; those are
-assembled by :func:`f_identity` as dense products of embedded factors.
+assembled by :func:`f_identity`, each four-block product as the factor
+plans applied to the identity columns.  The unnormalized plans sit in the
+same store, apart from the normalized ones, so one store per (spec, site
+positions) serves every order, every eta and the commutator probes.
 """
 
 from __future__ import annotations
@@ -43,7 +47,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .gradedcore import GradedDim, LocalOperator, _FactorPlan, embed_realized, sigma_mask
+from .gradedcore import GradedDim, LocalOperator, _FactorPlan, sigma_mask
+from .gradedcore import embed_realized  # noqa: F401  (perfbench/tracing.py wraps this name)
 from .rmatrix import RMatrixSpec, build_r, build_r_normalized, phi
 
 _FLOOR = 1e-300
@@ -285,55 +290,42 @@ class DifferenceOperator:
         return tuple(terms)
 
 
-class _RFactorCache:
-    """Realized embedded unnormalized R-matrices, keyed by sites and argument.
-
-    Serves the dense four-block products of :func:`f_identity`.
-    """
-
-    def __init__(self, spec: RMatrixSpec, length: int):
-        self.spec = spec
-        self.length = length
-        self._store: dict = {}
-
-    def get(self, i: int, j: int, arg: complex) -> np.ndarray:
-        key = (i, j, arg)
-        if key not in self._store:
-            self._store[key] = embed_realized(build_r(self.spec, arg), (i, j), self.length)
-        return self._store[key]
-
-
 class FactorStore:
-    """Factor plans of the spin operators for one spec and site configuration.
+    """Factor plans of one spec at one set of site positions.
 
-    Every normalized factor Rbar_ij(arg) is held as a ``_FactorPlan`` keyed
-    by (i, j, exact argument), so it is built once however many operators,
-    nested evaluations and probe functions reach it.  Per (order, evaluation
-    point) the store also keeps the subset recipes: phi-prefactor, shifted
-    point and the plans in application order.  Only the plans' O(n^2)
-    weights are held, never L-leg matrices.  Create one per (spec, site
-    configuration) and pass it to every evaluation that shares them.
+    Every two-site factor is held as a ``_FactorPlan`` keyed by (i, j, exact
+    argument), with the normalized Rbar of the spin operators and the
+    unnormalized R of the four-block identities kept apart.  Each is built
+    once however many operators, nested evaluations, probe functions,
+    orders and eta values reach it.  Per (order, evaluation point) the store
+    also keeps the spin operators' subset recipes at its own eta:
+    phi-prefactor, shifted point and the plans in application order.  Only
+    the plans' O(n^2) weights are held, never L-leg matrices.  Create one
+    per (spec, site positions) and pass it to every evaluation that shares
+    them; its lifetime is the caller's.
     """
 
     def __init__(self, spec: RMatrixSpec, cfg: SiteConfig):
         _check_spec_cfg(spec, cfg)
         self.spec = spec
         self.length = cfg.length
+        self.z = cfg.z
         self.eta = cfg.eta
         self._plans: dict = {}
         self._recipes: dict = {}
 
-    def check(self, spec: RMatrixSpec, cfg: SiteConfig) -> None:
-        """Refuse a spec or configuration the stored factors do not belong to."""
+    def check(self, spec: RMatrixSpec, cfg: SiteConfig, any_eta: bool = False) -> None:
+        """Refuse a spec or positions the stored factors do not belong to,
+        and, unless ``any_eta``, another eta than the recipes'."""
         _check_spec_cfg(spec, cfg)
-        if spec != self.spec or cfg.length != self.length or cfg.eta != self.eta:
+        if spec != self.spec or cfg.z != self.z or not (any_eta or cfg.eta == self.eta):
             raise ValueError("factor store was built for another spec or configuration")
 
-    def plan(self, i: int, j: int, arg: complex) -> _FactorPlan:
-        key = (i, j, arg)
+    def plan(self, i: int, j: int, arg: complex, normalized: bool = True) -> _FactorPlan:
+        key = (normalized, i, j, arg)
         plan = self._plans.get(key)
         if plan is None:
-            op = build_r_normalized(self.spec, arg)
+            op = (build_r_normalized if normalized else build_r)(self.spec, arg)
             plan = self._plans[key] = _FactorPlan(self.spec.dim, (i, j), op)
         return plan
 
@@ -358,17 +350,54 @@ class FactorStore:
         return recipe
 
 
+class ProbeBlock:
+    """Vector-valued test functions evaluated together as one (d, P) block.
+
+    Column p of :meth:`value` is ``functions[p].value(z)``.  The coefficients
+    (P, T, d) and frequencies (P, T, L) are stacked, shorter term lists
+    padded with zero terms, so one vectorised expression evaluates all P.
+    """
+
+    def __init__(self, functions: Sequence[TestFunction]):
+        functions = list(functions)
+        if not functions:
+            raise ValueError("need at least one probe function")
+        length = functions[0].length
+        if any(f.length != length for f in functions):
+            raise ValueError("probe functions disagree on the number of sites")
+        n_terms = max(len(f.terms) for f in functions)
+        d = max((np.size(c) for f in functions for c, _ in f.terms), default=1)
+        self.coeffs = np.zeros((len(functions), n_terms, d), dtype=complex)
+        self.freqs = np.zeros((len(functions), n_terms, length))
+        for p, f in enumerate(functions):
+            for t, (coeff, freq) in enumerate(f.terms):
+                self.coeffs[p, t] = coeff
+                self.freqs[p, t] = freq
+
+    def value(self, z: Sequence[complex]) -> np.ndarray:
+        ph = np.exp(2j * np.pi * (self.freqs @ np.asarray(z, dtype=complex)))
+        return np.ascontiguousarray(np.einsum("ptd,pt->dp", self.coeffs, ph))
+
+
+def _apply_plans(plans: Sequence[_FactorPlan], vec: np.ndarray, bufs: list) -> np.ndarray:
+    """The plans applied to ``vec`` in order; the result lives in ``bufs[0]``
+    or ``bufs[1]`` (or is ``vec`` itself when there are no plans), and
+    ``bufs[2]`` is scratch."""
+    for slot, plan in enumerate(plans):
+        out = bufs[slot % 2]
+        plan.apply_into(vec, out, bufs[2])
+        vec = out
+    return vec
+
+
 def _spin_d_value(store: FactorStore, k: int, f, z: np.ndarray):
-    d = store.spec.dim.n ** len(z)
-    bufs = [np.empty(d, dtype=complex) for _ in range(3)]
+    bufs = None
     vals = []
     for pref, zs, plans in store.recipe(k, z):
-        vec = np.asarray(f.value(zs), dtype=complex).reshape(d)
-        for slot, plan in enumerate(plans):
-            out = bufs[slot % 2]
-            plan.apply_into(vec, out, bufs[2])
-            vec = out
-        vals.append(pref * vec)
+        vec = np.ascontiguousarray(f.value(zs), dtype=complex)
+        if bufs is None:
+            bufs = [np.empty_like(vec) for _ in range(3)]
+        vals.append(pref * _apply_plans(plans, vec, bufs))
     return _tree_sum(vals)
 
 
@@ -394,11 +423,14 @@ def spin_d_operator(store: FactorStore, k: int) -> Callable:
 def commutator_eval(
     spec: RMatrixSpec, cfg: SiteConfig, k: int, l: int, f, store: FactorStore | None = None
 ) -> float:
-    """Normalized norm of ([D_k, D_l] f)(cfg.z) for the spin operators.
+    """Largest normalized norm of ([D_k, D_l] f)(cfg.z) over the probes.
 
-    Both operators and all nested evaluations share ``store``; without one,
-    a store is made for this call.
+    ``f`` is one test function or a sequence of them; a sequence runs as one
+    (d, P) block (:class:`ProbeBlock`) through every plan pass, and each
+    column is normalized by its own norms.  Both operators and all nested
+    evaluations share ``store``; without one, a store is made for this call.
     """
+    probes = ProbeBlock([f] if isinstance(f, TestFunction) else f)
     if store is None:
         store = FactorStore(spec, cfg)
     else:
@@ -407,11 +439,11 @@ def commutator_eval(
     z0 = np.array(cfg.z, dtype=complex)
     dk = spin_d_operator(store, k)
     dl = spin_d_operator(store, l)
-    v_kl = np.asarray(dk(dl(f)).value(z0))
-    v_lk = np.asarray(dl(dk(f)).value(z0))
-    num = np.linalg.norm(v_kl - v_lk)
-    den = np.linalg.norm(v_kl) + np.linalg.norm(v_lk) + _FLOOR
-    return float(num / den)
+    v_kl = dk(dl(probes)).value(z0)
+    v_lk = dl(dk(probes)).value(z0)
+    num = np.linalg.norm(v_kl - v_lk, axis=0)
+    den = np.linalg.norm(v_kl, axis=0) + np.linalg.norm(v_lk, axis=0) + _FLOOR
+    return float(np.max(num / den))
 
 
 def scalar_commutator_eval(cfg: SiteConfig, k: int, l: int, f) -> float:
@@ -430,71 +462,71 @@ def scalar_commutator_eval(cfg: SiteConfig, k: int, l: int, f) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _f_identity_assembled(spec: RMatrixSpec, cfg: SiteConfig, k: int):
-    """The defect sum over subsets of (F- - F+), and the sum of ||F+|| + ||F-||."""
+def _four_block_sites(subset: tuple[int, ...], L: int) -> tuple[list, list]:
+    """Factors of F+ and F- for one index subset, each as (i, j, shifted)
+    for R_ij(z_i - z_j [- eta]) in product order (leftmost first)."""
+    k = len(subset)
+    inside = set(subset)
+    plus: list = []
+    minus: list = []
+    # F+ block 1: slots t = k..1; ascending l in (i_t, L], l not in later I
+    for t in range(k - 1, -1, -1):
+        later = set(subset[t + 1:])
+        plus += [(subset[t], l, False) for l in range(subset[t] + 1, L + 1) if l not in later]
+    # F+ block 2: slots t = 1..k; descending j over all sites outside I
+    for t in range(k):
+        plus += [(j, subset[t], True) for j in range(L, 0, -1) if j not in inside]
+    # F+ block 3: slots t = k..1; ascending m in [1, i_t), m not in earlier I
+    for t in range(k - 1, -1, -1):
+        earlier = set(subset[:t])
+        plus += [(subset[t], m, False) for m in range(1, subset[t]) if m not in earlier]
+    # F- block 1: slots t = 1..k; descending m in [1, i_t), m not in earlier I
+    for t in range(k):
+        earlier = set(subset[:t])
+        minus += [(m, subset[t], False) for m in range(subset[t] - 1, 0, -1) if m not in earlier]
+    # F- block 2: slots t = k..1; ascending j over all sites outside I
+    for t in range(k - 1, -1, -1):
+        minus += [(subset[t], j, True) for j in range(1, L + 1) if j not in inside]
+    # F- block 3: slots t = 1..k; descending l in (i_t, L], l not in later I
+    for t in range(k):
+        later = set(subset[t + 1:])
+        minus += [(l, subset[t], False) for l in range(L, subset[t], -1) if l not in later]
+    return plus, minus
+
+
+def _f_identity_assembled(
+    spec: RMatrixSpec, cfg: SiteConfig, k: int, store: FactorStore | None = None
+):
+    """The defect sum over subsets of (F- - F+), and the sum of ||F+|| + ||F-||.
+
+    Each product is the store's unnormalized-R plans applied, rightmost
+    factor first, to the identity columns.
+    """
     _check_spec_cfg(spec, cfg)
     _check_order(k, cfg.length)
+    if store is None:
+        store = FactorStore(spec, cfg)
+    else:
+        store.check(spec, cfg, any_eta=True)
     L = cfg.length
     z = np.array(cfg.z, dtype=complex)
     eta = cfg.eta
     d = spec.dim.n ** L
-    cache = _RFactorCache(spec, L)
+    eye = np.eye(d, dtype=complex)
+    tmp = np.empty((d, d), dtype=complex)
+    bufs_plus = [np.empty((d, d), dtype=complex) for _ in range(2)] + [tmp]
+    bufs_minus = [np.empty((d, d), dtype=complex) for _ in range(2)] + [tmp]
 
-    def R(i, j, shifted=False):
-        return cache.get(i, j, z[i - 1] - z[j - 1] - (eta if shifted else 0.0))
+    def plans(sites):
+        return [store.plan(i, j, z[i - 1] - z[j - 1] - (eta if shifted else 0.0), normalized=False)
+                for (i, j, shifted) in reversed(sites)]
 
     total = np.zeros((d, d), dtype=complex)
     scale = 0.0
     for subset in combinations(range(1, L + 1), k):
-        inside = set(subset)
-        # F+ block 1: slots t = k..1; ascending l in (i_t, L], l not in later I
-        fp = np.eye(d, dtype=complex)
-        for t in range(k - 1, -1, -1):
-            it = subset[t]
-            later = set(subset[t + 1:])
-            for l in range(it + 1, L + 1):
-                if l in later:
-                    continue
-                fp = fp @ R(it, l)
-        # F+ block 2: slots t = 1..k; descending j over all sites outside I
-        for t in range(k):
-            it = subset[t]
-            for j in range(L, 0, -1):
-                if j in inside:
-                    continue
-                fp = fp @ R(j, it, shifted=True)
-        # F+ block 3: slots t = k..1; ascending m in [1, i_t), m not in earlier I
-        for t in range(k - 1, -1, -1):
-            it = subset[t]
-            earlier = set(subset[:t])
-            for m in range(1, it):
-                if m in earlier:
-                    continue
-                fp = fp @ R(it, m)
-        # F- block 1: slots t = 1..k; descending m in [1, i_t), m not in earlier I
-        fm = np.eye(d, dtype=complex)
-        for t in range(k):
-            it = subset[t]
-            earlier = set(subset[:t])
-            for m in range(it - 1, 0, -1):
-                if m in earlier:
-                    continue
-                fm = fm @ R(m, it)
-        # F- block 2: slots t = k..1; ascending j over all sites outside I
-        for t in range(k - 1, -1, -1):
-            it = subset[t]
-            for j in range(1, L + 1):
-                if j in inside:
-                    continue
-                fm = fm @ R(it, j, shifted=True)
-        # F- block 3: slots t = 1..k; descending l in (i_t, L], l not in later I
-        for t in range(k):
-            it = subset[t]
-            later = set(subset[t + 1:])
-            for l in range(L, it, -1):
-                if l in later:
-                    continue
-                fm = fm @ R(l, it)
+        plus, minus = _four_block_sites(subset, L)
+        fp = _apply_plans(plans(plus), eye, bufs_plus)
+        fm = _apply_plans(plans(minus), eye, bufs_minus)
         total += fm - fp
         scale += np.linalg.norm(fp) + np.linalg.norm(fm)
     if spec.dim.n_odd:
@@ -508,22 +540,35 @@ def f_identity(spec: RMatrixSpec, cfg: SiteConfig, k: int) -> LocalOperator:
     return op
 
 
-def f_identity_residual(spec: RMatrixSpec, cfg: SiteConfig, k: int) -> float:
+def f_identity_residual(
+    spec: RMatrixSpec, cfg: SiteConfig, k: int, store: FactorStore | None = None
+) -> float:
     """Norm of the assembled defect over sum_I (||F+_I|| + ||F-_I||).
 
     Each product's norm is taken whole, so a defect that survives in any
     subset's product reads O(1), however large or small the single factors.
+    ``store`` (any eta, same spec and positions) supplies the factor plans;
+    without one, a store is made for this call.
     """
-    op, scale = _f_identity_assembled(spec, cfg, k)
+    op, scale = _f_identity_assembled(spec, cfg, k, store)
     return float(op.norm() / (scale + _FLOOR))
 
 
 def f_identity_eta_spread(
-    spec: RMatrixSpec, cfg: SiteConfig, k: int, etas: Sequence[complex]
+    spec: RMatrixSpec,
+    cfg: SiteConfig,
+    k: int,
+    etas: Sequence[complex],
+    store: FactorStore | None = None,
 ) -> float:
-    """Max residual over several eta values (the defect is eta-independent)."""
+    """Max residual over several eta values (the defect is eta-independent).
+
+    All etas share ``store``, or one store made for this call.
+    """
+    if store is None:
+        store = FactorStore(spec, cfg)
     worst = 0.0
     for eta in etas:
         cfg_eta = replace(cfg, eta=eta)
-        worst = max(worst, f_identity_residual(spec, cfg_eta, k))
+        worst = max(worst, f_identity_residual(spec, cfg_eta, k, store=store))
     return worst

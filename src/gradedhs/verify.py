@@ -511,8 +511,11 @@ def run_battery(
     """Run every applicable identity check over the given specs.
 
     Deterministic for a given seed; per-check failures (including
-    unexpected errors) are recorded, never raised.
+    unexpected errors) are recorded, never raised.  A ``samples`` count
+    below 1 leaves nothing to check and raises ``ValueError``.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     if specs is None:
         specs = default_specs()
     tol = dict(DEFAULT_TOLERANCES)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from gradedhs import PoleError, SiteConfig, cli
+from gradedhs import PoleError, SiteConfig, cli, qmrops
 from gradedhs.cli import (
     RunConfig,
     _build_parser,
@@ -14,6 +14,7 @@ from gradedhs.cli import (
     _spread_etas,
     main,
 )
+from gradedhs.verify import mutated_r_builder
 
 
 def run_cli(args, tmp_path, monkeypatch):
@@ -220,6 +221,29 @@ def test_ops_pole_error_exits_2(tmp_path, monkeypatch, capsys):
     args = ["ops", "--nm", "1,1", "--L", "3", "--check", "commute"]
     assert run_cli(args, tmp_path, monkeypatch) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["verify", "--nm", "1,1"], ["ops", "--nm", "1,1", "--L", "3"], ["chain", "--nm", "1,1"]],
+)
+@pytest.mark.parametrize("samples", ["0", "-1", "-3"])
+def test_samples_below_one_is_config_error(command, samples, tmp_path, monkeypatch, capsys):
+    # --samples -1 once passed every sampled check with max_residual=-1
+    assert run_cli(command + ["--samples", samples], tmp_path, monkeypatch) == 2
+    assert "--samples" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("builder,failing", [("build_r_normalized", "commute"),
+                                             ("build_r", "f_identity")])
+def test_ops_exits_1_under_flipped_builder(builder, failing, tmp_path, monkeypatch):
+    # (1, 2) is the e_12 (x) e_21 flip entry at (1|1)
+    monkeypatch.setattr(qmrops, builder, mutated_r_builder(1, 2, base=getattr(qmrops, builder)))
+    args = ["ops", "--family", "uq", "--nm", "1,1", "--L", "4", "--samples", "3", "--seed", "5"]
+    assert run_cli(args, tmp_path, monkeypatch) == 1
+    rows = json.loads((tmp_path / "ops_report.json").read_text())["results"]
+    assert {r["check"] for r in rows if r["verdict"] == "fail"} == {failing}
 
 
 def test_ops_reports_are_seed_deterministic(tmp_path, monkeypatch):

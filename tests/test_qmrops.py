@@ -1,13 +1,17 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
 from gradedhs import (
     FactorStore,
     GradedDim,
+    ProbeBlock,
     RFamily,
     RMatrixSpec,
     SiteConfig,
     TestFunction,
+    build_r,
     build_r_normalized,
     commutator_eval,
     embed_local,
@@ -21,8 +25,8 @@ from gradedhs import (
     spin_d,
 )
 from gradedhs import qmrops
-from gradedhs.gradedcore import embed_realized
-from gradedhs.qmrops import DifferenceOperator
+from gradedhs.gradedcore import embed_realized, sigma_mask
+from gradedhs.qmrops import DifferenceOperator, _f_identity_assembled
 from gradedhs.verify import mutated_r_builder
 
 HBAR = 0.3 + 0.0j
@@ -239,6 +243,65 @@ def test_factor_store_refuses_other_configuration():
         commutator_eval(other, cfg_of(Z3), 1, 2, f, store=store)
 
 
+def test_probe_block_value_matches_stacked_functions(rng):
+    dim = GradedDim(2, 1)
+    fs = [random_test_function(3, rng, dim=dim) for _ in range(4)]
+    fs.append(random_test_function(3, rng, dim=dim, n_terms=5))  # padded to five terms
+    block = ProbeBlock(fs)
+    for z in (np.array(Z3), np.array(Z3) - ETA):
+        got = block.value(z)
+        ref = np.stack([f.value(z) for f in fs], axis=1)
+        assert got.shape == (27, 5) and got.flags.c_contiguous
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_probe_block_rejects_empty_and_mixed_lengths(rng):
+    with pytest.raises(ValueError):
+        ProbeBlock([])
+    dim = GradedDim(1, 1)
+    with pytest.raises(ValueError):
+        ProbeBlock([random_test_function(3, rng, dim=dim), random_test_function(4, rng, dim=dim)])
+
+
+@pytest.mark.parametrize("fam", list(RFamily))
+@pytest.mark.parametrize("nm,z", [((1, 1), Z4), ((2, 1), Z3)])
+@pytest.mark.parametrize("shared", [False, True])
+@pytest.mark.parametrize("flipped", [False, True])
+def test_batched_commutator_matches_single_probes(fam, nm, z, shared, flipped, rng, monkeypatch):
+    # with a flipped entry each probe reads its own residual, so the
+    # per-column normalization and the max over columns are compared too;
+    # (1, 2) is the e_12 (x) e_21 flip entry at (1|1)
+    if flipped:
+        monkeypatch.setattr(
+            qmrops, "build_r_normalized", mutated_r_builder(1, 2, base=build_r_normalized)
+        )
+    spec = RMatrixSpec(fam, GradedDim(*nm), HBAR)
+    cfg = cfg_of(z)
+    store = FactorStore(spec, cfg) if shared else None
+    L = len(z)
+    probes = [random_test_function(L, rng, dim=spec.dim) for _ in range(5)]
+    for k, l in ((1, 2), (1, L - 1), (2, L - 1)):
+        single = max(commutator_eval(spec, cfg, k, l, f, store=store) for f in probes)
+        batched = commutator_eval(spec, cfg, k, l, probes, store=store)
+        assert abs(batched - single) <= 1e-13
+        if not flipped:
+            assert batched < 1e-9
+        elif nm == (1, 1):
+            assert batched > 1e-9
+
+
+def test_batched_commutator_catches_flipped_entry(rng, monkeypatch):
+    spec = RMatrixSpec(RFamily.UQ_GLNM, GradedDim(1, 1), HBAR)
+    cfg = cfg_of(Z4)
+    probes = [random_test_function(4, rng, dim=spec.dim) for _ in range(10)]
+    assert commutator_eval(spec, cfg, 1, 2, probes) < 1e-9
+    # (1, 2) is the e_12 (x) e_21 flip entry at (1|1)
+    monkeypatch.setattr(
+        qmrops, "build_r_normalized", mutated_r_builder(1, 2, base=qmrops.build_r_normalized)
+    )
+    assert commutator_eval(spec, cfg, 1, 2, probes) > 1e-9
+
+
 def test_spec_cfg_hbar_mismatch_rejected(rng):
     spec = RMatrixSpec(RFamily.UQ_GLNM, GradedDim(1, 1), 0.31)
     cfg = cfg_of(Z3)  # hbar = 0.3
@@ -304,6 +367,113 @@ def test_f_identity_rejects_bad_order():
     for k in (0, 4, 5):
         with pytest.raises(ValueError):
             f_identity_residual(spec, cfg, k)
+
+
+def dense_f_identity(spec, cfg, k):
+    """Reference route: the four-block products as d x d products of
+    embedded unnormalized R-matrices, (defect sum, sum of product norms)."""
+    L = cfg.length
+    z = np.array(cfg.z, dtype=complex)
+    d = spec.dim.n ** L
+
+    def R(i, j, shifted=False):
+        arg = z[i - 1] - z[j - 1] - (cfg.eta if shifted else 0.0)
+        return embed_realized(qmrops.build_r(spec, arg), (i, j), L)
+
+    total = np.zeros((d, d), dtype=complex)
+    scale = 0.0
+    for subset in combinations(range(1, L + 1), k):
+        inside = set(subset)
+        fp = np.eye(d, dtype=complex)
+        for t in range(k - 1, -1, -1):
+            for l in range(subset[t] + 1, L + 1):
+                if l not in subset[t + 1:]:
+                    fp = fp @ R(subset[t], l)
+        for t in range(k):
+            for j in range(L, 0, -1):
+                if j not in inside:
+                    fp = fp @ R(j, subset[t], shifted=True)
+        for t in range(k - 1, -1, -1):
+            for m in range(1, subset[t]):
+                if m not in subset[:t]:
+                    fp = fp @ R(subset[t], m)
+        fm = np.eye(d, dtype=complex)
+        for t in range(k):
+            for m in range(subset[t] - 1, 0, -1):
+                if m not in subset[:t]:
+                    fm = fm @ R(m, subset[t])
+        for t in range(k - 1, -1, -1):
+            for j in range(1, L + 1):
+                if j not in inside:
+                    fm = fm @ R(subset[t], j, shifted=True)
+        for t in range(k):
+            for l in range(L, subset[t], -1):
+                if l not in subset[t + 1:]:
+                    fm = fm @ R(l, subset[t])
+        total += fm - fp
+        scale += np.linalg.norm(fp) + np.linalg.norm(fm)
+    if spec.dim.n_odd:
+        total = sigma_mask(spec.dim, L) * total
+    return total, scale
+
+
+@pytest.mark.parametrize("fam", list(RFamily))
+@pytest.mark.parametrize("nm", [(1, 1), (2, 1), (1, 2)])
+@pytest.mark.parametrize("length", [3, 4])
+@pytest.mark.parametrize("flipped", [False, True])
+def test_f_identity_matches_dense_reference(fam, nm, length, flipped, rng, monkeypatch):
+    # with a flipped entry the defect is O(1), so both routes are compared
+    # on a defect that does not vanish as well
+    if flipped:
+        monkeypatch.setattr(qmrops, "build_r", mutated_r_builder(1, 2, base=build_r))
+    spec = RMatrixSpec(fam, GradedDim(*nm), HBAR)
+    cfg = draw_cfg(length, rng)
+    store = FactorStore(spec, cfg)
+    for k in range(1, length):
+        ref, ref_scale = dense_f_identity(spec, cfg, k)
+        op, scale = _f_identity_assembled(spec, cfg, k, store)
+        assert np.max(np.abs(op.entries - ref)) <= 1e-12 * ref_scale
+        assert abs(scale - ref_scale) <= 1e-12 * ref_scale
+
+
+def test_f_identity_store_builds_each_factor_once(monkeypatch):
+    spec = RMatrixSpec(RFamily.ZN_GRADED, GradedDim(2, 1), HBAR)
+    cfg = cfg_of(Z4)
+    calls = []
+
+    def counting(spec_, z):
+        calls.append(z)
+        return build_r(spec_, z)
+
+    monkeypatch.setattr(qmrops, "build_r", counting)
+    store = FactorStore(spec, cfg)
+    etas = [ETA, 0.11 + 0.09j, 0.23 - 0.04j]
+    fresh = []
+    for k in (1, 2, 3):
+        fresh.append(f_identity_eta_spread(spec, cfg, k, etas))
+    n_fresh = len(calls)
+    calls.clear()
+    shared = [f_identity_eta_spread(spec, cfg, k, etas, store=store) for k in (1, 2, 3)]
+    # every ordered pair unshifted once, and shifted once per eta
+    assert len(calls) == 12 * (1 + len(etas)) < n_fresh
+    assert shared == fresh
+    # the commutator's normalized plans sit apart from the unnormalized ones
+    f = random_test_function(4, np.random.default_rng(2), dim=spec.dim)
+    assert commutator_eval(spec, cfg, 1, 2, f, store=store) == commutator_eval(spec, cfg, 1, 2, f)
+    assert f_identity_residual(spec, cfg, 2, store=store) == f_identity_residual(spec, cfg, 2)
+
+
+def test_f_identity_store_refuses_other_positions():
+    spec = RMatrixSpec(RFamily.UQ_GLNM, GradedDim(1, 1), HBAR)
+    store = FactorStore(spec, cfg_of(Z3))
+    # another eta is fine: the factors are keyed by their exact argument
+    f_identity_residual(spec, cfg_of(Z3, eta=0.21 + 0.06j), 1, store=store)
+    moved = (Z3[0] + 0.01, Z3[1], Z3[2])
+    with pytest.raises(ValueError):
+        f_identity_residual(spec, cfg_of(moved), 1, store=store)
+    other = RMatrixSpec(RFamily.ZN_GRADED, GradedDim(1, 1), HBAR)
+    with pytest.raises(ValueError):
+        f_identity_residual(other, cfg_of(Z3), 1, store=store)
 
 
 @pytest.mark.parametrize("fam", list(RFamily))

@@ -212,6 +212,13 @@ def test_battery_passes_and_is_deterministic(tmp_path):
     )
 
 
+@pytest.mark.parametrize("samples", [0, -1])
+def test_battery_rejects_samples_below_one(samples):
+    # -1 once reported every sampled check as a pass with max_residual -1
+    with pytest.raises(ValueError):
+        run_battery([spec_of(RFamily.UQ_GLNM, (1, 1))], seed=5, samples=samples)
+
+
 def test_battery_implied_qybe_for_zn():
     # whenever the associative equation, unitarity and skew-symmetry pass,
     # the quantum equation must pass as well
