@@ -21,13 +21,19 @@ related to the matrix of the operator as a linear map by a fixed +-1 mask
 matrix product, which keeps the hot path in BLAS.  When M = 0 every sign
 is +1 and all of this reduces to ordinary linear algebra.
 
+Embedding a two-leg operator at legs (i, j) is an index placement in the
+coefficient basis: entries only move, and the Koszul sign
+(-1)^{|e_ab||e_cd|} appears only when i > j puts its legs in the other
+order (see :func:`_placement`).
+
 States live in (C^(N|M))^{(x) L}.  Chain operators are held as sums of
 products of embedded two-site factors, applied matrix-free through factor
 plans (a diagonal and a weighted-swap pass per factor), and/or as a dense
-coefficient array.  The dense form of a factor-term operator is built on
-first use, up to n^L = DENSE_SITE_CAP, by running the same plans over
-blocks of identity columns, so no d x d factor matrix is formed: H1 and
-H2 of uq(1|1) at L = 9 (d = 512) take about 1.5 s together on one core.
+realized matrix, their one stored dense form.  The dense form of a
+factor-term operator is built on first use, up to n^L = DENSE_SITE_CAP, by
+running the same plans over blocks of identity columns, so no d x d factor
+matrix is formed: H1 and H2 of uq(1|1) at L = 9 (d = 512) take about 1.5 s
+together on one core.
 """
 
 from __future__ import annotations
@@ -274,8 +280,9 @@ class ProductTerm:
 class ChainOperator:
     """Operator on an L-site chain, dense and/or sum-of-factor-products.
 
-    A factor-term operator builds its dense form on first use (up to
-    ``DENSE_SITE_CAP``) and keeps it.
+    The one stored dense form is the realized matrix.  A ``dense``
+    coefficient array is sign-masked into it on entry; a factor-term
+    operator builds it on first use (up to ``DENSE_SITE_CAP``) and keeps it.
     """
 
     def __init__(
@@ -290,20 +297,20 @@ class ChainOperator:
         self.dim = dim
         self.length = length
         d = dim.n ** length
+        self._realized: np.ndarray | None = None
         if dense is not None:
             dense = np.asarray(dense, dtype=complex)
             if dense.shape != (d, d):
                 raise ValueError(f"dense array must be {d}x{d}")
-        self._dense = dense
+            self._realized = sigma_mask(dim, length) * dense if dim.n_odd else dense
         self.terms = tuple(terms) if terms is not None else None
         if self.terms is not None:
             for term in self.terms:
-                for (i, j), op in term.factors:
-                    _check_sites(i, j, length)
-                    if op.legs != 2 or op.dim != dim:
-                        raise ValueError("factors must be two-leg operators on the chain dim")
+                for sites, op in term.factors:
+                    _check_factor(op, sites, length)
+                    if op.dim != dim:
+                        raise ValueError("factors must act on the chain dim")
         self._plans: _PlanNode | None = None
-        self._realized: np.ndarray | None = None
 
     @property
     def hilbert_dim(self) -> int:
@@ -315,25 +322,18 @@ class ChainOperator:
         return cls(dim, length, terms=terms)
 
     def to_dense(self) -> np.ndarray:
-        """Coefficient array of the full chain operator."""
-        if self._dense is None:
-            realized = self.realize()
-            self._dense = sigma_mask(self.dim, self.length) * realized if self.dim.n_odd else realized
-        return self._dense
+        """Coefficient array of the full chain operator (computed per call)."""
+        realized = self.realize()
+        return sigma_mask(self.dim, self.length) * realized if self.dim.n_odd else realized
 
     def realize(self) -> np.ndarray:
         """Matrix of the operator as a linear map on chain states."""
         if self._realized is None:
-            if self._dense is None:
-                self._realized = _realize_terms(self)
-            elif self.dim.n_odd:
-                self._realized = sigma_mask(self.dim, self.length) * self._dense
-            else:
-                self._realized = self._dense
+            self._realized = _realize_terms(self)
         return self._realized
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.to_dense()))
+        return float(np.linalg.norm(self.realize()))
 
     def apply(self, state: ChainState) -> ChainState:
         return apply(self, state)
@@ -345,7 +345,7 @@ class ChainOperator:
         if self.terms is not None and other.terms is not None:
             terms = self.terms + other.terms
         dense = None
-        both_dense = self._dense is not None and other._dense is not None
+        both_dense = self._realized is not None and other._realized is not None
         if terms is None or both_dense:
             if not both_dense and self.hilbert_dim > DENSE_SITE_CAP:
                 raise ValueError(
@@ -357,7 +357,7 @@ class ChainOperator:
         return ChainOperator(self.dim, self.length, dense=dense, terms=terms)
 
     def __mul__(self, scalar: complex) -> "ChainOperator":
-        dense = None if self._dense is None else self._dense * scalar
+        dense = None if self._realized is None else self.to_dense() * scalar
         terms = None
         if self.terms is not None:
             terms = tuple(ProductTerm(t.coeff * scalar, t.factors) for t in self.terms)
@@ -366,79 +366,74 @@ class ChainOperator:
     __rmul__ = __mul__
 
 
-def _check_sites(i: int, j: int, length: int) -> None:
+def _check_factor(op: LocalOperator, sites: tuple[int, int], length: int) -> None:
+    """Guard of every placement: a two-leg operator at two distinct sites."""
+    if op.legs != 2:
+        raise ValueError(f"only two-leg operators can be embedded, got {op.legs} legs")
+    i, j = sites
     if not (1 <= i <= length and 1 <= j <= length):
         raise ValueError(f"site pair ({i},{j}) out of range 1..{length}")
     if i == j:
         raise ValueError(f"site pair ({i},{j}) must be distinct")
 
 
-# -- dense embedding --------------------------------------------------------
+# -- embedding --------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _adjacent_swap_realized(parities: tuple[int, ...], length: int, s: int) -> np.ndarray:
-    """Realized matrix of the graded permutation embedded at legs (s, s+1)."""
-    n = len(parities)
-    dim = GradedDim(int(np.sum(np.array(parities) == 0)), int(np.sum(np.array(parities) == 1)))
-    P = graded_permutation(dim).entries
-    mat = np.kron(np.kron(np.eye(n ** (s - 1)), P), np.eye(n ** (length - s - 1)))
-    out = sigma_mask(dim, length) * mat if dim.n_odd else mat
-    out.flags.writeable = False
-    return out
+@lru_cache(maxsize=256)  # keyed by (grading, sites, legs): a few dozen keys in use
+def _placement(parities: tuple[int, ...], i: int, j: int, legs: int):
+    """Index map that places a two-leg coefficient array at legs (i, j).
+
+    Returns ``(dst, src, sign)`` with ``out.ravel()[dst] = X.ravel()[src] * sign``.
+    The monomial e_ab (x) e_cd lands as e_ab at leg i and e_cd at leg j, the
+    identity on every other leg.  The identity is even, so the only Koszul
+    sign is (-1)^{|e_ab||e_cd|}, paid when i > j puts e_cd first.
+    """
+    p = np.array(parities, dtype=np.int64)
+    n = len(p)
+    stride = n ** np.arange(legs - 1, -1, -1)  # flat-index weight of each leg
+    spectators = np.delete(stride, [i - 1, j - 1]) @ _leg_labels(n, legs - 2)
+    a, c, b, d = np.indices((n,) * 4).reshape(4, -1)  # flat src order [(a, c), (b, d)]
+    row = (a * stride[i - 1] + c * stride[j - 1])[:, None] + spectators
+    col = (b * stride[i - 1] + d * stride[j - 1])[:, None] + spectators
+    dst = (row * n ** legs + col).ravel()
+    src = np.repeat(np.arange(n ** 4), spectators.size)
+    odd = (p[a] + p[b]) * (p[c] + p[d]) % 2 if i > j else np.zeros_like(a)
+    sign = np.repeat(1.0 - 2.0 * odd, spectators.size)
+    for arr in (dst, src, sign):
+        arr.flags.writeable = False
+    return dst, src, sign
+
+
+def _embed_dense(op: LocalOperator, sites: tuple[int, int], legs: int) -> np.ndarray:
+    """Coefficient array of a two-leg operator placed at ``sites``."""
+    _check_factor(op, sites, legs)
+    dst, src, sign = _placement(tuple(op.dim.parities), sites[0], sites[1], legs)
+    d = op.dim.n ** legs
+    out = np.zeros(d * d, dtype=complex)
+    out[dst] = op.entries.ravel()[src] * sign
+    return out.reshape(d, d)
 
 
 def _swap_legs(op: LocalOperator) -> LocalOperator:
     """Two-leg operator with its legs exchanged: P . op . P under the graded
     product (exported as ``rmatrix.r_transposed``)."""
-    P = graded_permutation(op.dim)
-    return super_multiply(super_multiply(P, op), P)
-
-
-def _embed_dense(op: LocalOperator, sites: tuple[int, int], length: int) -> np.ndarray:
-    """Coefficient array of a two-leg operator transported to ``sites``."""
-    i, j = sites
-    if i > j:
-        op = _swap_legs(op)
-        i, j = j, i
-    n = op.dim.n
-    pkey = tuple(op.dim.parities)
-    # adjacent placement is a plain Kronecker block, then the second leg is
-    # walked to position j by conjugation with adjacent graded swaps
-    mat = np.kron(np.kron(np.eye(n ** (i - 1)), op.entries), np.eye(n ** (length - i - 1)))
-    if op.dim.n_odd:
-        mat = sigma_mask(op.dim, length) * mat
-    for s in range(i + 1, j):
-        Ps = _adjacent_swap_realized(pkey, length, s)
-        mat = Ps @ mat @ Ps
-    if op.dim.n_odd:
-        mat = sigma_mask(op.dim, length) * mat
-    return mat
+    return LocalOperator(op.dim, 2, _embed_dense(op, (2, 1), 2))
 
 
 def embed_local(op: LocalOperator, sites: tuple[int, int], legs: int) -> LocalOperator:
     """Embed a two-leg operator into a ``legs``-leg LocalOperator."""
-    _check_sites(sites[0], sites[1], legs)
-    if op.legs != 2:
-        raise ValueError("only two-leg operators can be embedded")
     return LocalOperator(op.dim, legs, _embed_dense(op, sites, legs))
 
 
 def embed(op: LocalOperator, sites: tuple[int, int], length: int) -> ChainOperator:
-    """Embed a two-leg operator at a site pair of an L-site chain."""
-    _check_sites(sites[0], sites[1], length)
-    if op.legs != 2:
-        raise ValueError("only two-leg operators can be embedded")
-    terms = (ProductTerm(1.0, ((tuple(sites), op),)),)
-    dense = None
-    if op.dim.n ** length <= DENSE_SITE_CAP:
-        dense = _embed_dense(op, sites, length)
-    return ChainOperator(op.dim, length, dense=dense, terms=terms)
+    """Embed a two-leg operator at a site pair of an L-site chain, as a
+    one-factor term (its dense form follows on first use)."""
+    return ChainOperator(op.dim, length, terms=(ProductTerm(1.0, ((tuple(sites), op),)),))
 
 
 def embed_realized(op: LocalOperator, sites: tuple[int, int], length: int) -> np.ndarray:
     """Realized (linear-map) matrix of a two-leg operator embedded at sites."""
-    _check_sites(sites[0], sites[1], length)
     mat = _embed_dense(op, sites, length)
     if op.dim.n_odd:
         mat = sigma_mask(op.dim, length) * mat
@@ -670,21 +665,20 @@ def apply(op: ChainOperator, state: ChainState) -> ChainState:
 def commutator_norm(a, b) -> float:
     """Scale-free commutator residual ||ab - ba|| / (||a|| ||b|| + floor).
 
-    Accepts ChainOperator or LocalOperator arguments (products are graded).
+    Accepts ChainOperator or LocalOperator arguments.  On realized matrices
+    the graded product is the plain matrix product, and the masked and
+    realized forms have the same norm.
     """
-    da, dima, legsa = _dense_of(a)
-    db, dimb, legsb = _dense_of(b)
-    if dima != dimb or legsa != legsb:
+    shapes = []
+    for x in (a, b):
+        if isinstance(x, ChainOperator):
+            shapes.append((x.dim, x.length))
+        elif isinstance(x, LocalOperator):
+            shapes.append((x.dim, x.legs))
+        else:
+            raise TypeError(f"expected a chain or local operator, got {type(x)!r}")
+    if shapes[0] != shapes[1]:
         raise ValueError("commutator operands do not match")
-    A = LocalOperator(dima, legsa, da)
-    B = LocalOperator(dimb, legsb, db)
-    comm = super_multiply(A, B) - super_multiply(B, A)
-    return comm.norm() / (A.norm() * B.norm() + _NORM_FLOOR)
-
-
-def _dense_of(x) -> tuple[np.ndarray, GradedDim, int]:
-    if isinstance(x, ChainOperator):
-        return x.to_dense(), x.dim, x.length
-    if isinstance(x, LocalOperator):
-        return x.entries, x.dim, x.legs
-    raise TypeError(f"expected a chain or local operator, got {type(x)!r}")
+    A, B = a.realize(), b.realize()
+    comm = float(np.linalg.norm(A @ B - B @ A))
+    return comm / (float(np.linalg.norm(A)) * float(np.linalg.norm(B)) + _NORM_FLOOR)

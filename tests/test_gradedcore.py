@@ -19,7 +19,14 @@ from gradedhs import (
 from gradedhs import gradedcore
 from gradedhs.chain import hamiltonian_h1, hamiltonian_h2, htilde_k
 from gradedhs.gradedcore import ProductTerm, _FactorPlan, _plan_tree, embed_realized, sigma_mask
-from gradedhs.rmatrix import RFamily, RMatrixSpec, build_f_derivative, build_r, build_r_normalized
+from gradedhs.rmatrix import (
+    RFamily,
+    RMatrixSpec,
+    build_f_derivative,
+    build_r,
+    build_r_normalized,
+    r_transposed,
+)
 
 DIMS = [GradedDim(1, 1), GradedDim(2, 0), GradedDim(2, 1), GradedDim(1, 2), GradedDim(2, 2)]
 
@@ -263,23 +270,59 @@ def test_embed_respects_composition(rng):
 
 def test_leg_exchange_identity():
     # embedding at (j, i) must equal the P-conjugated embedding at (i, j)
-    dim = GradedDim(1, 1)
-    P = graded_permutation(dim)
     rng = np.random.default_rng(3)
-    x = LocalOperator(dim, 2, rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
-    swapped = super_multiply(super_multiply(P, x), P)
-    assert np.allclose(embed_local(x, (2, 1), 2).entries, swapped.entries, atol=1e-14)
+    for dim in DIMS:
+        P = graded_permutation(dim)
+        x = random_factor(dim, rng)
+        swapped = super_multiply(super_multiply(P, x), P)
+        assert np.array_equal(embed_local(x, (2, 1), 2).entries, swapped.entries), dim
+        assert np.array_equal(r_transposed(x).entries, swapped.entries), dim
+
+
+def kronecker_walk_reference(op, sites, legs):
+    """Coefficient array of a two-leg operator embedded at ``sites``, built
+    apart from the index placement: legs exchanged by P-conjugation when
+    i > j, a Kronecker block at legs (i, i+1), then the second leg walked to
+    j by conjugation with adjacent graded swaps as realized matrices."""
+    dim, (i, j) = op.dim, sites
+    if i > j:
+        P = graded_permutation(dim)
+        op = super_multiply(super_multiply(P, op), P)
+        i, j = j, i
+    n, sigma = dim.n, sigma_mask(dim, legs)
+    P = graded_permutation(dim).entries
+    mat = sigma * np.kron(np.kron(np.eye(n ** (i - 1)), op.entries), np.eye(n ** (legs - i - 1)))
+    for s in range(i + 1, j):
+        swap = sigma * np.kron(np.kron(np.eye(n ** (s - 1)), P), np.eye(n ** (legs - s - 1)))
+        mat = swap @ mat @ swap
+    return sigma * mat
+
+
+@pytest.mark.parametrize("dim", DIMS)
+def test_placement_matches_kronecker_walk(dim, rng):
+    x = random_factor(dim, rng)
+    for legs in (2, 3, 4):
+        for i in range(1, legs + 1):
+            for j in range(1, legs + 1):
+                if i != j:
+                    ref = kronecker_walk_reference(x, (i, j), legs)
+                    assert np.array_equal(embed_local(x, (i, j), legs).entries, ref), (legs, i, j)
+                    assert np.array_equal(embed_realized(x, (i, j), legs),
+                                          sigma_mask(dim, legs) * ref), (legs, i, j)
 
 
 def test_embed_invalid_sites():
-    dim = GradedDim(1, 1)
+    # every entry point into the placement refuses a non-two-leg operator
+    # and invalid or equal sites, including the lazy chain embedding
+    dim, L = GradedDim(1, 1), 3
     P = graded_permutation(dim)
-    with pytest.raises(ValueError):
-        embed(P, (1, 1), 3)
-    with pytest.raises(ValueError):
-        embed(P, (0, 2), 3)
-    with pytest.raises(ValueError):
-        embed(P, (1, 4), 3)
+    three_leg = identity_operator(dim, 3)
+    for place in (embed, embed_local, embed_realized):
+        with pytest.raises(ValueError, match="two-leg"):
+            place(three_leg, (1, 2), L)
+        for sites in ((1, 1), (0, 2), (1, L + 1)):
+            with pytest.raises(ValueError, match="site pair"):
+                place(P, sites, L)
 
 
 # ---------------------------------------------------------------------------
@@ -289,9 +332,9 @@ def test_embed_invalid_sites():
 
 def product_reference(dim, L, terms):
     """Realized matrix sum_t coeff_t prod_f embed_realized(f): each factor
-    embedded on its own (Kronecker block and permutation conjugations) and
-    the products taken as d x d matrices, apart from the factor plans that
-    build dense forms and apply operators."""
+    placed on its own by the index map (checked against the Kronecker walk
+    above) and the products taken as d x d matrices, apart from the factor
+    plans that build dense forms and apply operators."""
     d = dim.n ** L
     total = np.zeros((d, d), dtype=complex)
     for term in terms:
@@ -364,9 +407,10 @@ def test_chain_hamiltonians_match_product_reference(fam, L):
 def test_dense_form_is_lazy_and_shares_the_plans(rng):
     dim, L = GradedDim(1, 1), 3
     op = ChainOperator.from_terms(dim, L, random_terms(dim, L, rng))
-    assert op._dense is None and op._realized is None
-    dense = op.to_dense()
-    assert op.to_dense() is dense
+    assert op._realized is None
+    realized = op.realize()
+    assert op.realize() is realized
+    assert np.array_equal(op.to_dense(), sigma_mask(dim, L) * realized)
     tree = op._plans
     assert tree is not None
     op.apply(random_state(dim, L, rng))
@@ -421,8 +465,8 @@ def test_single_embedded_permutation_apply(rng):
     dim = GradedDim(1, 1)
     st = random_state(dim, 3, rng)
     op = embed(graded_permutation(dim), (1, 3), 3)
-    free_result = ChainOperator(dim, 3, terms=op.terms).apply(st).amplitudes
-    dense_result = op.realize() @ st.amplitudes
+    free_result = op.apply(st).amplitudes
+    dense_result = embed_realized(graded_permutation(dim), (1, 3), 3) @ st.amplitudes
     assert np.allclose(free_result, dense_result, atol=1e-14)
 
 
@@ -514,6 +558,31 @@ def test_commutator_norm_same_operator_is_zero(rng):
     x = LocalOperator(dim, 2, rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
     a = embed(x, (1, 2), 3)
     assert commutator_norm(a, a) == 0.0
+
+
+def test_commutator_norm_mixed_arguments_match_the_graded_product(rng):
+    # realized matrices give the value of the coefficient-array route: the
+    # sign masks only flip signs, so both routes multiply the same matrices
+    dim = GradedDim(2, 1)
+    x, y = random_factor(dim, rng), random_factor(dim, rng)
+    chain_op = embed(x, (3, 1), 3)
+    chain = (chain_op, LocalOperator(dim, 3, chain_op.to_dense()))  # (argument, coefficient form)
+    local = (embed_local(y, (2, 3), 3),) * 2
+    for (a, ea), (b, eb) in ((chain, local), (local, chain), (local, (chain[1],) * 2)):
+        comm = super_multiply(ea, eb) - super_multiply(eb, ea)
+        assert commutator_norm(a, b) == comm.norm() / (ea.norm() * eb.norm() + 1e-300)
+
+
+def test_commutator_norm_rejects_mismatched_and_foreign_operands(rng):
+    x = random_factor(GradedDim(1, 1), rng)
+    with pytest.raises(ValueError):  # same size, other grading
+        commutator_norm(embed(x, (1, 2), 2), identity_operator(GradedDim(2, 0), 2))
+    with pytest.raises(ValueError):
+        commutator_norm(embed(x, (1, 2), 3), x)
+    with pytest.raises(TypeError):
+        commutator_norm(embed(x, (1, 2), 2), x.entries)
+    with pytest.raises(TypeError):
+        commutator_norm(3.0, x)
 
 
 def test_permutation_chain_commutator_disjoint():
