@@ -405,6 +405,28 @@ def _placement(parities: tuple[int, ...], i: int, j: int, legs: int):
     return dst, src, sign
 
 
+@lru_cache(maxsize=64)  # keyed by (grading, sites, legs), as _placement
+def _realized_placement(parities: tuple[int, ...], i: int, j: int, legs: int):
+    """:func:`_placement` with the sigma mask of the target folded into its
+    sign, so the gather yields the realized (linear-map) matrix."""
+    dst, src, sign = _placement(parities, i, j, legs)
+    sign = sign * _sigma_mask_cached(parities, legs).ravel()[dst]
+    sign.flags.writeable = False
+    return dst, src, sign
+
+
+def _embed_realized_stack(
+    entries: np.ndarray, dim: GradedDim, sites: tuple[int, int], legs: int
+) -> np.ndarray:
+    """Realized matrices, shape (S, d, d), of a stack (S, n^2, n^2) of
+    two-leg coefficient arrays placed at ``sites`` of ``legs`` legs."""
+    dst, src, sign = _realized_placement(tuple(dim.parities), sites[0], sites[1], legs)
+    d = dim.n ** legs
+    out = np.zeros((len(entries), d * d), dtype=complex)
+    out[:, dst] = entries.reshape(len(entries), -1)[:, src] * sign
+    return out.reshape(-1, d, d)
+
+
 def _embed_dense(op: LocalOperator, sites: tuple[int, int], legs: int) -> np.ndarray:
     """Coefficient array of a two-leg operator placed at ``sites``."""
     _check_factor(op, sites, legs)
@@ -434,10 +456,8 @@ def embed(op: LocalOperator, sites: tuple[int, int], length: int) -> ChainOperat
 
 def embed_realized(op: LocalOperator, sites: tuple[int, int], length: int) -> np.ndarray:
     """Realized (linear-map) matrix of a two-leg operator embedded at sites."""
-    mat = _embed_dense(op, sites, length)
-    if op.dim.n_odd:
-        mat = sigma_mask(op.dim, length) * mat
-    return mat
+    _check_factor(op, sites, length)
+    return _embed_realized_stack(op.entries[None], op.dim, sites, length)[0]
 
 
 # -- matrix-free application ------------------------------------------------

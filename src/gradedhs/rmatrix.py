@@ -28,12 +28,14 @@ import cmath
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
 from .gradedcore import (
     GradedDim,
     LocalOperator,
+    _parities,
     _swap_legs as r_transposed,  # leg exchange P op P, public here
     super_multiply,
 )
@@ -78,20 +80,74 @@ def _dist_to_int(z: complex) -> float:
     return abs(z - round(z.real))
 
 
-def _require_off_lattice(name: str, z: complex, eps: float = POLE_EPS) -> None:
+def _require_off_lattice(name: str, z, eps: float = POLE_EPS) -> None:
+    """Raise PoleError if z, or any point of an array z, is within eps of an
+    integer; for an array the message names the first such point."""
+    if isinstance(z, np.ndarray):
+        if z.size > 1:
+            near = np.hypot(z.real - np.round(z.real), z.imag) <= eps
+            if not near.any():
+                return
+            z = z.ravel()[np.argmax(near.ravel())]
+        z = complex(z.item())
     if _dist_to_int(z) <= eps:
         raise PoleError(f"{name}={z} is within {eps} of an integer")
 
 
-def cot(z: complex) -> complex:
+# Complex products, quotients and moduli on arrays, rounded as Python's
+# complex type rounds them (numpy's own loops fuse or reorder the terms,
+# which moves the last bit).  With them the array builders reproduce the
+# scalar formulas entry for entry; numpy's sin, cos and exp already agree
+# with cmath's.
+
+
+def _cmul(a, b):
+    if not (isinstance(a, np.ndarray) or isinstance(b, np.ndarray)):
+        return complex(a) * complex(b)
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    re = a.real * b.real - a.imag * b.imag
+    out = np.empty(re.shape, dtype=complex)
+    out.real = re
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out[()]
+
+
+def _cdiv(a, b):
+    a, b = np.asarray(a, dtype=complex), np.asarray(b, dtype=complex)
+    # Smith's scaling by the larger part of b, both branches written as one
+    big = np.abs(b.real) >= np.abs(b.imag)
+    hi, lo = np.where(big, b.real, b.imag), np.where(big, b.imag, b.real)
+    ratio = lo / hi
+    denom = hi + lo * ratio
+    re = (np.where(big, a.real, a.imag) + np.where(big, a.imag, a.real) * ratio) / denom
+    out = np.empty(re.shape, dtype=complex)
+    out.real = re
+    out.imag = (np.where(big, a.imag, a.imag * ratio)
+                - np.where(big, a.real * ratio, a.real)) / denom
+    return out[()]
+
+
+def _cabs(a):
+    return np.hypot(a.real, a.imag)
+
+
+def cot(z):
+    if isinstance(z, np.ndarray):
+        return _cdiv(np.cos(z), np.sin(z))
     return cmath.cos(z) / cmath.sin(z)
 
 
-def phi(hbar: complex, z: complex) -> complex:
+def _csc(z):
+    if isinstance(z, np.ndarray):
+        return _cdiv(1.0, np.sin(z))
+    return 1.0 / cmath.sin(z)
+
+
+def phi(hbar, z):
     """Trigonometric Kronecker kernel pi cot(pi hbar) + pi cot(pi z).
 
     Equals pi sin(pi (hbar + z)) / (sin(pi hbar) sin(pi z)); symmetric in
-    its two arguments.
+    its two arguments.  Either argument may be an array.
     """
     _require_off_lattice("hbar", hbar)
     _require_off_lattice("z", z)
@@ -114,26 +170,27 @@ class ScalarKernel:
     ``f`` is the diagonal kernel, ``g_diag``/``g_flip`` the coefficients of
     the e_aa (x) e_cc and e_ac (x) e_ca blocks (the latter without its
     (-1)^{p_c} prefactor), ``g_tilde`` the constant kernel pi / sin(pi x)
-    of the quantized-superalgebra family.
+    of the quantized-superalgebra family.  Every kernel takes a point or an
+    array of points.
     """
 
     spec: RMatrixSpec
 
-    def phi(self, hbar: complex, z: complex) -> complex:
+    def phi(self, hbar, z):
         return phi(hbar, z)
 
-    def f(self, a: int, z: complex, hbar: complex) -> complex:
+    def f(self, a: int, z, hbar):
         """Diagonal kernel pi ((-1)^{p_a} cot(pi z) + cot(pi hbar))."""
         _require_off_lattice("z", z)
         _require_off_lattice("hbar", hbar)
         sgn = -1.0 if self.spec.dim.parity(a) else 1.0
         return math.pi * (sgn * cot(math.pi * z) + cot(math.pi * hbar))
 
-    def g_tilde(self, x: complex) -> complex:
+    def g_tilde(self, x):
         _require_off_lattice("x", x)
-        return math.pi / cmath.sin(math.pi * x)
+        return _cdiv(math.pi, np.sin(math.pi * x))
 
-    def g_flip(self, a: int, c: int, z: complex) -> complex:
+    def g_flip(self, a: int, c: int, z):
         """Flip-block kernel; has a simple pole (residue 1) at integer z."""
         if a == c:
             raise ValueError("flip kernel needs distinct indices")
@@ -143,9 +200,9 @@ class ScalarKernel:
             mu = zn_exponent(a, c, n)
         else:
             mu = float(sign_int(c - a))
-        return math.pi * cmath.exp(1j * math.pi * z * mu) / cmath.sin(math.pi * z)
+        return _cdiv(math.pi * np.exp(1j * math.pi * z * mu), np.sin(math.pi * z))
 
-    def g_diag(self, a: int, c: int, hbar: complex) -> complex:
+    def g_diag(self, a: int, c: int, hbar):
         """Coefficient of e_aa (x) e_cc for a != c."""
         if a == c:
             raise ValueError("off-diagonal kernel needs distinct indices")
@@ -153,21 +210,25 @@ class ScalarKernel:
             return self.g_flip(a, c, hbar)
         return self.g_tilde(hbar)
 
-    def rebuild(self, z: complex) -> LocalOperator:
-        """R-matrix reassembled from the kernels (cross-check route)."""
+    def rebuild(self, z):
+        """R-matrix reassembled from the kernels (cross-check route).
+
+        For an array of points it returns the stacked entries, shape
+        ``z.shape + (n^2, n^2)``.
+        """
         spec = self.spec
         n = spec.dim.n
         p = spec.dim.parities
-        R = np.zeros((n * n, n * n), dtype=complex)
+        R = np.zeros(np.shape(z) + (n * n, n * n), dtype=complex)
         for a in range(1, n + 1):
-            R[_dd(a, a, n)] = self.f(a, z, spec.hbar)
+            R[(..., *_dd(a, a, n))] = self.f(a, z, spec.hbar)
         for a in range(1, n + 1):
             for c in range(1, n + 1):
                 if a == c:
                     continue
-                R[_dd(a, c, n)] = self.g_diag(a, c, spec.hbar)
-                R[_fl(a, c, n)] = (-1.0) ** p[c - 1] * self.g_flip(a, c, z)
-        return LocalOperator(spec.dim, 2, R)
+                R[(..., *_dd(a, c, n))] = self.g_diag(a, c, spec.hbar)
+                R[(..., *_fl(a, c, n))] = (-1.0) ** p[c - 1] * self.g_flip(a, c, z)
+        return R if np.ndim(z) else LocalOperator(spec.dim, 2, R)
 
 
 def scalar_kernels(spec: RMatrixSpec) -> ScalarKernel:
@@ -191,41 +252,80 @@ def _check_r_args(spec: RMatrixSpec, z: complex) -> None:
     _require_off_lattice("z+hbar", z + spec.hbar)
 
 
+@lru_cache(maxsize=None)  # one entry per (family, grading)
+def _r_layout(family: RFamily, n_even: int, n_odd: int):
+    """Flat entry positions of R and the constants each entry carries.
+
+    Returns ``(diag, diag_sign, off, mu_d, flip, flip_sign, mu_f)``: the
+    e_aa (x) e_aa positions with (-1)^{p_a}; the e_aa (x) e_cc positions
+    (a != c) with their weight exponents; the e_ac (x) e_ca positions with
+    (-1)^{p_c} and their exponents.  Positions index the raveled n^2 x n^2
+    array.
+    """
+    n = n_even + n_odd
+    p = _parities(n_even, n_odd)
+    a = np.arange(n)
+    A, C = np.nonzero(~np.eye(n, dtype=bool))  # pairs a != c, row-major
+    diag = (a * n + a) * (n * n + 1)
+    off = (A * n + C) * (n * n + 1)
+    flip = (A * n + C) * n * n + (C * n + A)
+    if family is RFamily.ZN_GRADED:
+        mu_d = mu_f = (2.0 * (A - C) - n * np.sign(A - C)) / n
+    else:
+        mu_d, mu_f = np.zeros(A.size), np.sign(C - A).astype(float)
+    out = (diag, 1.0 - 2.0 * p, off, mu_d, flip, 1.0 - 2.0 * p[C], mu_f)
+    for arr in out:
+        arr.flags.writeable = False
+    return out
+
+
+def _r_entries(family: RFamily, dim: GradedDim, hbar, z) -> np.ndarray:
+    """Raveled R entries at one point (numbers hbar, z: shape (n^4,)) or at
+    (S, 1) arrays of points (shape (S, n^4)).
+
+    Each entry block is one expression over the cached layout of (family,
+    dim); every entry rounds exactly as its entry-by-entry formula (the
+    tests keep that formula as ``r_entry_reference``).
+    """
+    _require_off_lattice("z", z)
+    _require_off_lattice("hbar", hbar)
+    _require_off_lattice("z+hbar", z + hbar)
+    diag, diag_sign, off, mu_d, flip, flip_sign, mu_f = _r_layout(family, dim.n_even, dim.n_odd)
+    R = np.zeros(np.shape(z)[:-1] + (dim.n ** 4,), dtype=complex)
+    R[..., diag] = math.pi * (diag_sign * cot(math.pi * z) + cot(math.pi * hbar))
+    w_off, w_flip = math.pi * _csc(math.pi * hbar), math.pi * _csc(math.pi * z)
+    # the flip signs (-1)^{p_c} factor out of the products exactly
+    if family is RFamily.UQ_GLNM:
+        ez = np.exp(1j * math.pi * z)
+        R[..., off] = w_off
+        # e^{-i pi z} enters as numpy's quotient by e^{i pi z}, as in the
+        # entry formula, whose sign is a numpy float
+        R[..., flip] = flip_sign * np.where(mu_f > 0.0, _cmul(w_flip, ez), np.divide(w_flip, ez))
+    else:
+        R[..., off] = _cmul(w_off, np.exp(1j * math.pi * hbar * mu_d))
+        R[..., flip] = flip_sign * _cmul(w_flip, np.exp(1j * math.pi * z * mu_f))
+    return R
+
+
+def build_r_stack(family: RFamily, dim: GradedDim, hbar, z) -> np.ndarray:
+    """Unnormalized R-matrices at the points of broadcast 1-D arrays hbar, z.
+
+    Returns the (S, n^2, n^2) stack of coefficient arrays, each equal to
+    ``build_r`` at its point.  Raises PoleError if any z, hbar or z + hbar
+    is within POLE_EPS of an integer.
+    """
+    z, hbar = np.broadcast_arrays(
+        np.atleast_1d(np.asarray(z, dtype=complex)), np.atleast_1d(np.asarray(hbar, dtype=complex))
+    )
+    n = dim.n
+    return _r_entries(RFamily(family), dim, hbar[:, None], z[:, None]).reshape(-1, n * n, n * n)
+
+
 def build_r(spec: RMatrixSpec, z: complex) -> LocalOperator:
     """Unnormalized R-matrix of the requested family at spectral point z."""
-    _check_r_args(spec, z)
     n = spec.dim.n
-    p = spec.dim.parities
-    h = spec.hbar
-    R = np.zeros((n * n, n * n), dtype=complex)
-    cot_z = cot(math.pi * z)
-    cot_h = cot(math.pi * h)
-    inv_sin_z = 1.0 / cmath.sin(math.pi * z)
-    inv_sin_h = 1.0 / cmath.sin(math.pi * h)
-    for a in range(1, n + 1):
-        sgn = -1.0 if p[a - 1] else 1.0
-        R[_dd(a, a, n)] = math.pi * (sgn * cot_z + cot_h)
-    if spec.family is RFamily.UQ_GLNM:
-        for a in range(1, n + 1):
-            for b in range(1, n + 1):
-                if a != b:
-                    R[_dd(a, b, n)] = math.pi * inv_sin_h
-        ez = cmath.exp(1j * math.pi * z)
-        for a in range(1, n + 1):
-            for b in range(a + 1, n + 1):
-                R[_fl(a, b, n)] = (-1.0) ** p[b - 1] * math.pi * inv_sin_z * ez
-                R[_fl(b, a, n)] = (-1.0) ** p[a - 1] * math.pi * inv_sin_z / ez
-    else:
-        for a in range(1, n + 1):
-            for c in range(1, n + 1):
-                if a == c:
-                    continue
-                mu = zn_exponent(a, c, n)
-                R[_dd(a, c, n)] = math.pi * inv_sin_h * cmath.exp(1j * math.pi * h * mu)
-                R[_fl(a, c, n)] = (
-                    (-1.0) ** p[c - 1] * math.pi * inv_sin_z * cmath.exp(1j * math.pi * z * mu)
-                )
-    return LocalOperator(spec.dim, 2, R)
+    entries = _r_entries(spec.family, spec.dim, spec.hbar, z)
+    return LocalOperator(spec.dim, 2, entries.reshape(n * n, n * n))
 
 
 def build_r_normalized(spec: RMatrixSpec, z: complex) -> LocalOperator:

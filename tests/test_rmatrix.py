@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from gradedhs import (
     build_f_derivative,
     build_r,
     build_r_normalized,
+    build_r_stack,
     c_matrix,
     c_matrix_closed_form,
     c_prefactor,
@@ -328,3 +330,104 @@ def test_kernel_reconstruction_matches_build_r(spec):
     direct = build_r(spec, z)
     rebuilt = scalar_kernels(spec).rebuild(z)
     assert (direct - rebuilt).norm() / direct.norm() < 1e-13
+
+
+# ---------------------------------------------------------------------------
+# the vectorised builder
+# ---------------------------------------------------------------------------
+
+
+def r_entry_reference(spec, z):
+    """R filled entry by entry with Python complex arithmetic: the reference
+    whose rounding build_r_stack reproduces exactly."""
+    n = spec.dim.n
+    p = spec.dim.parities
+    h = spec.hbar
+    R = np.zeros((n * n, n * n), dtype=complex)
+    cot_z = cmath.cos(math.pi * z) / cmath.sin(math.pi * z)
+    cot_h = cmath.cos(math.pi * h) / cmath.sin(math.pi * h)
+    inv_sin_z = 1.0 / cmath.sin(math.pi * z)
+    inv_sin_h = 1.0 / cmath.sin(math.pi * h)
+    for a in range(n):
+        R[a * n + a, a * n + a] = math.pi * ((-1.0 if p[a] else 1.0) * cot_z + cot_h)
+    ez = cmath.exp(1j * math.pi * z)
+    for a in range(n):
+        for c in range(n):
+            if a == c:
+                continue
+            sign = (-1.0) ** p[c]  # a numpy float, as numpy scalars round
+            if spec.family is RFamily.UQ_GLNM:
+                R[a * n + c, a * n + c] = math.pi * inv_sin_h
+                flip = sign * math.pi * inv_sin_z
+                R[a * n + c, c * n + a] = flip * ez if c > a else flip / ez
+            else:
+                mu = (2.0 * (a - c) - n * np.sign(a - c)) / n
+                R[a * n + c, a * n + c] = math.pi * inv_sin_h * cmath.exp(1j * math.pi * h * mu)
+                R[a * n + c, c * n + a] = sign * math.pi * inv_sin_z * cmath.exp(1j * math.pi * z * mu)
+    return R
+
+
+def spectral_points(rng, size):
+    return rng.uniform(0.05, 0.95, size) + 1j * rng.uniform(-0.5, 0.5, size)
+
+
+@pytest.mark.parametrize("spec", all_specs(dims=ALL_DIMS + [(3, 2)]), ids=str)
+def test_stack_builder_rounds_as_the_entry_reference(spec, rng):
+    z = spectral_points(rng, 9)
+    stack = build_r_stack(spec.family, spec.dim, spec.hbar, z)
+    assert stack.shape == (9, spec.dim.n ** 2, spec.dim.n ** 2)
+    for k in range(9):
+        assert np.array_equal(stack[k], r_entry_reference(spec, complex(z[k])))
+        assert np.array_equal(build_r(spec, z[k]).entries, stack[k])
+
+
+@pytest.mark.parametrize("spec", all_specs(), ids=str)
+def test_stack_builder_matches_scalar_kernels(spec, rng):
+    # every entry against its kernel, evaluated on arrays; hbar varies too
+    z = spectral_points(rng, 6)
+    hbar = 0.2 + 0.1j + 0.05 * rng.uniform(size=6)
+    stack = build_r_stack(spec.family, spec.dim, hbar, z)
+    n = spec.dim.n
+    for k in range(6):
+        kern = scalar_kernels(RMatrixSpec(spec.family, spec.dim, hbar[k]))
+        expected = np.zeros((n * n, n * n), dtype=complex)
+        for a in range(1, n + 1):
+            expected[(a - 1) * (n + 1), (a - 1) * (n + 1)] = kern.f(a, z[k], hbar[k])
+            for c in range(1, n + 1):
+                if a != c:
+                    r = (a - 1) * n + (c - 1)
+                    expected[r, r] = kern.g_diag(a, c, hbar[k])
+                    sign = -1.0 if spec.dim.parity(c) else 1.0
+                    expected[r, (c - 1) * n + (a - 1)] = sign * kern.g_flip(a, c, z[k])
+        assert np.max(np.abs(stack[k] - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+
+def test_kernels_accept_arrays(rng):
+    spec = spec_of(RFamily.ZN_GRADED, (2, 1))
+    k = scalar_kernels(spec)
+    z = spectral_points(rng, 5)
+    rebuilt = k.rebuild(z)
+    assert rebuilt.shape == (5, 9, 9)
+    for i in range(5):
+        assert np.array_equal(rebuilt[i], k.rebuild(complex(z[i])).entries)
+        assert k.g_flip(1, 3, z)[i] == k.g_flip(1, 3, complex(z[i]))
+        assert phi(HBAR, z)[i] == phi(HBAR, complex(z[i]))
+
+
+@pytest.mark.parametrize("fam", list(RFamily))
+def test_stack_builder_pole_guards(fam):
+    dim = GradedDim(2, 1)
+    ok = 0.31 + 0.2j
+    cases = [
+        (HBAR, [ok, 2.0 + 1e-14, ok], "z=(2"),
+        (HBAR, [ok, ok, 1.0 - HBAR], "z+hbar="),
+        ([HBAR, 3.0, HBAR], [ok, ok, ok], "hbar="),
+    ]
+    for hbar, z, message in cases:
+        with pytest.raises(PoleError, match=re.escape(message)):
+            build_r_stack(fam, dim, hbar, np.array(z))
+    with pytest.raises(PoleError, match=re.escape("z=1.0 ")):
+        build_r(spec_of(fam, (2, 1)), 1.0)
+    # the first offending point is the one named
+    with pytest.raises(PoleError, match=re.escape("z=(-1")):
+        build_r_stack(fam, dim, HBAR, np.array([ok, -1.0, 2.0]))

@@ -6,8 +6,11 @@ import pytest
 
 from gradedhs import (
     GradedDim,
+    IdentityCheck,
+    LocalOperator,
     RFamily,
     RMatrixSpec,
+    build_r,
     check_aybe,
     check_aybe_z_independence,
     check_kernel_reconstruction,
@@ -24,7 +27,14 @@ from gradedhs import (
     run_battery,
     scalar_kernels,
 )
-from gradedhs.verify import expected_aybe_defect
+from gradedhs import verify as verify_module
+from gradedhs.verify import (
+    _aybe_args_ok,
+    _off_lattice,
+    _run_check,
+    _Sampler,
+    expected_aybe_defect,
+)
 
 HBAR = 0.23 + 0.11j
 
@@ -268,3 +278,217 @@ def test_residuals_stable_under_imaginary_window_rescaling(rng):
             assert check_qybe(spec, u, z) < 1e-10
             assert check_unitarity(spec, z) < 1e-12
             assert check_skew(spec, z) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# stacked evaluation
+# ---------------------------------------------------------------------------
+
+
+def two_leg_ok(spec):
+    h = spec.hbar
+    return lambda z: _off_lattice([z, z + 1, h, z + h, z + 1 + h, -z, -z + h])
+
+
+def accepted(rng, n_args, accept, size):
+    """Equal-length arrays of accepted points, drawn as the battery draws."""
+    sampler = _Sampler(rng)
+    points = [sampler.draw(n_args, accept) for _ in range(size)]
+    return [np.array(col) for col in zip(*points)]
+
+
+def sampled_checks(spec):
+    """(check, argument count, accept) for every check taking points."""
+    h = spec.hbar
+    rows = [
+        (check_qybe, 2, lambda u, v: _off_lattice([u, v, u + v, u + h, v + h, u + v + h])),
+        (check_unitarity, 1, two_leg_ok(spec)),
+        (check_normalized_unitarity, 1, two_leg_ok(spec)),
+        (check_skew, 1, two_leg_ok(spec)),
+        (check_periodicity, 1, two_leg_ok(spec)),
+        (check_kernel_reconstruction, 1, two_leg_ok(spec)),
+    ]
+    if spec.family is RFamily.ZN_GRADED:
+        rows.append((check_twist, 2, lambda u, v: _off_lattice([u - v, u - v + h])))
+    return rows
+
+
+def aybe_ok(spec):
+    return lambda x, y, z1, z2, z3: _aybe_args_ok(spec, x, y, z1, z2, z3)
+
+
+def assert_stacked_equals_points(spec, rng, size, builder=build_r):
+    """Every check on arrays of points against the same check point by point
+    (with the default builder); returns the stacked results."""
+    out = {}
+    for check, n_args, accept in sampled_checks(spec):
+        pts = accepted(rng, n_args, accept, size)
+        stacked = check(spec, *pts, builder=builder)
+        assert stacked.shape == (size,)
+        single = [check(spec, *(p[k] for p in pts)) for k in range(size)]
+        assert all(isinstance(r, float) for r in single)
+        assert np.max(np.abs(stacked - single)) <= 1e-15, check.__name__
+        out[check.__name__] = stacked
+    pts = accepted(rng, 5, aybe_ok(spec), size)
+    res, defects = check_aybe(spec, *pts, builder=builder)
+    assert defects.shape == (size, spec.dim.n ** 3, spec.dim.n ** 3)
+    for k in range(size):
+        r, d = check_aybe(spec, *(p[k] for p in pts))
+        assert abs(res[k] - r) <= 1e-15
+        assert np.max(np.abs(defects[k] - d.entries)) <= 1e-15 * (1.0 + np.max(np.abs(d.entries)))
+    out["check_aybe"] = res
+    return out
+
+
+@pytest.mark.parametrize("spec", default_specs(hbar=HBAR), ids=str)
+def test_stacked_checks_match_point_by_point(spec, rng):
+    assert_stacked_equals_points(spec, rng, 5)
+    pts = accepted(rng, 4, lambda x, y, z, w: _off_lattice(
+        [x, y, z, w, x - y, y - x, x + y, z + w, x / 2, y / 2, (x - y) / 2]), 5)
+    stacked = check_scalar_relations(spec, *pts)
+    for k in range(5):
+        for name, val in check_scalar_relations(spec, *(p[k] for p in pts)).items():
+            assert abs(stacked[name][k] - val) <= 1e-15, name
+    if spec.family is RFamily.UQ_GLNM:
+        x, y = accepted(rng, 2, lambda x, y: _off_lattice([x, y, x - y, x / 2, y / 2, (x - y) / 2]), 3)
+        stacked = check_aybe_z_independence(spec, x, y, np.random.default_rng(3), triples=6)
+        rng2 = np.random.default_rng(3)
+        single = [check_aybe_z_independence(spec, a, b, rng2, triples=6) for a, b in zip(x, y)]
+        assert np.max(np.abs(stacked - single)) <= 1e-15
+
+
+@pytest.mark.parametrize("nm", [(1, 1), (2, 1), (2, 2)])
+def test_custom_builder_stacks_point_by_point(nm):
+    # a builder other than build_r goes through its (spec, z) contract one
+    # point at a time; the results equal the vectorised route
+    def wrapped(spec, z):
+        assert isinstance(z, complex) and isinstance(spec, RMatrixSpec)
+        return build_r(spec, z)
+
+    for fam in RFamily:
+        spec = spec_of(fam, nm)
+        direct = assert_stacked_equals_points(spec, np.random.default_rng(8), 4)
+        custom = assert_stacked_equals_points(spec, np.random.default_rng(8), 4, builder=wrapped)
+        for name in direct:
+            assert np.max(np.abs(direct[name] - custom[name])) <= 1e-15, name
+
+
+@pytest.mark.parametrize("budget", ["one", "two_three_leg"])
+@pytest.mark.parametrize("nm", [(2, 1), (2, 2)])
+def test_stacked_checks_across_chunk_boundaries(nm, budget, monkeypatch):
+    results = {}
+    for label in ("default", budget):
+        if label == "one":
+            monkeypatch.setattr(verify_module, "_STACK_AMPS", 1)
+        elif label == "two_three_leg":
+            # two samples per three-leg chunk, 2 n^2 per two-leg chunk
+            monkeypatch.setattr(verify_module, "_STACK_AMPS", 2 * GradedDim(*nm).n ** 6)
+        for fam in RFamily:
+            spec = spec_of(fam, nm)
+            results[label, fam] = assert_stacked_equals_points(spec, np.random.default_rng(4), 5)
+    for fam in RFamily:
+        for name, res in results["default", fam].items():
+            assert np.max(np.abs(res - results[budget, fam][name])) <= 1e-15, name
+
+
+def test_stacked_arrays_stay_within_the_amplitude_budget(monkeypatch):
+    sizes = []
+    place = verify_module._embed_realized_stack
+
+    def spy(entries, dim, sites, legs):
+        out = place(entries, dim, sites, legs)
+        sizes.append(out.size)
+        return out
+
+    monkeypatch.setattr(verify_module, "_embed_realized_stack", spy)
+    spec = spec_of(RFamily.UQ_GLNM, (2, 2))
+    rng = np.random.default_rng(2)
+    u, v = (np.array([draw(rng) for _ in range(10)]) for _ in range(2))
+    check_qybe(spec, u, v)
+    assert max(sizes) == 4 * 64 * 64 <= 2 ** 14  # four samples per chunk at (2|2)
+    sizes.clear()
+    check_qybe(spec_of(RFamily.UQ_GLNM, (1, 1)), np.resize(u, 100), np.resize(v, 100))
+    assert max(sizes) == 100 * 8 * 8  # all of them at (1|1)
+
+
+def test_tie_rules_on_crafted_residuals():
+    spec = spec_of(RFamily.UQ_GLNM, (1, 1))
+    crafted = np.array([1.0, 3.0, 2.0, 3.0, 0.5])
+    points = accepted(np.random.default_rng(11), 1, lambda z: True, 5)[0]
+    tol = {"qybe": 10.0, "scalar_a11": 10.0}
+
+    first = IdentityCheck("qybe", spec, 5, 11, 10.0, lambda sp, z: crafted, 1)
+    [row] = _run_check(first, tol)
+    assert row.worst_point == {"arg0": [points[1].real, points[1].imag]}
+    assert row.max_residual == 3.0 and row.verdict == "pass"
+    assert row.mean_residual == (((((0.0 + 1.0) + 3.0) + 2.0) + 3.0) + 0.5) / 5
+
+    last = IdentityCheck(
+        "scalar_relations", spec, 5, 11, 10.0, lambda sp, z: {"scalar_a11": crafted}, 1, last_max=True
+    )
+    [row] = _run_check(last, tol)
+    assert row.check == "scalar_a11"
+    assert row.worst_point == {"arg0": [points[3].real, points[3].imag]}
+    assert row.max_residual == 3.0
+    assert row.mean_residual == float(np.mean(crafted))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_crafted_non_finite_residual_fails_the_row(bad):
+    spec = spec_of(RFamily.UQ_GLNM, (1, 1))
+    crafted = np.array([1.0, bad, 5.0, np.nan])
+    points = accepted(np.random.default_rng(11), 1, lambda z: True, 4)[0]
+    for last_max in (False, True):
+        check = IdentityCheck("qybe", spec, 4, 11, 10.0, lambda sp, z: crafted, 1, last_max=last_max)
+        [row] = _run_check(check, {"qybe": 10.0})
+        assert row.verdict == "fail"
+        assert row.max_residual == math.inf and row.mean_residual == math.inf
+        assert row.worst_point == {"arg0": [points[1].real, points[1].imag]}
+
+
+def nan_builder(spec, z):
+    op = build_r(spec, z)
+    ent = op.entries.copy()
+    ent[0, 0] = np.nan
+    return LocalOperator(op.dim, op.legs, ent)
+
+
+def test_non_finite_residual_fails_every_r_dependent_row():
+    # a NaN entry once left these rows at max_residual -1.0 (sampled) or
+    # 0.0 (z-independence), all passing
+    rep = run_battery(default_specs(dims=((1, 1),)), seed=5, samples=3, r_builder=nan_builder)
+    doc = json.loads(rep.to_json())
+    independent = {"residue", "scalar_a11", "scalar_a13", "scalar_a14", "gtilde_defect"}
+    dependent = [r for r in doc["results"] if r["check"] not in independent]
+    assert len(dependent) == 16
+    for row in dependent:
+        assert row["verdict"] == "fail", row["check"]
+        assert row["max_residual"] == math.inf and row["mean_residual"] == math.inf
+        assert len(row["worst_point"]) in (1, 2, 5)
+    assert all(r["verdict"] == "pass" for r in doc["results"] if r["check"] in independent)
+    # the worst point is the first sample, the one a clean run draws first
+    clean = run_battery(default_specs(dims=((1, 1),)), seed=5, samples=1)
+    first = {(r.check, r.family): r.worst_point for r in clean.results}
+    for row in dependent:
+        assert row["worst_point"] == first[row["check"], row["family"]]
+
+
+@pytest.mark.parametrize("entry", [(1, 3), (0, 0)], ids=["flip", "diagonal"])
+@pytest.mark.parametrize("fam", list(RFamily))
+def test_battery_catches_mutated_entry_at_2_1(fam, entry):
+    # entry (1, 3) is the flip coefficient of e_12 (x) e_21, (0, 0) that of e_11 (x) e_11
+    spec = spec_of(fam, (2, 1))
+    rep = run_battery([spec], seed=5, samples=3, r_builder=mutated_r_builder(*entry))
+    failed = {r.check for r in rep.results if r.verdict != "pass"}
+    assert "kernel_reconstruction" in failed
+    assert failed & {"qybe", "aybe", "unitarity", "normalized_unitarity", "skew_symmetry"}
+    assert all(r.verdict != "error" for r in rep.results)
+
+
+def test_same_seed_reports_are_byte_identical():
+    specs = default_specs()
+    first = run_battery(specs, seed=3, samples=4).to_json()
+    assert run_battery(specs, seed=3, samples=4).to_json() == first
+    # a custom r_builder, stacked point by point, gives the same bytes
+    per_point = run_battery(specs, seed=3, samples=4, r_builder=lambda spec, z: build_r(spec, z))
+    assert per_point.to_json() == first
