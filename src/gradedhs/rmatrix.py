@@ -96,9 +96,15 @@ def _require_off_lattice(name: str, z, eps: float = POLE_EPS) -> None:
 
 # Complex products, quotients and moduli on arrays, rounded as Python's
 # complex type rounds them (numpy's own loops fuse or reorder the terms,
-# which moves the last bit).  With them the array builders reproduce the
-# scalar formulas entry for entry; numpy's sin, cos and exp already agree
-# with cmath's.
+# and its complex abs is not libm's hypot, which moves the last bit).  The
+# battery needs that exactness: its residuals are rounding noise (1e-18 to
+# 1e-14), so a row's worst point is the largest of that noise.  With
+# numpy's own *, / and abs in their place, the seed-7 battery reports
+# another worst point in 75 of its 177 rows, and its uq(1|0) aybe maximum
+# moves from 5.0e-15 to 2.8e-14.  With these helpers the array builders
+# give the entries of the one-point formulas wherever numpy's complex sin,
+# cos and exp round as cmath's do, and elsewhere agree to a few units in
+# the last place.
 
 
 def _cmul(a, b):
@@ -284,8 +290,9 @@ def _r_entries(family: RFamily, dim: GradedDim, hbar, z) -> np.ndarray:
     (S, 1) arrays of points (shape (S, n^4)).
 
     Each entry block is one expression over the cached layout of (family,
-    dim); every entry rounds exactly as its entry-by-entry formula (the
-    tests keep that formula as ``r_entry_reference``).
+    dim); every entry rounds as its entry-by-entry formula with Python
+    complex arithmetic does (the tests keep that formula as
+    ``r_entry_reference``).
     """
     _require_off_lattice("z", z)
     _require_off_lattice("hbar", hbar)

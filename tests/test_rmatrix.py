@@ -338,19 +338,29 @@ def test_kernel_reconstruction_matches_build_r(spec):
 
 
 def r_entry_reference(spec, z):
-    """R filled entry by entry with Python complex arithmetic: the reference
-    whose rounding build_r_stack reproduces exactly."""
+    """R filled entry by entry with Python complex arithmetic, on numpy's
+    complex sin, cos and exp: the rounding build_r_stack reproduces."""
     n = spec.dim.n
     p = spec.dim.parities
     h = spec.hbar
+
+    def sin(w):
+        return complex(np.sin(w))
+
+    def cos(w):
+        return complex(np.cos(w))
+
+    def exp(w):
+        return complex(np.exp(w))
+
     R = np.zeros((n * n, n * n), dtype=complex)
-    cot_z = cmath.cos(math.pi * z) / cmath.sin(math.pi * z)
-    cot_h = cmath.cos(math.pi * h) / cmath.sin(math.pi * h)
-    inv_sin_z = 1.0 / cmath.sin(math.pi * z)
-    inv_sin_h = 1.0 / cmath.sin(math.pi * h)
+    cot_z = cos(math.pi * z) / sin(math.pi * z)
+    cot_h = cos(math.pi * h) / sin(math.pi * h)
+    inv_sin_z = 1.0 / sin(math.pi * z)
+    inv_sin_h = 1.0 / sin(math.pi * h)
     for a in range(n):
         R[a * n + a, a * n + a] = math.pi * ((-1.0 if p[a] else 1.0) * cot_z + cot_h)
-    ez = cmath.exp(1j * math.pi * z)
+    ez = exp(1j * math.pi * z)
     for a in range(n):
         for c in range(n):
             if a == c:
@@ -362,8 +372,8 @@ def r_entry_reference(spec, z):
                 R[a * n + c, c * n + a] = flip * ez if c > a else flip / ez
             else:
                 mu = (2.0 * (a - c) - n * np.sign(a - c)) / n
-                R[a * n + c, a * n + c] = math.pi * inv_sin_h * cmath.exp(1j * math.pi * h * mu)
-                R[a * n + c, c * n + a] = sign * math.pi * inv_sin_z * cmath.exp(1j * math.pi * z * mu)
+                R[a * n + c, a * n + c] = math.pi * inv_sin_h * exp(1j * math.pi * h * mu)
+                R[a * n + c, c * n + a] = sign * math.pi * inv_sin_z * exp(1j * math.pi * z * mu)
     return R
 
 
@@ -378,7 +388,9 @@ def test_stack_builder_rounds_as_the_entry_reference(spec, rng):
     assert stack.shape == (9, spec.dim.n ** 2, spec.dim.n ** 2)
     for k in range(9):
         assert np.array_equal(stack[k], r_entry_reference(spec, complex(z[k])))
-        assert np.array_equal(build_r(spec, z[k]).entries, stack[k])
+        # a one-point build_r takes sin and cos from cmath
+        one = build_r(spec, complex(z[k])).entries
+        assert np.max(np.abs(one - stack[k])) <= 1e-15 * np.max(np.abs(one))
 
 
 @pytest.mark.parametrize("spec", all_specs(), ids=str)
@@ -409,9 +421,12 @@ def test_kernels_accept_arrays(rng):
     rebuilt = k.rebuild(z)
     assert rebuilt.shape == (5, 9, 9)
     for i in range(5):
-        assert np.array_equal(rebuilt[i], k.rebuild(complex(z[i])).entries)
+        # on one point, cot takes sin and cos from cmath
+        point = k.rebuild(complex(z[i])).entries
+        assert np.max(np.abs(rebuilt[i] - point)) <= 1e-15 * np.max(np.abs(point))
         assert k.g_flip(1, 3, z)[i] == k.g_flip(1, 3, complex(z[i]))
-        assert phi(HBAR, z)[i] == phi(HBAR, complex(z[i]))
+        one = phi(HBAR, complex(z[i]))
+        assert abs(phi(HBAR, z)[i] - one) <= 1e-15 * abs(one)
 
 
 @pytest.mark.parametrize("fam", list(RFamily))
