@@ -41,6 +41,7 @@ from .gradedcore import (
     identity_operator,
     matrix_units,
 )
+from .qmrops import DifferenceOperator, _phi_prefactor
 from .rmatrix import (
     RFamily,
     RMatrixSpec,
@@ -214,35 +215,15 @@ def hamiltonian_h2(spec: RMatrixSpec, length: int) -> ChainOperator:
 def htilde_k(spec: RMatrixSpec, length: int, k: int) -> ChainOperator:
     """Matrix part of the first-order shift expansion of the k-th spin
     operator at equilibrium (derivative hits each right-block factor)."""
-    if not 1 <= k <= length:
-        raise ValueError(f"order k={k} out of range 1..{length}")
     x = equilibrium_points(length)
     terms = []
-    for subset in combinations(range(1, length + 1), k):
-        pref = 1.0 + 0.0j
-        for i in subset:
-            for j in range(1, length + 1):
-                if j not in subset:
-                    pref *= phi(spec.hbar, x[j - 1] - x[i - 1])
-        left = []
-        for t, it in enumerate(subset):
-            for j in range(it - 1, 0, -1):
-                if j in subset[:t]:
-                    continue
-                left.append(((j, it), _rb(spec, x, j, it)))
-        right_sites = []
-        for t in range(k - 1, -1, -1):
-            it = subset[t]
-            for j in range(1, it):
-                if j in subset[:t]:
-                    continue
-                right_sites.append((it, j))
-        for dpos in range(len(right_sites)):
-            factors = list(left)
-            for q, (it, j) in enumerate(right_sites):
-                op = _fb(spec, x, it, j) if q == dpos else _rb(spec, x, it, j)
-                factors.append(((it, j), op))
-            terms.append(ProductTerm(pref, tuple(factors)))
+    for term in DifferenceOperator(k, length).subset_terms():
+        pref = _phi_prefactor(spec.hbar, x, term.subset)
+        left = tuple((sites, _rb(spec, x, *sites)) for sites in term.left_sites)
+        for dpos in range(len(term.right_sites)):
+            right = tuple((sites, (_fb if q == dpos else _rb)(spec, x, *sites))
+                          for q, sites in enumerate(term.right_sites))
+            terms.append(ProductTerm(pref, left + right))
     return ChainOperator.from_terms(spec.dim, length, terms)
 
 

@@ -478,16 +478,16 @@ def _range_sign(parities: tuple[int, ...], lo: int, hi: int) -> np.ndarray:
 class _FactorPlan:
     """Precomputed application recipe for one embedded two-site factor.
 
-    The coefficient array is split into slot-parity sectors.  Nonzeros at
-    (a==b, c==d) act as a diagonal gate; nonzeros at (b==c, d==a) act as a
-    weighted swap of the two site axes, the parity string over the legs in
-    between folded into the weight.  An even sector holding both kinds (the
-    same-parity flips sit beside the diagonal) becomes one action of each.
-    Anything else falls back to a generic two-axis contraction.  Both
-    R-matrix families decompose into diagonal and swap actions only, which
-    keeps the hot path at elementwise passes per factor.  A plan does not
-    depend on the chain length: the legs after the later site, and a batch
-    of states, fold into the trailing axis.
+    The coefficient array is split by entry position.  The e_aa (x) e_cc
+    entries, a == c included, form one diagonal gate.  The e_ac (x) e_ca
+    entries with a != c form one weighted swap of the two site axes; an odd
+    pair's weight carries the Koszul sign of the later slot and the parity
+    string over the legs in between.  Both R-matrix families, their
+    derivatives and the limit targets have no other entries, so each of
+    their factors is two elementwise passes.  Any other entries are sorted
+    into slot-parity sectors, each a generic two-axis contraction.  A plan
+    does not depend on the chain length: the legs after the later site, and
+    a batch of states, fold into the trailing axis.
     """
 
     __slots__ = ("i", "j", "shape", "actions")
@@ -505,41 +505,37 @@ class _FactorPlan:
         p = dim.parities
         pkey = tuple(p)
         sgn = 1.0 - 2.0 * p.astype(np.float64)
-        X4 = op.entries.reshape(n, n, n, n)  # [a, c, b, d]
+        smid = _range_sign(pkey, i + 1, j - 1)
+        X4 = np.ascontiguousarray(op.entries).reshape(n, n, n, n)  # [a, c, b, d]
         qtab = (p[:, None] + p[None, :]) % 2  # parity of e_ab at [a, b]
-        actions = []
-        for q1 in (0, 1):
-            for q2 in (0, 1):
-                sector = (qtab[:, None, :, None] == q1) & (qtab[None, :, None, :] == q2)
-                G = np.where(sector, X4, 0.0)
-                if not np.any(G):
-                    continue
-                nz = np.argwhere(G != 0)
-                lead = (q1 + q2) % 2
-                if q2:
-                    # Koszul sign of the later slot passing the input label
-                    # at the earlier site, absorbed into the gate
-                    G = G * sgn[None, None, :, None]
-                smid = _range_sign(pkey, i + 1, j - 1) if q2 else np.ones(nmid)
-                is_diag = (nz[:, 0] == nz[:, 2]) & (nz[:, 1] == nz[:, 3])
-                is_swap = (nz[:, 1] == nz[:, 2]) & (nz[:, 3] == nz[:, 0])
-                if not lead and np.all(is_diag | is_swap):
-                    all_diag = bool(np.all(is_diag))
-                    mixed = not all_diag and not np.all(is_swap)
-                    if all_diag or mixed:
-                        W = np.einsum("acac->ac", G).reshape(1, n, 1, n, 1)
-                        actions.append(("diag", W, None, None))
-                    if not all_diag:
-                        W = np.einsum("acca->ac", G)
-                        if mixed:
-                            # the a == c entries went to the diagonal action
-                            W = W * (1.0 - np.eye(n))
-                        Wb = (W[:, None, :] * smid[None, :, None]).reshape(1, n, nmid, n, 1)
-                        actions.append(("swap", Wb, None, None))
-                else:
-                    slead = _range_sign(pkey, 1, i - 1) if lead else None
-                    smid_arg = smid if q2 else None
-                    actions.append(("gen", G, smid_arg, slead))
+        # the strided diagonal view, not a contiguous copy: the copy changes
+        # numpy's broadcast loop order and slows the multiply
+        actions = [("diag", np.einsum("acac->ac", X4).reshape(1, n, 1, n, 1), None, None)]
+        if n > 1:
+            # an odd flip's later slot passes the input label at the earlier
+            # site and the legs in between
+            W = np.einsum("acca->ac", X4) * (1.0 - np.eye(n)) * np.where(qtab, sgn, 1.0)
+            Wb = np.empty((n, nmid, n), dtype=complex)
+            for a, c in np.ndindex(n, n):
+                # one long strided pass per pair and no (n, nmid, n) temporary
+                np.multiply(W[a, c], smid if qtab[a, c] else 1.0, out=Wb[a, :, c])
+            actions.append(("swap", Wb.reshape(1, n, nmid, n, 1), None, None))
+        a, c = np.indices((n, n))
+        rest = X4.copy()
+        rest[a, c, a, c] = rest[a, c, c, a] = 0.0
+        if np.any(rest):
+            for q1 in (0, 1):
+                for q2 in (0, 1):
+                    sector = (qtab[:, None, :, None] == q1) & (qtab[None, :, None, :] == q2)
+                    G = np.where(sector, rest, 0.0)
+                    if not np.any(G):
+                        continue
+                    if q2:
+                        # Koszul sign of the later slot passing the input
+                        # label at the earlier site, absorbed into the gate
+                        G = G * sgn[None, None, :, None]
+                    slead = _range_sign(pkey, 1, i - 1) if (q1 + q2) % 2 else None
+                    actions.append(("gen", G, smid if q2 else None, slead))
         self.actions = tuple(actions)
 
     def apply_into(self, vec: np.ndarray, out_flat: np.ndarray, tmp_flat: np.ndarray) -> None:
@@ -568,8 +564,6 @@ class _FactorPlan:
                 first = False
             else:
                 out += tmp
-        if first:
-            out_flat[:] = 0.0
 
 
 class _PlanNode:

@@ -319,7 +319,9 @@ def check_aybe_z_independence(
     Differences are normalized by the operand scale of the samples involved
     (the same convention as the other residuals), since near-pole draws
     inflate the raw defect noise.  A NaN difference counts as infinite.
-    For arrays of (x, y), each point draws its own triples in turn.
+    Fewer than two accepted triples compare nothing and raise
+    ``ValueError``.  For arrays of (x, y), each point draws its own triples
+    in turn.
     """
     if np.ndim(x):
         return np.array([
@@ -330,8 +332,10 @@ def check_aybe_z_independence(
         z = tuple(_draw_point(rng) for _ in range(3))
         if _aybe_args_ok(spec, x, y, *z):
             zs.append(z)
-    if not zs:
-        return 0.0
+    if len(zs) < 2:
+        raise ValueError(
+            f"{len(zs)} of {triples} random triples accepted: no pair to compare"
+        )
     points = [np.full(len(zs), x), np.full(len(zs), y), *(np.array(col) for col in zip(*zs))]
     defects, scales = [], []
     for chunk in _chunks(spec, 3, points):

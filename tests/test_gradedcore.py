@@ -17,7 +17,13 @@ from gradedhs import (
     super_multiply,
 )
 from gradedhs import gradedcore
-from gradedhs.chain import hamiltonian_h1, hamiltonian_h2, htilde_k
+from gradedhs.chain import (
+    anisotropic_target,
+    hamiltonian_h1,
+    hamiltonian_h2,
+    haldane_shastry_target,
+    htilde_k,
+)
 from gradedhs.gradedcore import ProductTerm, _FactorPlan, _plan_tree, embed_realized, sigma_mask
 from gradedhs.rmatrix import (
     RFamily,
@@ -25,6 +31,7 @@ from gradedhs.rmatrix import (
     build_f_derivative,
     build_r,
     build_r_normalized,
+    c_matrix,
     r_transposed,
 )
 
@@ -521,22 +528,35 @@ def _plan_apply(plan, vec):
     return out
 
 
-@pytest.mark.parametrize("dim", DIMS)
+def program_factors(spec):
+    """Every two-site factor the program builds for ``spec``: R, Rbar, F,
+    the constant C, and the factors of the hbar -> 0 limit targets."""
+    z = 0.27 + 0.19j
+    ops = [build(spec, z) for build in (build_r, build_r_normalized, build_f_derivative)]
+    ops.append(haldane_shastry_target(spec.dim, 2).terms[0].factors[0][1])  # 1 - P
+    if spec.family is RFamily.UQ_GLNM and spec.dim.n == 2:
+        ops.append(c_matrix(spec))
+    if spec.dim.n == 2 and spec.dim.n_odd == 1:
+        ops += [fac for term in anisotropic_target(spec.dim, 2).terms for _, fac in term.factors]
+    return ops
+
+
+@pytest.mark.parametrize("dim", [GradedDim(1, 0), GradedDim(0, 1)] + DIMS)
 @pytest.mark.parametrize("fam", list(RFamily))
 def test_r_factor_plans_split_into_diag_and_swap(dim, fam, rng):
-    # R, Rbar and F have only e_aa x e_cc and e_ac x e_ca entries; a sector
-    # holding both (same-parity flips) must split, never fall to "gen"
+    # program factors have only e_aa x e_cc and e_ac x e_ca entries: one
+    # diagonal and one swap action, flips of both parities in the one swap
     L = 4
     spec = RMatrixSpec(fam, dim, 0.3)
     vec = rng.standard_normal(dim.n ** L) + 1j * rng.standard_normal(dim.n ** L)
-    for build in (build_r, build_r_normalized, build_f_derivative):
-        op = build(spec, 0.27 + 0.19j)
+    kinds = ["diag", "swap"] if dim.n > 1 else ["diag"]
+    for idx, op in enumerate(program_factors(spec)):
         for sites in ((1, 3), (4, 2), (2, 3), (3, 2)):
             plan = _FactorPlan(dim, sites, op)
-            assert [kind for kind, *_ in plan.actions if kind == "gen"] == []
+            assert [kind for kind, *_ in plan.actions] == kinds, (idx, sites)
             ref = embed_realized(op, sites, L) @ vec
-            err = np.linalg.norm(_plan_apply(plan, vec) - ref) / np.linalg.norm(ref)
-            assert err < 1e-13, (build.__name__, sites, err)
+            err = np.linalg.norm(_plan_apply(plan, vec) - ref) / (np.linalg.norm(ref) + 1e-300)
+            assert err < 1e-13, (idx, sites, err)
 
 
 def test_mixed_parity_r_keeps_one_diag_and_one_swap():
@@ -544,6 +564,29 @@ def test_mixed_parity_r_keeps_one_diag_and_one_swap():
     spec = RMatrixSpec(RFamily.UQ_GLNM, GradedDim(1, 1), 0.3)
     plan = _FactorPlan(spec.dim, (2, 4), build_r_normalized(spec, 0.31 + 0.2j))
     assert [kind for kind, *_ in plan.actions] == ["diag", "swap"]
+
+
+@pytest.mark.parametrize("dim", DIMS)
+def test_full_factor_plan_leaves_only_the_remainder_to_gen(dim, rng):
+    L = 4
+    n = dim.n
+    op = random_factor(dim, rng)
+    vec = rng.standard_normal(n ** L) + 1j * rng.standard_normal(n ** L)
+    a, c = np.indices((n, n))
+    for sites in ((1, 3), (2, 3), (4, 2)):
+        X4 = (op if sites[0] < sites[1] else r_transposed(op)).entries.reshape(n, n, n, n)
+        rest = X4.copy()
+        rest[a, c, a, c] = 0.0
+        rest[a, c, c, a] = 0.0
+        plan = _FactorPlan(dim, sites, op)
+        kinds = [kind for kind, *_ in plan.actions]
+        assert kinds[:2] == ["diag", "swap"] and set(kinds[2:]) == {"gen"}
+        # the gen sectors are disjoint and carry +-1 signs only
+        gen = sum(np.abs(G) for kind, G, *_ in plan.actions if kind == "gen")
+        assert np.array_equal(gen, np.abs(rest))
+        ref = embed_realized(op, sites, L) @ vec
+        err = np.linalg.norm(_plan_apply(plan, vec) - ref) / np.linalg.norm(ref)
+        assert err <= 1e-13, (sites, err)
 
 
 def test_dense_cap_enforced():

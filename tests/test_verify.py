@@ -116,6 +116,27 @@ def test_aybe_defect_z_independent(rng):
     assert spread < 1e-12
 
 
+@pytest.mark.parametrize("triples", [0, 1])
+def test_aybe_z_independence_without_a_pair_is_an_error(triples, rng):
+    # fewer than two accepted triples compare nothing, which is no pass
+    spec = spec_of(RFamily.UQ_GLNM, (2, 1))
+    with pytest.raises(ValueError, match="no pair to compare"):
+        check_aybe_z_independence(spec, 0.31 + 0.22j, 0.52 + 0.14j, rng, triples=triples)
+
+
+def test_battery_records_a_vacuous_z_independence_as_error(monkeypatch):
+    real = verify_module.check_aybe_z_independence
+
+    def one_triple(spec, x, y, rng, triples=20, builder=build_r):
+        return real(spec, x, y, rng, 1, builder)
+
+    monkeypatch.setattr(verify_module, "check_aybe_z_independence", one_triple)
+    report = run_battery([spec_of(RFamily.UQ_GLNM, (1, 1))], samples=2)
+    row = next(r for r in report.results if r.check == "aybe_z_independence")
+    assert row.verdict == "error" and "no pair to compare" in row.note
+    assert not report.passed()
+
+
 # ---------------------------------------------------------------------------
 # two-leg properties
 # ---------------------------------------------------------------------------
