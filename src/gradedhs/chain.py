@@ -36,6 +36,7 @@ from .gradedcore import (
     ChainOperator,
     GradedDim,
     LocalOperator,
+    PivotLadder,
     ProductTerm,
     graded_permutation,
     identity_operator,
@@ -136,34 +137,60 @@ def phi_sum_identity(length: int, k: int, l: int, m: int, hbar: complex = DEFAUL
 # ---------------------------------------------------------------------------
 
 
-def _rb(spec: RMatrixSpec, x: np.ndarray, i: int, j: int) -> LocalOperator:
-    return build_r_normalized(spec, x[i - 1] - x[j - 1])
+class _EquilibriumFactors:
+    """Rb_{ij} and Fb_{ij} at the equilibrium differences x_i - x_j, each
+    built once per exact argument within one Hamiltonian build.  The key is
+    the float x_i - x_j itself, not i - j: (i - j) / L and x_i - x_j round
+    differently for different i."""
 
+    def __init__(self, spec: RMatrixSpec, length: int):
+        self.spec = spec
+        self.x = equilibrium_points(length)
+        self._built: dict = {}
 
-def _fb(spec: RMatrixSpec, x: np.ndarray, i: int, j: int) -> LocalOperator:
-    return build_f_derivative(spec, x[i - 1] - x[j - 1])
+    def rb(self, i: int, j: int) -> LocalOperator:
+        return self._get("rb", build_r_normalized, i, j)
+
+    def fb(self, i: int, j: int) -> LocalOperator:
+        return self._get("fb", build_f_derivative, i, j)
+
+    def _get(self, kind: str, build, i: int, j: int) -> LocalOperator:
+        z = self.x[i - 1] - self.x[j - 1]
+        key = (kind, z)
+        op = self._built.get(key)
+        if op is None:
+            op = self._built[key] = build(self.spec, z)
+        return op
 
 
 def hamiltonian_h1(spec: RMatrixSpec, length: int) -> ChainOperator:
-    """First chain Hamiltonian as a sum over site pairs k < i."""
-    x = equilibrium_points(length)
-    terms = []
-    for i in range(2, length + 1):
-        for k in range(1, i):
-            factors = []
-            for j in range(i - 1, k - 1, -1):
-                factors.append(((j, i), _rb(spec, x, j, i)))
-            factors.append(((i, k), _fb(spec, x, i, k)))
-            for j in range(k + 1, i):
-                factors.append(((i, j), _rb(spec, x, i, j)))
-            terms.append(ProductTerm(1.0, tuple(factors)))
-    return ChainOperator.from_terms(spec.dim, length, terms)
+    """First chain Hamiltonian as a sum over pivots i of P_i^{-1} dP_i,
+    P_i = Rb_{i1} ... Rb_{i,i-1}, reduced with Rb_{ki} Rb_{ik} = 1 to
+
+        sum_{k<i} Rb_{i-1,i} ... Rb_{k,i} Fb_{i,k} Rb_{i,k+1} ... Rb_{i,i-1}.
+
+    Each pivot is one :class:`PivotLadder` with steps Rb_{i,i-t}, rungs
+    Fb_{i,i-t} and step-backs Rb_{i-t,i}, so applying it (and building its
+    dense form) takes 4i - 6 factor applications per pivot; ``terms`` lists
+    the expanded products, pair by pair (k ascending within each i).
+    """
+    fac = _EquilibriumFactors(spec, length)
+    ladders = [
+        PivotLadder(
+            steps=tuple(((i, i - t), fac.rb(i, i - t)) for t in range(1, i - 1)),
+            rungs=tuple(((i, i - t), fac.fb(i, i - t)) for t in range(1, i)),
+            backs=tuple(((i - t, i), fac.rb(i - t, i)) for t in range(1, i)),
+        )
+        for i in range(2, length + 1)
+    ]
+    return ChainOperator(spec.dim, length, ladders=ladders)
 
 
 def hamiltonian_h2(spec: RMatrixSpec, length: int) -> ChainOperator:
     """Second chain Hamiltonian: three derivative blocks per pair m < l,
     weighted by the pair's phi products over the spectator sites."""
-    x = equilibrium_points(length)
+    fac = _EquilibriumFactors(spec, length)
+    x = fac.x
     terms = []
     for m in range(1, length + 1):
         for l in range(m + 1, length + 1):
@@ -177,24 +204,24 @@ def hamiltonian_h2(spec: RMatrixSpec, length: int) -> ChainOperator:
             for i in range(1, m):
                 factors = []
                 for j in range(m - 1, i - 1, -1):
-                    factors.append(((j, m), _rb(spec, x, j, m)))
-                factors.append(((m, i), _fb(spec, x, m, i)))
+                    factors.append(((j, m), fac.rb(j, m)))
+                factors.append(((m, i), fac.fb(m, i)))
                 for j in range(i + 1, m):
-                    factors.append(((m, j), _rb(spec, x, m, j)))
+                    factors.append(((m, j), fac.rb(m, j)))
                 terms.append(ProductTerm(pref, tuple(factors)))
             # derivative inside the l-pivot product, i < m, wrapped by the
             # full m-pivot products
             for i in range(1, m):
                 factors = []
                 for j in range(m - 1, 0, -1):
-                    factors.append(((j, m), _rb(spec, x, j, m)))
+                    factors.append(((j, m), fac.rb(j, m)))
                 for j in [jj for jj in range(l - 1, m, -1)] + [jj for jj in range(m - 1, i - 1, -1)]:
-                    factors.append(((j, l), _rb(spec, x, j, l)))
-                factors.append(((l, i), _fb(spec, x, l, i)))
+                    factors.append(((j, l), fac.rb(j, l)))
+                factors.append(((l, i), fac.fb(l, i)))
                 for j in [jj for jj in range(i + 1, m)] + [jj for jj in range(m + 1, l)]:
-                    factors.append(((l, j), _rb(spec, x, l, j)))
+                    factors.append(((l, j), fac.rb(l, j)))
                 for j in range(1, m):
-                    factors.append(((m, j), _rb(spec, x, m, j)))
+                    factors.append(((m, j), fac.rb(m, j)))
                 terms.append(ProductTerm(pref, tuple(factors)))
             # derivative inside the l-pivot product, m < i < l
             for i in range(m + 1, l):
@@ -202,12 +229,12 @@ def hamiltonian_h2(spec: RMatrixSpec, length: int) -> ChainOperator:
                 for j in range(l - 1, i - 1, -1):
                     if j == m:
                         continue
-                    factors.append(((j, l), _rb(spec, x, j, l)))
-                factors.append(((l, i), _fb(spec, x, l, i)))
+                    factors.append(((j, l), fac.rb(j, l)))
+                factors.append(((l, i), fac.fb(l, i)))
                 for j in range(i + 1, l):
                     if j == m:
                         continue
-                    factors.append(((l, j), _rb(spec, x, l, j)))
+                    factors.append(((l, j), fac.rb(l, j)))
                 terms.append(ProductTerm(pref, tuple(factors)))
     return ChainOperator.from_terms(spec.dim, length, terms)
 
@@ -215,13 +242,13 @@ def hamiltonian_h2(spec: RMatrixSpec, length: int) -> ChainOperator:
 def htilde_k(spec: RMatrixSpec, length: int, k: int) -> ChainOperator:
     """Matrix part of the first-order shift expansion of the k-th spin
     operator at equilibrium (derivative hits each right-block factor)."""
-    x = equilibrium_points(length)
+    fac = _EquilibriumFactors(spec, length)
     terms = []
     for term in DifferenceOperator(k, length).subset_terms():
-        pref = _phi_prefactor(spec.hbar, x, term.subset)
-        left = tuple((sites, _rb(spec, x, *sites)) for sites in term.left_sites)
+        pref = _phi_prefactor(spec.hbar, fac.x, term.subset)
+        left = tuple((sites, fac.rb(*sites)) for sites in term.left_sites)
         for dpos in range(len(term.right_sites)):
-            right = tuple((sites, (_fb if q == dpos else _rb)(spec, x, *sites))
+            right = tuple((sites, (fac.fb if q == dpos else fac.rb)(*sites))
                           for q, sites in enumerate(term.right_sites))
             terms.append(ProductTerm(pref, left + right))
     return ChainOperator.from_terms(spec.dim, length, terms)
@@ -240,17 +267,18 @@ def c_factorized_h1(spec: RMatrixSpec, length: int) -> ChainOperator:
                    Rb_{i,k+1} ... Rb_{i,i-1}
     """
     C = c_matrix(spec)
-    x = equilibrium_points(length)
+    fac = _EquilibriumFactors(spec, length)
+    x = fac.x
     terms = []
     for i in range(2, length + 1):
         for k in range(1, i):
             w = c_prefactor(spec, x[i - 1] - x[k - 1])
             factors = []
             for j in range(i - 1, k, -1):
-                factors.append(((j, i), _rb(spec, x, j, i)))
+                factors.append(((j, i), fac.rb(j, i)))
             factors.append(((k, i), C))
             for j in range(k + 1, i):
-                factors.append(((i, j), _rb(spec, x, i, j)))
+                factors.append(((i, j), fac.rb(i, j)))
             terms.append(ProductTerm(w, tuple(factors)))
     return ChainOperator.from_terms(spec.dim, length, terms)
 

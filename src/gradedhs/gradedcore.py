@@ -29,15 +29,19 @@ order (see :func:`_placement`).
 States live in (C^(N|M))^{(x) L}.  Chain operators are held as sums of
 products of embedded two-site factors, applied matrix-free through factor
 plans (a diagonal and a weighted-swap pass per factor), and/or as a dense
-realized matrix, their one stored dense form.  The dense form of a
+realized matrix, their one stored dense form.  Terms are evaluated along
+their shared-prefix tree, or, for an operator built from pivot ladders
+(:class:`PivotLadder`, the form of H1), one Horner ladder per pivot, which
+uses that each step-back factor inverts its step.  The dense form of a
 factor-term operator is built on first use, up to n^L = DENSE_SITE_CAP, by
-running the same plans over blocks of identity columns, so no d x d factor
-matrix is formed: H1 and H2 of uq(1|1) at L = 9 (d = 512) take about 1.5 s
-together on one core.
+running the same evaluation over blocks of identity columns, so no d x d
+factor matrix is formed: H1 and H2 of uq(1|1) at L = 9 (d = 512) take
+about 1.5 s together on one core.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
@@ -277,12 +281,70 @@ class ProductTerm:
     factors: tuple[tuple[tuple[int, int], LocalOperator], ...]
 
 
+#: largest ||s g - 1|| of a ladder's step pairs that the Horner form trusts
+LADDER_UNITARITY_TOL = 1e-6
+
+
+@dataclass(frozen=True)
+class PivotLadder:
+    """The terms of one pivot that share a descending chain of steps:
+
+        sum_{t=1..T} s_1 s_2 ... s_t F_t g_{t-1} ... g_1
+
+    read as operators (g_1 acts first), with ``steps`` (g_1 .. g_{T-1}),
+    ``rungs`` (F_1 .. F_T) and step-backs ``backs`` (s_1 .. s_T), each a
+    ``(sites, op)`` factor.  A step-back undoes its step, s_t g_t = 1 for
+    t < T, so the sum is evaluated in Horner form: descend w = g_{T-1} ..
+    g_1 v once, then for t = T .. 1 climb with w <- s_t w (t < T) and
+    acc <- s_t (acc + F_t w).  That is 4T - 2 factor applications instead
+    of the T(T + 1) in the expanded products.  Construction checks every
+    step pair on its two sites and raises ``ValueError`` naming the worst
+    pair if its defect exceeds ``LADDER_UNITARITY_TOL``.
+    """
+
+    steps: tuple[tuple[tuple[int, int], LocalOperator], ...]
+    rungs: tuple[tuple[tuple[int, int], LocalOperator], ...]
+    backs: tuple[tuple[tuple[int, int], LocalOperator], ...]
+
+    def __post_init__(self) -> None:
+        depth = len(self.rungs)
+        if depth < 1 or len(self.backs) != depth or len(self.steps) != depth - 1:
+            raise ValueError(
+                f"a ladder needs T >= 1 rungs and step-backs and T - 1 steps, got "
+                f"{len(self.steps)}/{len(self.rungs)}/{len(self.backs)}"
+            )
+        worst, pair = 0.0, None
+        for (gsites, g), (ssites, s) in zip(self.steps, self.backs):
+            if gsites == ssites[::-1]:
+                g = _swap_legs(g)
+            elif gsites != ssites:
+                raise ValueError(f"step {gsites} and step-back {ssites} act on different sites")
+            defect = (super_multiply(s, g) - identity_operator(g.dim, 2)).norm()
+            defect = math.inf if math.isnan(defect) else defect
+            if defect > worst:
+                worst, pair = defect, (ssites, gsites)
+        if worst > LADDER_UNITARITY_TOL:
+            raise ValueError(
+                f"step-back at sites {pair[0]} does not invert the step at {pair[1]}: "
+                f"||s g - 1|| = {worst:.2e} > {LADDER_UNITARITY_TOL:g}"
+            )
+
+    def terms(self, coeff: complex) -> tuple[ProductTerm, ...]:
+        """The expanded products, t = T first, each weighted by ``coeff``."""
+        return tuple(
+            ProductTerm(coeff, self.backs[:t] + (self.rungs[t - 1],) + self.steps[:t - 1][::-1])
+            for t in range(len(self.rungs), 0, -1)
+        )
+
+
 class ChainOperator:
     """Operator on an L-site chain, dense and/or sum-of-factor-products.
 
     The one stored dense form is the realized matrix.  A ``dense``
     coefficient array is sign-masked into it on entry; a factor-term
     operator builds it on first use (up to ``DENSE_SITE_CAP``) and keeps it.
+    An operator given as ``ladder_coeff`` times a sum of pivot ladders keeps
+    them, evaluates through them, and lists their expanded ``terms``.
     """
 
     def __init__(
@@ -291,9 +353,18 @@ class ChainOperator:
         length: int,
         dense: np.ndarray | None = None,
         terms: Sequence[ProductTerm] | None = None,
+        ladders: Sequence[PivotLadder] | None = None,
+        ladder_coeff: complex = 1.0,
     ) -> None:
+        if ladders is not None:
+            if terms is not None:
+                raise ValueError("give factor terms or pivot ladders, not both")
+            ladders = tuple(ladders)
+            terms = tuple(t for ladder in ladders for t in ladder.terms(ladder_coeff))
         if dense is None and terms is None:
             raise ValueError("need a dense array or a factor-term list")
+        self.ladders = ladders
+        self.ladder_coeff = ladder_coeff
         self.dim = dim
         self.length = length
         d = dim.n ** length
@@ -310,7 +381,8 @@ class ChainOperator:
                     _check_factor(op, sites, length)
                     if op.dim != dim:
                         raise ValueError("factors must act on the chain dim")
-        self._plans: _PlanNode | None = None
+        self._plans: _PlanNode | None = None  # prefix tree of the terms
+        self._ladder_plans: tuple | None = None
 
     @property
     def hilbert_dim(self) -> int:
@@ -358,6 +430,11 @@ class ChainOperator:
 
     def __mul__(self, scalar: complex) -> "ChainOperator":
         dense = None if self._realized is None else self.to_dense() * scalar
+        if self.ladders is not None:
+            out = ChainOperator(self.dim, self.length, dense=dense, ladders=self.ladders,
+                                ladder_coeff=self.ladder_coeff * scalar)
+            out._ladder_plans = self._ladder_plans  # they carry no coefficient
+            return out
         terms = None
         if self.terms is not None:
             terms = tuple(ProductTerm(t.coeff * scalar, t.factors) for t in self.terms)
@@ -638,23 +715,90 @@ def _apply_tree(node: _PlanNode, state: np.ndarray, owned: bool, pool: list,
         pool.append(state)
 
 
+def _plan_ladders(op: ChainOperator) -> tuple:
+    """Factor plans of ``op``'s ladders: (steps, rungs, backs) per ladder."""
+    if op._ladder_plans is None:
+        op._ladder_plans = tuple(
+            tuple(tuple(_FactorPlan(op.dim, sites, fac) for sites, fac in part)
+                  for part in (ladder.steps, ladder.rungs, ladder.backs))
+            for ladder in op.ladders
+        )
+    return op._ladder_plans
+
+
+def _apply_ladder(plans: tuple, vec: np.ndarray, coeff: complex, pool: list,
+                  total: np.ndarray, tmp: np.ndarray) -> None:
+    """Add ``coeff`` times one ladder applied to ``vec`` into ``total``.
+
+    Descends w = g_{T-1} .. g_1 vec, then climbs t = T .. 1 with
+    w <- s_t w (t < T) and acc <- s_t (acc + F_t w): at most three pool
+    buffers (w, acc and the rung image) are live, and no prefix state is
+    kept.
+    """
+    steps, rungs, backs = plans
+
+    def applied(plan: _FactorPlan, src: np.ndarray) -> np.ndarray:
+        dst = pool.pop() if pool else np.empty_like(vec)
+        plan.apply_into(src, dst, tmp)
+        return dst
+
+    w = vec
+    for g in steps:
+        nxt = applied(g, w)
+        if w is not vec:
+            pool.append(w)
+        w = nxt
+    y = applied(rungs[-1], w)
+    acc = applied(backs[-1], y)
+    pool.append(y)
+    for t in range(len(rungs) - 2, -1, -1):
+        nxt = applied(backs[t], w)
+        pool.append(w)
+        w = nxt
+        y = applied(rungs[t], w)
+        y += acc
+        pool.append(acc)
+        acc = applied(backs[t], y)
+        pool.append(y)
+    if w is not vec:
+        pool.append(w)
+    if coeff == 1.0:
+        total += acc
+    else:
+        np.multiply(acc, coeff, out=tmp)
+        total += tmp
+    pool.append(acc)
+
+
+def _accumulate(op: ChainOperator, vec: np.ndarray, total: np.ndarray) -> None:
+    """Add ``op`` applied to ``vec`` (a state or a (d, B) block of states)
+    into ``total``: ladder by ladder if ``op`` has pivot ladders, else
+    along the prefix tree of its terms."""
+    tmp = np.empty_like(vec)
+    if op.ladders is None:
+        _apply_tree(_plan_tree(op), vec, False, [], total, tmp)
+        return
+    pool: list = []
+    for plans in _plan_ladders(op):
+        _apply_ladder(plans, vec, op.ladder_coeff, pool, total, tmp)
+
+
 def _realize_terms(op: ChainOperator) -> np.ndarray:
-    """Realized matrix of a factor-term operator: its factor plans applied
-    along the prefix tree to the columns of the identity, a block of
-    columns at a time (at most ``_DENSE_BLOCK_AMPS`` amplitudes each)."""
+    """Realized matrix of a factor-term operator: its evaluation applied to
+    the columns of the identity, a block of columns at a time (at most
+    ``_DENSE_BLOCK_AMPS`` amplitudes each)."""
     d = op.hilbert_dim
     if d > DENSE_SITE_CAP:
         raise ValueError(
             f"dense form of a {d}-dimensional chain operator exceeds the cap {DENSE_SITE_CAP}"
         )
-    tree = _plan_tree(op)
     realized = np.zeros((d, d), dtype=complex)
     width = max(1, _DENSE_BLOCK_AMPS // d)
     for lo in range(0, d, width):
         hi = min(d, lo + width)
         block = np.zeros((d, hi - lo), dtype=complex)
         block[np.arange(lo, hi), np.arange(hi - lo)] = 1.0
-        _apply_tree(tree, block, False, [], realized[:, lo:hi], np.empty_like(block))
+        _accumulate(op, block, realized[:, lo:hi])
     return realized
 
 
@@ -662,16 +806,16 @@ def apply(op: ChainOperator, state: ChainState) -> ChainState:
     """Apply a chain operator to a state.
 
     Factor-term operators are applied matrix-free, one embedded two-site
-    factor at a time along the prefix tree of their terms, with buffers
-    recycled through a pool; dense operators go through the realized
-    matrix.
+    factor at a time, ladder by ladder or along the prefix tree of their
+    terms, with buffers recycled through a pool; dense operators go through
+    the realized matrix.
     """
     if op.dim != state.dim or op.length != state.length:
         raise ValueError("operator and state dimensions do not match")
     if op.terms is not None:
         vec = state.amplitudes
         total = np.zeros_like(vec)
-        _apply_tree(_plan_tree(op), vec, False, [], total, np.empty_like(vec))
+        _accumulate(op, vec, total)
         return ChainState(op.dim, op.length, total)
     return ChainState(op.dim, op.length, op.realize() @ state.amplitudes)
 

@@ -41,6 +41,7 @@ positions) serves every order, every eta and the commutator probes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import Callable, Sequence
@@ -563,12 +564,13 @@ def f_identity_eta_spread(
 ) -> float:
     """Max residual over several eta values (the defect is eta-independent).
 
-    All etas share ``store``, or one store made for this call.
+    A NaN residual counts as infinite.  All etas share ``store``, or one
+    store made for this call.
     """
     if store is None:
         store = FactorStore(spec, cfg)
     worst = 0.0
     for eta in etas:
-        cfg_eta = replace(cfg, eta=eta)
-        worst = max(worst, f_identity_residual(spec, cfg_eta, k, store=store))
+        res = f_identity_residual(spec, replace(cfg, eta=eta), k, store=store)
+        worst = max(worst, math.inf if math.isnan(res) else res)
     return worst

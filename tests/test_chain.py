@@ -12,6 +12,7 @@ from gradedhs import (
     build_f_derivative,
     build_r_normalized,
     c_factorized_h1,
+    c_matrix,
     commutator_norm,
     equilibrium_points,
     frozen_chain,
@@ -74,6 +75,97 @@ def test_h1_two_sites_single_term():
     )
     h1 = hamiltonian_h1(spec, 2)
     assert np.allclose(h1.to_dense(), expected.entries, atol=1e-13)
+
+
+@pytest.mark.parametrize("fam", list(RFamily))
+@pytest.mark.parametrize("nm", [(1, 1), (2, 1)])
+def test_h1_terms_are_the_pair_products(fam, nm):
+    # the expanded ladder terms: pair (i, k), k ascending within each i, is
+    # Rb_{i-1,i} .. Rb_{k,i} Fb_{i,k} Rb_{i,k+1} .. Rb_{i,i-1}, each factor
+    # built at its own argument x_i - x_j
+    spec = spec_of(fam, nm)
+    L = 6
+    x = equilibrium_points(L)
+    expected = []
+    for i in range(2, L + 1):
+        for k in range(1, i):
+            expected.append(
+                [((j, i), build_r_normalized, j, i) for j in range(i - 1, k - 1, -1)]
+                + [((i, k), build_f_derivative, i, k)]
+                + [((i, j), build_r_normalized, i, j) for j in range(k + 1, i)]
+            )
+    terms = hamiltonian_h1(spec, L).terms
+    assert len(terms) == len(expected)
+    for term, factors in zip(terms, expected):
+        assert term.coeff == 1.0
+        assert [sites for sites, _ in term.factors] == [f[0] for f in factors]
+        for (_, op), (_, build, a, b) in zip(term.factors, factors):
+            assert op.entries.tobytes() == build(spec, x[a - 1] - x[b - 1]).entries.tobytes()
+    assert sum(len(t.factors) for t in hamiltonian_h1(spec, 16).terms) == 1360
+
+
+@pytest.mark.parametrize("build", [
+    hamiltonian_h1,
+    hamiltonian_h2,
+    lambda spec, L: htilde_k(spec, L, 2),
+    c_factorized_h1,
+])
+def test_hamiltonians_build_each_factor_once_per_argument(build, monkeypatch):
+    import gradedhs.chain as chain_mod
+
+    spec = spec_of(RFamily.UQ_GLNM, (1, 1))
+    L = 6
+    calls = {"r": [], "f": []}
+    clean_r, clean_f = chain_mod.build_r_normalized, chain_mod.build_f_derivative
+
+    def counted_r(spec, z):
+        calls["r"].append(z)
+        return clean_r(spec, z)
+
+    def counted_f(spec, z):
+        calls["f"].append(z)
+        return clean_f(spec, z)
+
+    monkeypatch.setattr(chain_mod, "build_r_normalized", counted_r)
+    monkeypatch.setattr(chain_mod, "build_f_derivative", counted_f)
+    op = build(spec, L)
+    assert calls["r"]
+    for args in calls.values():
+        assert len(args) == len(set(args))
+    # and each factor is one built at its own sites' argument (or the
+    # constant C of the factorized form)
+    x = equilibrium_points(L)
+    constant = c_matrix(spec).entries.tobytes()
+    for term in op.terms:
+        for (i, j), fac in term.factors:
+            z = x[i - 1] - x[j - 1]
+            built = {clean(spec, z).entries.tobytes() for clean in (clean_r, clean_f)}
+            assert fac.entries.tobytes() in built | {constant}
+
+
+def test_h1_rejects_a_step_back_that_does_not_invert_its_step(monkeypatch):
+    # the ladder form of H1 rests on Rb_{ki} Rb_{ik} = 1; with a broken
+    # normalized R it would silently disagree with its own terms
+    import gradedhs.chain as chain_mod
+
+    spec = spec_of(RFamily.UQ_GLNM, (1, 1))
+    clean = chain_mod.build_r_normalized
+    monkeypatch.setattr(chain_mod, "build_r_normalized", lambda spec, z: 1.5 * clean(spec, z))
+    with pytest.raises(ValueError, match=r"does not invert the step at \(3, 2\)"):
+        hamiltonian_h1(spec, 3)
+    monkeypatch.setattr(chain_mod, "build_r_normalized",
+                        lambda spec, z: clean(spec, z) * (1.0 + 1e-5 * (z > 0.5)))
+    with pytest.raises(ValueError, match=r"sites \(2, 6\) .* = 2.00e-05"):
+        hamiltonian_h1(spec, 6)
+    # a NaN defect counts as infinite
+    def nan_rb(spec, z):
+        op = clean(spec, z)
+        return op * np.nan if z < 0 else op
+
+    monkeypatch.setattr(chain_mod, "build_r_normalized", nan_rb)
+    with pytest.raises(ValueError, match=r"= inf > 1e-06"):
+        hamiltonian_h1(spec, 3)
+    hamiltonian_h2(spec, 3)  # the tree-evaluated operators make no such check
 
 
 def test_h2_two_sites_vanishes_like_its_expansion():

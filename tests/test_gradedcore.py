@@ -3,6 +3,7 @@ import pytest
 
 from gradedhs import (
     ChainOperator,
+    ChainState,
     GradedDim,
     LocalOperator,
     apply,
@@ -506,20 +507,163 @@ def test_prefix_tree_apply_matches_term_by_term(dim, rng):
 def test_h1_prefix_tree_shares_leading_factors(rng):
     # the terms of pair (i, k) apply Rbar_{i,i-1} .. Rbar_{i,k+1} first, so
     # per i the tree holds i-2 shared leading factors, i-1 F factors and
-    # i - k trailing factors below each F: 60 edges at L = 6 instead of 70
+    # i - k trailing factors below each F: 60 edges at L = 6 instead of 70.
+    # H1 itself evaluates through its ladders; the tree is that of its terms.
     L = 6
     spec = RMatrixSpec(RFamily.UQ_GLNM, GradedDim(1, 1), 0.3)
     h1 = hamiltonian_h1(spec, L)
+    tree_op = ChainOperator.from_terms(spec.dim, L, h1.terms)
 
     def edges(node):
         return sum(1 + edges(child) for _, child in node.children)
 
     assert sum(len(t.factors) for t in h1.terms) == 70
-    assert edges(_plan_tree(h1)) == sum(2 * i - 3 + i * (i - 1) // 2 for i in range(2, L + 1))
+    assert edges(_plan_tree(tree_op)) == sum(2 * i - 3 + i * (i - 1) // 2 for i in range(2, L + 1))
     st = random_state(spec.dim, L, rng)
     ref = product_reference(spec.dim, L, h1.terms) @ st.amplitudes
-    err = np.linalg.norm(h1.apply(st).amplitudes - ref) / np.linalg.norm(ref)
+    err = np.linalg.norm(tree_op.apply(st).amplitudes - ref) / np.linalg.norm(ref)
     assert err < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# pivot ladders (H1)
+# ---------------------------------------------------------------------------
+
+LADDER_DIMS = [GradedDim(1, 1), GradedDim(2, 0), GradedDim(2, 1), GradedDim(1, 2), GradedDim(0, 2)]
+
+
+@pytest.mark.parametrize("dim", LADDER_DIMS)
+@pytest.mark.parametrize("fam", list(RFamily))
+@pytest.mark.parametrize("hbar", [0.3, 0.23 + 0.11j, 1e-4])
+def test_h1_ladder_matches_prefix_tree_and_product_reference(dim, fam, hbar, rng):
+    spec = RMatrixSpec(fam, dim, hbar)
+    for L in range(2, 9):
+        h1 = hamiltonian_h1(spec, L)
+        assert len(h1.ladders) == L - 1
+        tree_op = ChainOperator.from_terms(dim, L, h1.terms)
+        st = random_state(dim, L, rng)
+        got, ref = h1.apply(st).amplitudes, tree_op.apply(st).amplitudes
+        assert np.linalg.norm(got - ref) / np.linalg.norm(ref) < 1e-12
+        if dim.n ** L <= 243:
+            assert rel_max(h1.realize(), product_reference(dim, L, h1.terms)) < 1e-12
+
+
+@pytest.mark.parametrize("fam", list(RFamily))
+@pytest.mark.parametrize("L", [5, 8])
+def test_h1_ladder_at_the_pole_margin(fam, L, rng):
+    # hbar * L = 2 + 1e-6, the closest to a pole the chain command accepts:
+    # the step pairs invert each other only to about 1e-9 there
+    spec = RMatrixSpec(fam, GradedDim(1, 1), (2 + 1e-6) / L)
+    h1 = hamiltonian_h1(spec, L)
+    tree_op = ChainOperator.from_terms(spec.dim, L, h1.terms)
+    st = random_state(spec.dim, L, rng)
+    got, ref = h1.apply(st).amplitudes, tree_op.apply(st).amplitudes
+    assert np.linalg.norm(got - ref) / np.linalg.norm(ref) <= 1e-8
+
+
+def polarized_odd_energy(L, hbar):
+    """uq(1|1) H1 on the all-odd state: each Rbar acts by r(z), each Fbar by
+    f(z), and r(z) r(-z) = 1 leaves one r per term."""
+    r = lambda z: np.sin(np.pi * (z - hbar)) / np.sin(np.pi * (z + hbar))
+    f = lambda z: np.pi * np.sin(2 * np.pi * hbar) / np.sin(np.pi * (z + hbar)) ** 2
+    x = np.arange(1, L + 1) / L
+    return sum(r(x[k] - x[i]) * f(x[i] - x[k]) for i in range(L) for k in range(i))
+
+
+def test_h1_ladder_structure_at_ten_sites(rng):
+    L, hbar = 10, 0.23  # hbar * L off the integers
+    spec = RMatrixSpec(RFamily.UQ_GLNM, GradedDim(1, 1), hbar)
+    h1 = hamiltonian_h1(spec, L)
+    d = 2 ** L
+    even, odd = np.zeros(d, complex), np.zeros(d, complex)
+    even[0], odd[-1] = 1.0, 1.0
+    assert not np.any(apply(h1, ChainState(spec.dim, L, even)).amplitudes)
+    energy = polarized_odd_energy(L, hbar)
+    image = apply(h1, ChainState(spec.dim, L, odd)).amplitudes
+    assert np.max(np.abs(image - energy * odd)) / abs(energy) <= 1e-12
+    # basis index bits are the site directions; H1 conserves the odd count
+    content = sum((np.arange(d) >> bit) & 1 for bit in range(L))
+    sector = content == L // 2
+    v = np.zeros(d, complex)
+    v[sector] = rng.standard_normal(sector.sum()) + 1j * rng.standard_normal(sector.sum())
+    image = apply(h1, ChainState(spec.dim, L, v)).amplitudes
+    assert np.max(np.abs(image[~sector])) == 0.0
+    assert np.linalg.norm(image[sector]) > 0
+
+
+@pytest.mark.parametrize("L", [2, 3, 6, 9])
+def test_h1_ladder_factor_application_count(L, rng, monkeypatch):
+    spec = RMatrixSpec(RFamily.ZN_GRADED, GradedDim(1, 1), 0.3)
+    h1 = hamiltonian_h1(spec, L)
+    st = random_state(spec.dim, L, rng)
+    h1.apply(st)  # builds the plans
+    calls = []
+    inner = _FactorPlan.apply_into
+
+    def counted(plan, vec, out, tmp):
+        calls.append(plan)
+        inner(plan, vec, out, tmp)
+
+    monkeypatch.setattr(_FactorPlan, "apply_into", counted)
+    h1.apply(st)
+    assert len(calls) == sum(4 * i - 6 for i in range(2, L + 1))
+    calls.clear()
+    ChainOperator.from_terms(spec.dim, L, h1.terms).apply(st)
+    tree_count = sum(2 * i - 3 + i * (i - 1) // 2 for i in range(2, L + 1))
+    assert len(calls) == tree_count
+    assert sum(len(t.factors) for t in h1.terms) == sum(i * (i - 1) for i in range(2, L + 1))
+
+
+@pytest.mark.parametrize("dim", [GradedDim(1, 1), GradedDim(2, 1)])
+def test_h1_ladder_realize_and_apply_agree_column_by_column(dim, monkeypatch):
+    spec = RMatrixSpec(RFamily.UQ_GLNM, dim, 0.23 + 0.11j)
+    L = 4
+    # several column blocks, the last one partial
+    monkeypatch.setattr(gradedcore, "_DENSE_BLOCK_AMPS", 5 * dim.n ** L)
+    h1 = hamiltonian_h1(spec, L)
+    realized = h1.realize()
+    plans = h1._ladder_plans
+    d = dim.n ** L
+    for j in range(d):
+        col = apply(h1, ChainState(dim, L, np.eye(d)[:, j])).amplitudes
+        assert np.max(np.abs(col - realized[:, j])) <= 1e-14 * max(1.0, np.max(np.abs(col)))
+    # one set of ladder plans serves both, and no prefix tree is built
+    assert plans is not None and h1._ladder_plans is plans
+    assert h1._plans is None
+
+
+def test_h1_scalar_multiples_keep_the_ladder_and_sums_take_the_tree(rng):
+    spec = RMatrixSpec(RFamily.UQ_GLNM, GradedDim(2, 1), 0.3)
+    L = 4
+    h1 = hamiltonian_h1(spec, L)
+    st = random_state(spec.dim, L, rng)
+    base = h1.apply(st).amplitudes
+    for scaled in (h1 * (0.5 - 2j), (0.5 - 2j) * h1):
+        assert scaled.ladders is h1.ladders
+        assert [t.coeff for t in scaled.terms] == [0.5 - 2j] * len(h1.terms)
+        got = scaled.apply(st).amplitudes
+        assert np.linalg.norm(got - (0.5 - 2j) * base) / np.linalg.norm(base) < 1e-13
+    total = h1 + hamiltonian_h2(spec, L)
+    assert total.ladders is None
+    ref = base + hamiltonian_h2(spec, L).apply(st).amplitudes
+    assert np.linalg.norm(total.apply(st).amplitudes - ref) / np.linalg.norm(ref) < 1e-12
+    # a dense form made before scaling scales with it
+    h1.realize()
+    assert rel_max((h1 * 3.0).realize(), 3.0 * h1.realize()) < 1e-14
+
+
+def test_pivot_ladder_rejects_malformed_ladders():
+    spec = RMatrixSpec(RFamily.UQ_GLNM, GradedDim(1, 1), 0.3)
+    rb = build_r_normalized(spec, 0.25)
+    rb_back = build_r_normalized(spec, -0.25)
+    fb = build_f_derivative(spec, 0.25)
+    with pytest.raises(ValueError, match="rungs"):
+        gradedcore.PivotLadder(steps=(), rungs=(((2, 1), fb),) * 2, backs=(((1, 2), rb_back),) * 2)
+    with pytest.raises(ValueError, match="different sites"):
+        gradedcore.PivotLadder(steps=(((3, 1), rb),), rungs=(((2, 1), fb),) * 2,
+                               backs=(((1, 2), rb_back),) * 2)
+    with pytest.raises(ValueError, match="not both"):
+        ChainOperator(spec.dim, 2, terms=(), ladders=())
 
 
 def _plan_apply(plan, vec):

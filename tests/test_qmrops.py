@@ -1,3 +1,5 @@
+import math
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 from gradedhs import (
     FactorStore,
     GradedDim,
+    LocalOperator,
     ProbeBlock,
     RFamily,
     RMatrixSpec,
@@ -344,6 +347,31 @@ def test_f_identity_eta_independence():
     cfg = cfg_of(Z3)
     etas = [ETA, 0.11 + 0.09j, 0.23 - 0.04j, 0.31 + 0.12j, 0.08 + 0.2j]
     assert f_identity_eta_spread(spec, cfg, 1, etas) < 1e-10
+
+
+def test_f_identity_eta_spread_counts_nan_as_infinite(monkeypatch):
+    # NaN in the raw R at the shifted argument z_1 - z_2 - eta of one spread
+    # eta only: that eta's residual is NaN, which must not fold to a pass
+    spec = RMatrixSpec(RFamily.UQ_GLNM, GradedDim(1, 1), HBAR)
+    cfg = cfg_of(Z3)
+    bad_eta = 0.11 + 0.09j
+    bad_arg = Z3[0] - Z3[1] - bad_eta
+    clean_build = qmrops.build_r
+
+    def nan_at_bad_eta(spec, arg):
+        op = clean_build(spec, arg)
+        if abs(arg - bad_arg) < 1e-12:
+            entries = op.entries.copy()
+            entries[0, 0] = np.nan
+            op = LocalOperator(op.dim, 2, entries)
+        return op
+
+    monkeypatch.setattr(qmrops, "build_r", nan_at_bad_eta)
+    assert f_identity_residual(spec, cfg, 1) < 1e-10
+    assert math.isnan(f_identity_residual(spec, replace(cfg, eta=bad_eta), 1))
+    assert f_identity_eta_spread(spec, cfg, 1, [ETA]) < 1e-10
+    assert f_identity_eta_spread(spec, cfg, 1, [ETA, bad_eta]) == math.inf
+    assert f_identity_eta_spread(spec, cfg, 1, [bad_eta, ETA]) == math.inf
 
 
 def test_f_identity_bounded_near_eta_pole():
