@@ -364,13 +364,20 @@ def anisotropic_target(dim: GradedDim, length: int) -> ChainOperator:
     return ChainOperator.from_terms(dim, length, terms)
 
 
-def limit_target(spec: RMatrixSpec, length: int) -> ChainOperator:
-    """Closed-form target for the hbar -> 0 limit of H1 / hbar."""
+def limit_target(spec: RMatrixSpec, length: int, kind: str | None = None) -> ChainOperator:
+    """Closed-form target for the hbar -> 0 limit of H1 / hbar: the graded
+    exchange chain ("hs") for the uq family, the anisotropic chain
+    ("aniso") for the zn family at (1|1).  A ``kind`` other than the
+    spec's target, or a spec without one, raises ``ValueError``."""
     if spec.family is RFamily.UQ_GLNM:
-        return haldane_shastry_target(spec.dim, length)
-    if spec.dim.n == 2 and spec.dim.n_odd == 1:
-        return anisotropic_target(spec.dim, length)
-    raise ValueError(f"no closed-form limit target for {spec}")
+        have, build = "hs", haldane_shastry_target
+    elif spec.dim.n == 2 and spec.dim.n_odd == 1:
+        have, build = "aniso", anisotropic_target
+    else:
+        raise ValueError(f"no closed-form limit target for {spec}")
+    if kind is not None and kind != have:
+        raise ValueError(f"the limit target of {spec} is {have!r}, not {kind!r}")
+    return build(spec.dim, length)
 
 
 def site_gauge_conjugation(dim: GradedDim, length: int) -> np.ndarray:
@@ -402,9 +409,10 @@ class SpectrumResult:
 
 
 def spectrum(op: ChainOperator, cluster_tol: float = 1e-8) -> SpectrumResult:
-    """Full complex spectrum of the realized operator, clustered by
-    single linkage at absolute tolerance ``cluster_tol``."""
-    vals = np.linalg.eigvals(op.realize())
+    """Full complex spectrum of the realized operator, taken block by block
+    over its sectors and clustered by single linkage at absolute tolerance
+    ``cluster_tol``."""
+    vals = np.concatenate([np.linalg.eigvals(block) for _, block in op.blocks()])
     order = np.lexsort((vals.imag, vals.real))
     vals = vals[order]
     m = len(vals)
@@ -441,6 +449,7 @@ def spectrum_to_csv(result: SpectrumResult, path) -> None:
 
 
 _BINARY_MAGIC = b"GHSCHOP1"
+_BINARY_HEADER = struct.Struct("<8sIIIdd")  # magic, n, L, family tag, hbar re, im
 _FAMILY_TAGS = {RFamily.UQ_GLNM: 0, RFamily.ZN_GRADED: 1}
 
 
@@ -449,9 +458,8 @@ def save_operator_binary(op: ChainOperator, spec: RMatrixSpec, path) -> None:
     float64 hbar (re, im), then row-major interleaved re/im float64."""
     mat = op.realize()
     with open(path, "wb") as fh:
-        fh.write(_BINARY_MAGIC)
-        fh.write(struct.pack("<III", op.dim.n, op.length, _FAMILY_TAGS[spec.family]))
-        fh.write(struct.pack("<dd", spec.hbar.real, spec.hbar.imag))
+        fh.write(_BINARY_HEADER.pack(_BINARY_MAGIC, op.dim.n, op.length,
+                                     _FAMILY_TAGS[spec.family], spec.hbar.real, spec.hbar.imag))
         inter = np.empty(mat.size * 2, dtype="<f8")
         inter[0::2] = mat.real.ravel()
         inter[1::2] = mat.imag.ravel()
@@ -459,15 +467,25 @@ def save_operator_binary(op: ChainOperator, spec: RMatrixSpec, path) -> None:
 
 
 def load_operator_binary(path) -> tuple[np.ndarray, dict]:
-    """Read a matrix dump; returns (matrix, header dict)."""
+    """Read a matrix dump; returns (matrix, header dict).  A file that is
+    not exactly a header and 16 d^2 payload bytes raises ``ValueError``."""
     with open(path, "rb") as fh:
-        magic = fh.read(8)
-        if magic != _BINARY_MAGIC:
-            raise ValueError(f"not an operator dump (magic {magic!r})")
-        n, length, tag = struct.unpack("<III", fh.read(12))
-        hre, him = struct.unpack("<dd", fh.read(16))
-        d = n ** length
-        raw = np.frombuffer(fh.read(16 * d * d), dtype="<f8")
+        data = fh.read()
+    if data[:8] != _BINARY_MAGIC:
+        raise ValueError(f"not an operator dump (magic {data[:8]!r})")
+    if len(data) < _BINARY_HEADER.size:
+        raise ValueError(
+            f"operator dump header is {len(data)} bytes, expected {_BINARY_HEADER.size}"
+        )
+    _, n, length, tag, hre, him = _BINARY_HEADER.unpack_from(data)
+    d = n ** length
+    size, expected = len(data) - _BINARY_HEADER.size, 16 * d * d
+    if size != expected:
+        raise ValueError(
+            f"operator dump payload is {size} bytes, expected 16 d^2 = {expected} "
+            f"for n = {n}, L = {length}"
+        )
+    raw = np.frombuffer(data, dtype="<f8", offset=_BINARY_HEADER.size)
     mat = (raw[0::2] + 1j * raw[1::2]).reshape(d, d)
     header = {"n": n, "length": length, "family_tag": tag, "hbar": complex(hre, him)}
     return mat, header

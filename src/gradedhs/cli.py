@@ -309,17 +309,22 @@ def cmd_chain(cfg: RunConfig) -> int:
     if cfg.family == "all":
         raise ConfigError("the chain command needs a single --family (uq or zn)")
     specs = _specs(cfg)
+    targets = []
     for spec in specs:
         dim_total = spec.dim.n ** cfg.length
         if dim_total > DENSE_SITE_CAP:
             raise ConfigError(
                 f"chain dimension {dim_total} exceeds the dense cap {DENSE_SITE_CAP}"
             )
+        try:
+            targets.append(chain_mod.limit_target(spec, cfg.length, cfg.limit) if cfg.limit else None)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
     _check_chain_poles(cfg.hbar, cfg.length)
     out = _out_dir(cfg)
     rows = []
     ok = True
-    for spec in specs:
+    for spec, target in zip(specs, targets):
         h1 = chain_mod.hamiltonian_h1(spec, cfg.length)
         h2 = chain_mod.hamiltonian_h2(spec, cfg.length)
         comm = commutator_norm(h1, h2)
@@ -344,11 +349,7 @@ def cmd_chain(cfg: RunConfig) -> int:
                 csv_path = out / f"spectrum_{name}_{tag}_L{cfg.length}.csv"
                 chain_mod.spectrum_to_csv(result, csv_path)
                 row[f"spectrum_{name}"] = str(csv_path)
-        if cfg.limit:
-            try:
-                target = chain_mod.limit_target(spec, cfg.length)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from exc
+        if target is not None:
             limit = chain_mod.nonrelativistic_limit_h1(spec, cfg.length)
             dev = float(
                 np.max(np.abs(limit.to_dense() - target.to_dense()))

@@ -29,14 +29,17 @@ order (see :func:`_placement`).
 States live in (C^(N|M))^{(x) L}.  Chain operators are held as sums of
 products of embedded two-site factors, applied matrix-free through factor
 plans (a diagonal and a weighted-swap pass per factor), and/or as a dense
-realized matrix, their one stored dense form.  Terms are evaluated along
-their shared-prefix tree, or, for an operator built from pivot ladders
-(:class:`PivotLadder`, the form of H1), one Horner ladder per pivot, which
-uses that each step-back factor inverts its step.  The dense form of a
-factor-term operator is built on first use, up to n^L = DENSE_SITE_CAP, by
-running the same evaluation over blocks of identity columns, so no d x d
-factor matrix is formed: H1 and H2 of uq(1|1) at L = 9 (d = 512) take
-about 1.5 s together on one core.
+realized matrix, stored as one block per sector of basis states that the
+operator does not mix.  Terms are evaluated along their shared-prefix
+tree, or, for an operator built from pivot ladders (:class:`PivotLadder`,
+the form of H1), one Horner ladder per pivot, which uses that each
+step-back factor inverts its step.  The dense form of a factor-term
+operator is built on first use, up to n^L = DENSE_SITE_CAP, by running the
+same evaluation over a probe that holds the k-th state of every colour
+content sector in its column k (every factor of both R-matrix families
+conserves colour content), so no d x d factor matrix is formed and the
+probe has only as many columns as the largest sector has states: H1 and
+H2 of uq(1|1) at L = 10 (d = 1024) take about 3 s together on one core.
 """
 
 from __future__ import annotations
@@ -340,11 +343,14 @@ class PivotLadder:
 class ChainOperator:
     """Operator on an L-site chain, dense and/or sum-of-factor-products.
 
-    The one stored dense form is the realized matrix.  A ``dense``
-    coefficient array is sign-masked into it on entry; a factor-term
-    operator builds it on first use (up to ``DENSE_SITE_CAP``) and keeps it.
-    An operator given as ``ladder_coeff`` times a sum of pivot ladders keeps
-    them, evaluates through them, and lists their expanded ``terms``.
+    The stored dense form is the realized matrix as ``(indices, block)``
+    pairs, one per sector of a partition of the basis that the operator
+    does not mix (see :meth:`blocks`).  A ``dense`` coefficient array is
+    sign-masked into one block on entry; a factor-term operator builds its
+    blocks on first use (up to ``DENSE_SITE_CAP``) and keeps them, and the
+    full matrix is assembled from them when asked for.  An operator given as
+    ``ladder_coeff`` times a sum of pivot ladders keeps them, evaluates
+    through them, and lists their expanded ``terms``.
     """
 
     def __init__(
@@ -369,11 +375,13 @@ class ChainOperator:
         self.length = length
         d = dim.n ** length
         self._realized: np.ndarray | None = None
+        self._blocks: tuple | None = None
         if dense is not None:
             dense = np.asarray(dense, dtype=complex)
             if dense.shape != (d, d):
                 raise ValueError(f"dense array must be {d}x{d}")
             self._realized = sigma_mask(dim, length) * dense if dim.n_odd else dense
+            self._blocks = ((np.arange(d), self._realized),)
         self.terms = tuple(terms) if terms is not None else None
         if self.terms is not None:
             for term in self.terms:
@@ -398,14 +406,31 @@ class ChainOperator:
         realized = self.realize()
         return sigma_mask(self.dim, self.length) * realized if self.dim.n_odd else realized
 
+    def blocks(self) -> tuple:
+        """The realized matrix as ``(indices, block)`` per sector: ``block``
+        is its restriction to the ascending flat basis ``indices``, and every
+        entry between two sectors is zero.  Factor-term operators whose plans
+        all conserve colour content have one sector per content; any other
+        operator has one block, the whole matrix."""
+        if self._blocks is None:
+            self._blocks = _realize_blocks(self)
+        return self._blocks
+
     def realize(self) -> np.ndarray:
         """Matrix of the operator as a linear map on chain states."""
         if self._realized is None:
-            self._realized = _realize_terms(self)
+            blocks = self.blocks()
+            if len(blocks) == 1:
+                self._realized = blocks[0][1]
+            else:
+                d = self.hilbert_dim
+                self._realized = np.zeros((d, d), dtype=complex)
+                for idx, block in blocks:
+                    self._realized[np.ix_(idx, idx)] = block
         return self._realized
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.realize()))
+        return math.hypot(*(float(np.linalg.norm(block)) for _, block in self.blocks()))
 
     def apply(self, state: ChainState) -> ChainState:
         return apply(self, state)
@@ -417,7 +442,7 @@ class ChainOperator:
         if self.terms is not None and other.terms is not None:
             terms = self.terms + other.terms
         dense = None
-        both_dense = self._realized is not None and other._realized is not None
+        both_dense = self._blocks is not None and other._blocks is not None
         if terms is None or both_dense:
             if not both_dense and self.hilbert_dim > DENSE_SITE_CAP:
                 raise ValueError(
@@ -429,16 +454,18 @@ class ChainOperator:
         return ChainOperator(self.dim, self.length, dense=dense, terms=terms)
 
     def __mul__(self, scalar: complex) -> "ChainOperator":
-        dense = None if self._realized is None else self.to_dense() * scalar
+        if self.terms is None:
+            return ChainOperator(self.dim, self.length, dense=self.to_dense() * scalar)
         if self.ladders is not None:
-            out = ChainOperator(self.dim, self.length, dense=dense, ladders=self.ladders,
+            out = ChainOperator(self.dim, self.length, ladders=self.ladders,
                                 ladder_coeff=self.ladder_coeff * scalar)
             out._ladder_plans = self._ladder_plans  # they carry no coefficient
-            return out
-        terms = None
-        if self.terms is not None:
-            terms = tuple(ProductTerm(t.coeff * scalar, t.factors) for t in self.terms)
-        return ChainOperator(self.dim, self.length, dense=dense, terms=terms)
+        else:
+            out = ChainOperator(self.dim, self.length,
+                                terms=[ProductTerm(t.coeff * scalar, t.factors) for t in self.terms])
+        if self._blocks is not None:
+            out._blocks = tuple((idx, block * scalar) for idx, block in self._blocks)
+        return out
 
     __rmul__ = __mul__
 
@@ -783,23 +810,69 @@ def _accumulate(op: ChainOperator, vec: np.ndarray, total: np.ndarray) -> None:
         _apply_ladder(plans, vec, op.ladder_coeff, pool, total, tmp)
 
 
-def _realize_terms(op: ChainOperator) -> np.ndarray:
-    """Realized matrix of a factor-term operator: its evaluation applied to
-    the columns of the identity, a block of columns at a time (at most
-    ``_DENSE_BLOCK_AMPS`` amplitudes each)."""
+@lru_cache(maxsize=None)
+def _content_sectors(n: int, length: int) -> tuple[np.ndarray, ...]:
+    """Flat basis indices of each colour-content sector, ascending within a
+    sector; the sectors are ordered by their content."""
+    lab = _leg_labels(n, length)
+    key = np.zeros(n ** length, dtype=np.int64)
+    for colour in range(n):
+        key = key * (length + 1) + np.count_nonzero(lab == colour, axis=0)
+    order = np.argsort(key, kind="stable")
+    sectors = np.split(order, np.flatnonzero(np.diff(key[order])) + 1)
+    for idx in sectors:
+        idx.flags.writeable = False
+    return tuple(sectors)
+
+
+def _factor_plans(op: ChainOperator) -> list:
+    """Every factor plan that ``op``'s evaluation applies."""
+    if op.ladders is not None:
+        return [plan for ladder in _plan_ladders(op) for part in ladder for plan in part]
+    plans, stack = [], [_plan_tree(op)]
+    while stack:
+        for plan, child in stack.pop().children:
+            plans.append(plan)
+            stack.append(child)
+    return plans
+
+
+def _realize_blocks(op: ChainOperator) -> tuple:
+    """Realized sector blocks of a factor-term operator.
+
+    A plan of only ``diag`` and ``swap`` actions conserves colour content,
+    so if every plan does, the sectors are the content sectors; otherwise
+    one sector holds every state.  Column k of the probe is the k-th state
+    of every sector at once, so the probe is d x s_max, and in its image
+    the rows of sector S at columns k < |S| are that sector's block.  The
+    evaluation runs over blocks of probe columns (at most
+    ``_DENSE_BLOCK_AMPS`` amplitudes each); with one sector the probe is
+    the identity.
+    """
     d = op.hilbert_dim
     if d > DENSE_SITE_CAP:
         raise ValueError(
             f"dense form of a {d}-dimensional chain operator exceeds the cap {DENSE_SITE_CAP}"
         )
-    realized = np.zeros((d, d), dtype=complex)
+    if any(kind == "gen" for plan in _factor_plans(op) for kind, *_ in plan.actions):
+        sectors = (np.arange(d),)
+    else:
+        sectors = _content_sectors(op.dim.n, op.length)
+    pos = np.empty(d, dtype=np.int64)  # place of each state within its sector
+    for idx in sectors:
+        pos[idx] = np.arange(len(idx))
+    smax = max(len(idx) for idx in sectors)
+    stacked = np.zeros((d, smax), dtype=complex)
     width = max(1, _DENSE_BLOCK_AMPS // d)
-    for lo in range(0, d, width):
-        hi = min(d, lo + width)
-        block = np.zeros((d, hi - lo), dtype=complex)
-        block[np.arange(lo, hi), np.arange(hi - lo)] = 1.0
-        _accumulate(op, block, realized[:, lo:hi])
-    return realized
+    for lo in range(0, smax, width):
+        hi = min(smax, lo + width)
+        rows = np.flatnonzero((pos >= lo) & (pos < hi))
+        probe = np.zeros((d, hi - lo), dtype=complex)
+        probe[rows, pos[rows] - lo] = 1.0
+        _accumulate(op, probe, stacked[:, lo:hi])
+    if len(sectors) == 1:
+        return ((sectors[0], stacked),)
+    return tuple((idx, stacked[idx, :len(idx)]) for idx in sectors)
 
 
 def apply(op: ChainOperator, state: ChainState) -> ChainState:
@@ -825,7 +898,10 @@ def commutator_norm(a, b) -> float:
 
     Accepts ChainOperator or LocalOperator arguments.  On realized matrices
     the graded product is the plain matrix product, and the masked and
-    realized forms have the same norm.
+    realized forms have the same norm.  If both operands are chain
+    operators on the same sectors, the products and norms are taken block
+    by block (a Frobenius norm is the root sum of squares of its blocks);
+    otherwise on the whole realized matrices.
     """
     shapes = []
     for x in (a, b):
@@ -837,6 +913,13 @@ def commutator_norm(a, b) -> float:
             raise TypeError(f"expected a chain or local operator, got {type(x)!r}")
     if shapes[0] != shapes[1]:
         raise ValueError("commutator operands do not match")
-    A, B = a.realize(), b.realize()
-    comm = float(np.linalg.norm(A @ B - B @ A))
-    return comm / (float(np.linalg.norm(A)) * float(np.linalg.norm(B)) + _NORM_FLOOR)
+    parts = [x.blocks() if isinstance(x, ChainOperator) else ((None, x.realize()),)
+             for x in (a, b)]
+    # one block is the whole matrix; several share their (cached) sectors
+    pa, pb = parts
+    if len(pa) != len(pb) or (len(pa) > 1 and any(ia is not ib for (ia, _), (ib, _) in zip(pa, pb))):
+        parts = [((None, x.realize()),) for x in (a, b)]
+    comm = math.hypot(*(float(np.linalg.norm(A @ B - B @ A))
+                        for (_, A), (_, B) in zip(*parts)))
+    na, nb = (math.hypot(*(float(np.linalg.norm(X)) for _, X in part)) for part in parts)
+    return comm / (na * nb + _NORM_FLOOR)

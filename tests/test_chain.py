@@ -270,8 +270,18 @@ def test_zn_limit_is_anisotropic_chain():
 
 def test_limit_target_dispatch():
     assert limit_target(spec_of(RFamily.UQ_GLNM, (2, 1)), 3) is not None
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="no closed-form limit target"):
         limit_target(spec_of(RFamily.ZN_GRADED, (2, 1)), 3)
+    with pytest.raises(ValueError, match="no closed-form limit target"):
+        limit_target(spec_of(RFamily.ZN_GRADED, (2, 1)), 3, "aniso")
+    # a requested target must be the family's
+    uq, zn = spec_of(RFamily.UQ_GLNM, (1, 1)), spec_of(RFamily.ZN_GRADED, (1, 1))
+    for spec, kind, target in ((uq, "hs", haldane_shastry_target), (zn, "aniso", anisotropic_target)):
+        assert np.array_equal(limit_target(spec, 3, kind).realize(), target(spec.dim, 3).realize())
+    with pytest.raises(ValueError, match="is 'hs', not 'aniso'"):
+        limit_target(uq, 3, "aniso")
+    with pytest.raises(ValueError, match="is 'aniso', not 'hs'"):
+        limit_target(zn, 3, "hs")
 
 
 def test_limit_ladder_validation():
@@ -361,6 +371,29 @@ def test_exchange_chain_spectrum_against_permutation_oracle():
     assert np.max(np.abs(got - want)) < 1e-8
 
 
+def same_multiset(got, want, tol):
+    """Each value of ``got`` pairs with its own value of ``want`` within ``tol``."""
+    free = list(want)
+    for v in got:
+        k = int(np.argmin(np.abs(np.array(free) - v)))
+        if abs(free[k] - v) > tol:
+            return False
+        free.pop(k)
+    return not free
+
+
+@pytest.mark.parametrize("fam", list(RFamily))
+@pytest.mark.parametrize("nm,length", [((1, 1), 6), ((2, 0), 6), ((2, 1), 4), ((1, 2), 4)])
+def test_block_spectrum_matches_the_full_eigvals(fam, nm, length):
+    spec = spec_of(fam, nm, 0.3051)
+    for op in (hamiltonian_h1(spec, length), hamiltonian_h2(spec, length)):
+        assert len(op.blocks()) > 1
+        got = spectrum(op).eigenvalues
+        want = np.linalg.eigvals(op.realize())
+        assert len(got) == len(want) == spec.dim.n ** length
+        assert same_multiset(got, want, 1e-8 * np.max(np.abs(want)))
+
+
 def test_spectrum_degeneracy_clustering():
     dim = GradedDim(2, 0)
     mat = np.diag([0.0, 0.0, 1.0, 1.0 + 5e-9])
@@ -398,6 +431,22 @@ def test_binary_load_rejects_bad_magic(tmp_path):
     path.write_bytes(b"NOTMAGIC" + b"\0" * 64)
     with pytest.raises(ValueError):
         load_operator_binary(path)
+
+
+def test_binary_load_checks_the_size(tmp_path):
+    spec = spec_of(RFamily.UQ_GLNM, (1, 1))
+    path = tmp_path / "h1.bin"
+    save_operator_binary(hamiltonian_h1(spec, 3), spec, path)
+    raw = path.read_bytes()
+    assert len(raw) == 36 + 16 * 64
+    cases = [(raw[:-24], "payload is 1000 bytes, expected 16 d\\^2 = 1024"),
+             (raw[:-16], "payload is 1008 bytes, expected 16 d\\^2 = 1024"),
+             (raw + b"\0" * 8, "payload is 1032 bytes, expected 16 d\\^2 = 1024"),
+             (raw[:30], "header is 30 bytes, expected 36")]
+    for data, message in cases:
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match=message):
+            load_operator_binary(path)
 
 
 def test_frozen_chain_higher_orders():

@@ -175,13 +175,34 @@ def test_chain_dense_cap_applies_without_spectrum(tmp_path, monkeypatch):
     assert code == 2
 
 
+def build_nothing(*args, **kwargs):
+    raise AssertionError("built a Hamiltonian")
+
+
 def test_chain_limit_without_target_is_config_error(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli.chain_mod, "hamiltonian_h1", build_nothing)
     code = run_cli(
         ["chain", "--family", "zn", "--nm", "2,1", "--L", "3", "--limit", "aniso"],
         tmp_path,
         monkeypatch,
     )
     assert code == 2
+    assert not (tmp_path / "chain_report.json").exists()
+
+
+@pytest.mark.parametrize("family,limit,have", [("uq", "aniso", "hs"), ("zn", "hs", "aniso")])
+def test_chain_limit_of_the_other_family_exits_before_building(
+    tmp_path, monkeypatch, capsys, family, limit, have
+):
+    monkeypatch.setattr(cli.chain_mod, "hamiltonian_h1", build_nothing)
+    code = run_cli(
+        ["chain", "--family", family, "--nm", "1,1", "--L", "4", "--limit", limit],
+        tmp_path,
+        monkeypatch,
+    )
+    assert code == 2
+    assert f"is {have!r}, not {limit!r}" in capsys.readouterr().err
+    assert not (tmp_path / "chain_report.json").exists()
 
 
 @pytest.mark.parametrize(

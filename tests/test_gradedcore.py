@@ -20,6 +20,7 @@ from gradedhs import (
 from gradedhs import gradedcore
 from gradedhs.chain import (
     anisotropic_target,
+    c_factorized_h1,
     hamiltonian_h1,
     hamiltonian_h2,
     haldane_shastry_target,
@@ -412,6 +413,72 @@ def test_chain_hamiltonians_match_product_reference(fam, L):
         assert rel_max(op.realize(), product_reference(spec.dim, L, op.terms)) < 1e-12
 
 
+def identity_column_reference(op):
+    """Realized matrix of ``op``'s evaluation applied to all d identity
+    columns at once: the dense build without sectors."""
+    d = op.hilbert_dim
+    out = np.zeros((d, d), dtype=complex)
+    gradedcore._accumulate(op, np.eye(d, dtype=complex), out)
+    return out
+
+
+def content_keys(dim, L):
+    """Colour content of every flat basis index, one tuple each."""
+    lab = np.indices((dim.n,) * L).reshape(L, -1)
+    return [tuple(np.count_nonzero(lab[:, x] == c) for c in range(dim.n))
+            for x in range(dim.n ** L)]
+
+
+@pytest.mark.parametrize("fam", list(RFamily))
+@pytest.mark.parametrize("nm", [(1, 1), (2, 0), (2, 1), (1, 2), (0, 2)])
+def test_sector_build_is_byte_identical_to_identity_columns(fam, nm):
+    dim = GradedDim(*nm)
+    L = 6 if dim.n == 2 else 5  # n^L <= 243
+    spec = RMatrixSpec(fam, dim, 0.3051)
+    ops = [hamiltonian_h1(spec, L), hamiltonian_h2(spec, L), htilde_k(spec, L, 3),
+           haldane_shastry_target(dim, L)]
+    if fam is RFamily.UQ_GLNM and dim.n == 2:
+        ops.append(c_factorized_h1(spec, L))
+    if nm == (1, 1):
+        ops.append(anisotropic_target(dim, L))
+    keys = content_keys(dim, L)
+    off_sector = np.array([[a != b for b in keys] for a in keys])
+    for op in ops:
+        blocks = op.blocks()
+        assert len(blocks) == len(set(keys))
+        assert sum(len(idx) for idx, _ in blocks) == dim.n ** L
+        for idx, block in blocks:
+            assert len({keys[x] for x in idx}) == 1 and np.all(np.diff(idx) > 0)
+            assert block.shape == (len(idx), len(idx))
+        realized = op.realize()
+        assert realized.tobytes() == identity_column_reference(op).tobytes()
+        assert np.all(realized[off_sector] == 0.0)
+        for idx, block in blocks:
+            assert np.array_equal(realized[np.ix_(idx, idx)], block)
+
+
+def test_a_factor_with_a_generic_action_takes_one_block(rng):
+    dim, L = GradedDim(2, 0), 4
+    terms = random_terms(dim, L, rng)
+    assert any(kind == "gen" for sites, fac in terms[1].factors
+               for kind, *_ in _FactorPlan(dim, sites, fac).actions)
+    op = ChainOperator.from_terms(dim, L, terms)
+    ((idx, block),) = op.blocks()
+    assert np.array_equal(idx, np.arange(dim.n ** L))
+    assert op.realize() is block
+    assert rel_max(block, product_reference(dim, L, terms)) < 1e-12
+    assert block.tobytes() == identity_column_reference(op).tobytes()
+
+
+def test_sector_build_over_several_probe_blocks(monkeypatch):
+    spec = RMatrixSpec(RFamily.ZN_GRADED, GradedDim(2, 1), 0.3)
+    L = 4  # 81 states, the largest sector 12
+    ref = identity_column_reference(hamiltonian_h2(spec, L))
+    for amps in (5 * 81, 81):  # probe columns 5 at a time (the last block 2), then 1
+        monkeypatch.setattr(gradedcore, "_DENSE_BLOCK_AMPS", amps)
+        assert hamiltonian_h2(spec, L).realize().tobytes() == ref.tobytes()
+
+
 def test_dense_form_is_lazy_and_shares_the_plans(rng):
     dim, L = GradedDim(1, 1), 3
     op = ChainOperator.from_terms(dim, L, random_terms(dim, L, rng))
@@ -758,6 +825,30 @@ def test_commutator_norm_mixed_arguments_match_the_graded_product(rng):
     for (a, ea), (b, eb) in ((chain, local), (local, chain), (local, (chain[1],) * 2)):
         comm = super_multiply(ea, eb) - super_multiply(eb, ea)
         assert commutator_norm(a, b) == comm.norm() / (ea.norm() * eb.norm() + 1e-300)
+
+
+def full_commutator_norm(A, B):
+    return np.linalg.norm(A @ B - B @ A) / (np.linalg.norm(A) * np.linalg.norm(B) + 1e-300)
+
+
+@pytest.mark.parametrize("fam", list(RFamily))
+@pytest.mark.parametrize("nm", [(1, 1), (2, 1)])
+def test_block_commutator_norm_matches_the_full_formula(fam, nm):
+    spec = RMatrixSpec(fam, GradedDim(*nm), 0.3)
+    L = 5 if nm == (1, 1) else 4
+    h1 = hamiltonian_h1(spec, L)
+    swap = embed(graded_permutation(spec.dim), (1, 3), L)
+    assert len(h1.blocks()) == len(swap.blocks()) > 1
+    A, B = h1.realize(), swap.realize()
+    want = full_commutator_norm(A, B)
+    assert want > 1e-3
+    assert abs(commutator_norm(h1, swap) - want) <= 1e-14 * want
+    # a dense-only operand has one block, so both take the whole matrices
+    dense = ChainOperator(spec.dim, L, dense=swap.to_dense())
+    assert len(dense.blocks()) == 1
+    assert commutator_norm(h1, dense) == full_commutator_norm(A, B)
+    assert commutator_norm(dense, h1) == full_commutator_norm(B, A)
+    assert h1.norm() == pytest.approx(np.linalg.norm(A), rel=1e-14)
 
 
 def test_commutator_norm_rejects_mismatched_and_foreign_operands(rng):
