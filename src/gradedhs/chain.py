@@ -7,8 +7,15 @@ ordered R-matrix products
                    Rb_{i,k+1} ... Rb_{i,i-1}
 
 with Rb_{ij} the normalized R-matrix and Fb its spectral derivative, both
-evaluated at x_i - x_j, and an analogous three-block expression for H2
-carrying the phi-product weights of each site pair.  A general H_k comes
+evaluated at x_i - x_j: one pivot ladder Lad_i per i, summed over k.  H2
+is built from the same ladders: per pair m < l, weighted by the pair's
+phi products w_ml over the spectator sites,
+
+    H2 = sum_{m<l} w_ml [ Lad_m + Q_m^{-1} Lad_{l\\m}^{k<m} Q_m + Lad_{l\\m}^{k>m} ]
+
+as term lists, with Lad_{l\\m} pivot l's ladder skipping partner m and
+Q_m = Rb_{m,1} ... Rb_{m,m-1}.  Both carry the ladder guard: a step-back
+that does not invert its step raises.  A general H_k comes
 from the first-order expansion of the k-th spin difference operator in
 the shift step: apply the operator to constant vectors, so only the right
 R-product arguments carry the step, and differentiate each shifted factor
@@ -163,36 +170,52 @@ class _EquilibriumFactors:
         return op
 
 
+def _pivot_ladder(fac: _EquilibriumFactors, i: int, partners: Sequence[int]) -> PivotLadder:
+    """The ladder of pivot i over the descending ``partners`` k: steps
+    Rb_{i,k}, rungs Fb_{i,k} and step-backs Rb_{k,i}."""
+    return PivotLadder(
+        steps=tuple(((i, k), fac.rb(i, k)) for k in partners[:-1]),
+        rungs=tuple(((i, k), fac.fb(i, k)) for k in partners),
+        backs=tuple(((k, i), fac.rb(k, i)) for k in partners),
+    )
+
+
 def hamiltonian_h1(spec: RMatrixSpec, length: int) -> ChainOperator:
     """First chain Hamiltonian as a sum over pivots i of P_i^{-1} dP_i,
     P_i = Rb_{i1} ... Rb_{i,i-1}, reduced with Rb_{ki} Rb_{ik} = 1 to
 
         sum_{k<i} Rb_{i-1,i} ... Rb_{k,i} Fb_{i,k} Rb_{i,k+1} ... Rb_{i,i-1}.
 
-    Each pivot is one :class:`PivotLadder` with steps Rb_{i,i-t}, rungs
-    Fb_{i,i-t} and step-backs Rb_{i-t,i}, so applying it (and building its
-    dense form) takes 4i - 6 factor applications per pivot; ``terms`` lists
-    the expanded products, pair by pair (k ascending within each i).
+    Each pivot is one :class:`PivotLadder` over the partners k = i-1 .. 1,
+    so applying it (and building its dense form) takes 4i - 6 factor
+    applications per pivot; ``terms`` lists the expanded products, pair by
+    pair (k ascending within each i).
     """
     fac = _EquilibriumFactors(spec, length)
-    ladders = [
-        PivotLadder(
-            steps=tuple(((i, i - t), fac.rb(i, i - t)) for t in range(1, i - 1)),
-            rungs=tuple(((i, i - t), fac.fb(i, i - t)) for t in range(1, i)),
-            backs=tuple(((i - t, i), fac.rb(i - t, i)) for t in range(1, i)),
-        )
-        for i in range(2, length + 1)
-    ]
+    ladders = [_pivot_ladder(fac, i, range(i - 1, 0, -1)) for i in range(2, length + 1)]
     return ChainOperator(spec.dim, length, ladders=ladders)
 
 
 def hamiltonian_h2(spec: RMatrixSpec, length: int) -> ChainOperator:
-    """Second chain Hamiltonian: three derivative blocks per pair m < l,
-    weighted by the pair's phi products over the spectator sites."""
+    """Second chain Hamiltonian: per pair m < l, weighted by the pair's phi
+    products w_ml over the spectator sites, the term lists of
+
+        Lad_m + Q_m^{-1} Lad_{l\\m}^{k<m} Q_m + Lad_{l\\m}^{k>m},
+
+    with Lad_m pivot m's ladder (as in H1), Lad_{l\\m} pivot l's ladder over
+    the partners k = l-1 .. 1 other than m, split by k, and
+    Q_m = Rb_{m,1} ... Rb_{m,m-1}, whose inverse is written as the
+    step-backs Rb_{m-1,m} ... Rb_{1,m}.  The ladders carry H1's unitarity
+    guard, so a step-back that does not invert its step raises
+    ``ValueError``.  The terms are evaluated along the prefix tree.
+    """
     fac = _EquilibriumFactors(spec, length)
     x = fac.x
     terms = []
-    for m in range(1, length + 1):
+    for m in range(1, length):
+        own = _pivot_ladder(fac, m, range(m - 1, 0, -1)) if m > 1 else None
+        q_inv = tuple(((k, m), fac.rb(k, m)) for k in range(m - 1, 0, -1))
+        q = tuple(((m, k), fac.rb(m, k)) for k in range(1, m))
         for l in range(m + 1, length + 1):
             pref = 1.0 + 0.0j
             for j in range(1, length + 1):
@@ -200,42 +223,14 @@ def hamiltonian_h2(spec: RMatrixSpec, length: int) -> ChainOperator:
                     pref *= phi(spec.hbar, x[j - 1] - x[m - 1]) * phi(
                         spec.hbar, x[j - 1] - x[l - 1]
                     )
-            # derivative inside the m-pivot product, i < m
-            for i in range(1, m):
-                factors = []
-                for j in range(m - 1, i - 1, -1):
-                    factors.append(((j, m), fac.rb(j, m)))
-                factors.append(((m, i), fac.fb(m, i)))
-                for j in range(i + 1, m):
-                    factors.append(((m, j), fac.rb(m, j)))
-                terms.append(ProductTerm(pref, tuple(factors)))
-            # derivative inside the l-pivot product, i < m, wrapped by the
-            # full m-pivot products
-            for i in range(1, m):
-                factors = []
-                for j in range(m - 1, 0, -1):
-                    factors.append(((j, m), fac.rb(j, m)))
-                for j in [jj for jj in range(l - 1, m, -1)] + [jj for jj in range(m - 1, i - 1, -1)]:
-                    factors.append(((j, l), fac.rb(j, l)))
-                factors.append(((l, i), fac.fb(l, i)))
-                for j in [jj for jj in range(i + 1, m)] + [jj for jj in range(m + 1, l)]:
-                    factors.append(((l, j), fac.rb(l, j)))
-                for j in range(1, m):
-                    factors.append(((m, j), fac.rb(m, j)))
-                terms.append(ProductTerm(pref, tuple(factors)))
-            # derivative inside the l-pivot product, m < i < l
-            for i in range(m + 1, l):
-                factors = []
-                for j in range(l - 1, i - 1, -1):
-                    if j == m:
-                        continue
-                    factors.append(((j, l), fac.rb(j, l)))
-                factors.append(((l, i), fac.fb(l, i)))
-                for j in range(i + 1, l):
-                    if j == m:
-                        continue
-                    factors.append(((l, j), fac.rb(l, j)))
-                terms.append(ProductTerm(pref, tuple(factors)))
+            if own is not None:
+                terms.extend(own.terms(pref))
+            partners = [k for k in range(l - 1, 0, -1) if k != m]
+            if not partners:
+                continue
+            # the expanded products run k ascending
+            for k, term in zip(partners[::-1], _pivot_ladder(fac, l, partners).terms(pref)):
+                terms.append(ProductTerm(pref, q_inv + term.factors + q) if k < m else term)
     return ChainOperator.from_terms(spec.dim, length, terms)
 
 

@@ -568,12 +568,13 @@ def embed_realized(op: LocalOperator, sites: tuple[int, int], length: int) -> np
 
 
 @lru_cache(maxsize=None)
-def _range_sign(parities: tuple[int, ...], lo: int, hi: int) -> np.ndarray:
-    """Flat (+-1) vector over legs lo..hi: product of per-leg parity signs."""
+def _range_sign(parities: tuple[int, ...], legs: int) -> np.ndarray:
+    """Flat (+-1) vector over ``legs`` consecutive legs: product of per-leg
+    parity signs (it does not depend on where the legs sit)."""
     p = np.array(parities, dtype=np.float64)
     leg = 1.0 - 2.0 * p
     out = np.ones(1)
-    for _ in range(lo, hi + 1):
+    for _ in range(legs):
         out = np.multiply.outer(out, leg).ravel()
     out.flags.writeable = False
     return out
@@ -609,7 +610,7 @@ class _FactorPlan:
         p = dim.parities
         pkey = tuple(p)
         sgn = 1.0 - 2.0 * p.astype(np.float64)
-        smid = _range_sign(pkey, i + 1, j - 1)
+        smid = _range_sign(pkey, j - i - 1)
         X4 = np.ascontiguousarray(op.entries).reshape(n, n, n, n)  # [a, c, b, d]
         qtab = (p[:, None] + p[None, :]) % 2  # parity of e_ab at [a, b]
         # the strided diagonal view, not a contiguous copy: the copy changes
@@ -638,7 +639,7 @@ class _FactorPlan:
                         # Koszul sign of the later slot passing the input
                         # label at the earlier site, absorbed into the gate
                         G = G * sgn[None, None, :, None]
-                    slead = _range_sign(pkey, 1, i - 1) if (q1 + q2) % 2 else None
+                    slead = _range_sign(pkey, i - 1) if (q1 + q2) % 2 else None
                     actions.append(("gen", G, smid if q2 else None, slead))
         self.actions = tuple(actions)
 

@@ -165,7 +165,10 @@ def test_h1_rejects_a_step_back_that_does_not_invert_its_step(monkeypatch):
     monkeypatch.setattr(chain_mod, "build_r_normalized", nan_rb)
     with pytest.raises(ValueError, match=r"= inf > 1e-06"):
         hamiltonian_h1(spec, 3)
-    hamiltonian_h2(spec, 3)  # the tree-evaluated operators make no such check
+    # H2 takes its terms from the same ladders; at L = 3 each of them has a
+    # single rung and no step, so the first checked pair comes at L = 4
+    with pytest.raises(ValueError, match=r"does not invert the step at \(4, 3\)"):
+        hamiltonian_h2(spec, 4)
 
 
 def test_h2_two_sites_vanishes_like_its_expansion():
@@ -207,11 +210,13 @@ def test_htilde1_equals_h1_after_constant(fam):
 
 @pytest.mark.parametrize("fam", list(RFamily))
 def test_htilde2_equals_h2(fam):
-    for length in (3, 4):
-        spec = spec_of(fam, (1, 1))
+    # the shift expansion is an independent route to the closed form
+    for nm, length in [((1, 1), 3), ((1, 1), 4), ((1, 1), 5), ((1, 1), 6),
+                       ((2, 1), 4), ((1, 2), 4), ((2, 0), 5)]:
+        spec = spec_of(fam, nm)
         h2 = hamiltonian_h2(spec, length).to_dense()
         ht2 = htilde_k(spec, length, 2).to_dense()
-        assert np.linalg.norm(ht2 - h2) / np.linalg.norm(h2) < 1e-11
+        assert np.linalg.norm(ht2 - h2) / np.linalg.norm(h2) < 1e-11, (nm, length)
 
 
 def test_htilde_top_order_vanishes():
