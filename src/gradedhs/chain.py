@@ -24,9 +24,10 @@ carries an overall constant, the common phi-product at equilibrium, which
 the closed form above drops; :func:`htilde1_constant` reports it.
 
 The shift-parameter-free limit hbar -> 0 of H1 / hbar is extracted by
-Richardson extrapolation over a geometric hbar ladder and compared with
-closed-form target operators (graded exchange chain, or its anisotropic
-variant for the cyclic-invariant family).
+Richardson extrapolation over a geometric hbar ladder, sector block by
+sector block, and compared with closed-form target operators (graded
+exchange chain, or its anisotropic variant for the cyclic-invariant
+family) on the same blocks.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from .gradedcore import (
     LocalOperator,
     PivotLadder,
     ProductTerm,
+    check_inverse_pairs,
     graded_permutation,
     identity_operator,
     matrix_units,
@@ -172,7 +174,11 @@ class _EquilibriumFactors:
 
 def _pivot_ladder(fac: _EquilibriumFactors, i: int, partners: Sequence[int]) -> PivotLadder:
     """The ladder of pivot i over the descending ``partners`` k: steps
-    Rb_{i,k}, rungs Fb_{i,k} and step-backs Rb_{k,i}."""
+    Rb_{i,k}, rungs Fb_{i,k} and step-backs Rb_{k,i}.  Besides the step
+    pairs the ladder checks, the last partner's pair Rb_{k,i} Rb_{i,k} = 1
+    is checked too: H1's reduction and H2's Q_m^{-1} rest on it."""
+    last = partners[-1]
+    check_inverse_pairs([(((i, last), fac.rb(i, last)), ((last, i), fac.rb(last, i)))])
     return PivotLadder(
         steps=tuple(((i, k), fac.rb(i, k)) for k in partners[:-1]),
         rungs=tuple(((i, k), fac.fb(i, k)) for k in partners),
@@ -287,33 +293,36 @@ def nonrelativistic_limit_h1(
     spec: RMatrixSpec,
     length: int,
     hbar_ladder: Sequence[float] = (1e-3, 5e-4, 2.5e-4, 1.25e-4),
-) -> ChainOperator:
-    """Richardson-extrapolated limit of H1 / hbar as hbar -> 0.
+) -> tuple:
+    """Richardson-extrapolated limit of H1 / hbar as hbar -> 0, in the
+    ``(indices, block)`` layout of :meth:`ChainOperator.blocks`.
 
     H1 / hbar is a power series in hbar, so each column of the Neville
     tableau over the ladder (ratio 1/2) removes one more power; the last
-    two entries of the final row give the error estimate.
+    two entries of the final row give the error estimate.  The tableau is
+    elementwise, so it runs on H1's realized sector blocks, which are the
+    same sectors at every hbar.
     """
     if len(hbar_ladder) < 2 or any(
         not math.isclose(b / a, 0.5, rel_tol=1e-12) for a, b in zip(hbar_ladder, hbar_ladder[1:])
     ):
         raise ValueError("the hbar ladder must have two or more levels with ratio 1/2")
 
-    def f(h: float) -> np.ndarray:
+    row: list = []
+    for h in hbar_ladder:
         sp = RMatrixSpec(spec.family, spec.dim, h)
-        return hamiltonian_h1(sp, length).to_dense() / h
-
-    row = [f(hbar_ladder[0])]
-    for h in hbar_ladder[1:]:
-        new = [f(h)]
+        sectors, blocks = zip(*hamiltonian_h1(sp, length).blocks())
+        new = [[block / h for block in blocks]]
         for k, prev in enumerate(row, start=1):
-            new.append((2.0 ** k * new[-1] - prev) / (2.0 ** k - 1.0))
+            new.append([(2.0 ** k * a - b) / (2.0 ** k - 1.0)
+                        for a, b in zip(new[-1], prev, strict=True)])
         row = new
-    limit = row[-1]
-    err = np.linalg.norm(limit - row[-2]) / (np.linalg.norm(limit) + _FLOOR)
+    limit, before = row[-1], row[-2]
+    err = math.hypot(*(float(np.linalg.norm(a - b)) for a, b in zip(limit, before))) / (
+        math.hypot(*(float(np.linalg.norm(a)) for a in limit)) + _FLOOR)
     if err > 1e-5:
         raise RuntimeError(f"Richardson extrapolation did not settle (estimate {err:.2e})")
-    return ChainOperator(spec.dim, length, dense=limit)
+    return tuple(zip(sectors, limit))
 
 
 def haldane_shastry_target(dim: GradedDim, length: int) -> ChainOperator:

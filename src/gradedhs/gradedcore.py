@@ -26,20 +26,20 @@ coefficient basis: entries only move, and the Koszul sign
 (-1)^{|e_ab||e_cd|} appears only when i > j puts its legs in the other
 order (see :func:`_placement`).
 
-States live in (C^(N|M))^{(x) L}.  Chain operators are held as sums of
-products of embedded two-site factors, applied matrix-free through factor
-plans (a diagonal and a weighted-swap pass per factor), and/or as a dense
-realized matrix, stored as one block per sector of basis states that the
-operator does not mix.  Terms are evaluated along their shared-prefix
-tree, or, for an operator built from pivot ladders (:class:`PivotLadder`,
-the form of H1), one Horner ladder per pivot, which uses that each
-step-back factor inverts its step.  The dense form of a factor-term
-operator is built on first use, up to n^L = DENSE_SITE_CAP, by running the
-same evaluation over a probe that holds the k-th state of every colour
-content sector in its column k (every factor of both R-matrix families
-conserves colour content), so no d x d factor matrix is formed and the
-probe has only as many columns as the largest sector has states: H1 and
-H2 of uq(1|1) at L = 10 (d = 1024) take about 3 s together on one core.
+States live in (C^(N|M))^{(x) L}.  A chain operator is a sum of products
+of embedded two-site factors, given as factor terms or as pivot ladders
+(:class:`PivotLadder`, the form of H1), and is applied matrix-free through
+factor plans (a diagonal and a weighted-swap pass per factor): terms along
+their shared-prefix tree, ladders one Horner ladder per pivot, which uses
+that each step-back factor inverts its step.  Its dense form is the
+realized matrix held as one block per sector of basis states that the
+operator does not mix.  It is built on first use, up to n^L =
+DENSE_SITE_CAP, by running the same evaluation over a probe that holds the
+k-th state of every colour content sector in its column k (every factor of
+both R-matrix families conserves colour content), so no d x d factor matrix
+is formed and the probe has only as many columns as the largest sector has
+states: H1 and H2 of uq(1|1) at L = 10 (d = 1024) take about 3 s together
+on one core.
 """
 
 from __future__ import annotations
@@ -288,6 +288,28 @@ class ProductTerm:
 LADDER_UNITARITY_TOL = 1e-6
 
 
+def check_inverse_pairs(pairs) -> None:
+    """Check that each step-back inverts its step, s g = 1 on their two
+    sites, for ``((g_sites, g), (s_sites, s))`` pairs; raise ``ValueError``
+    naming the worst pair if its defect ||s g - 1|| exceeds
+    ``LADDER_UNITARITY_TOL`` (a NaN defect counts as infinite)."""
+    worst, pair = 0.0, None
+    for (gsites, g), (ssites, s) in pairs:
+        if gsites == ssites[::-1]:
+            g = _swap_legs(g)
+        elif gsites != ssites:
+            raise ValueError(f"step {gsites} and step-back {ssites} act on different sites")
+        defect = (super_multiply(s, g) - identity_operator(g.dim, 2)).norm()
+        defect = math.inf if math.isnan(defect) else defect
+        if defect > worst:
+            worst, pair = defect, (ssites, gsites)
+    if worst > LADDER_UNITARITY_TOL:
+        raise ValueError(
+            f"step-back at sites {pair[0]} does not invert the step at {pair[1]}: "
+            f"||s g - 1|| = {worst:.2e} > {LADDER_UNITARITY_TOL:g}"
+        )
+
+
 @dataclass(frozen=True)
 class PivotLadder:
     """The terms of one pivot that share a descending chain of steps:
@@ -301,8 +323,7 @@ class PivotLadder:
     g_1 v once, then for t = T .. 1 climb with w <- s_t w (t < T) and
     acc <- s_t (acc + F_t w).  That is 4T - 2 factor applications instead
     of the T(T + 1) in the expanded products.  Construction checks every
-    step pair on its two sites and raises ``ValueError`` naming the worst
-    pair if its defect exceeds ``LADDER_UNITARITY_TOL``.
+    step pair with :func:`check_inverse_pairs`.
     """
 
     steps: tuple[tuple[tuple[int, int], LocalOperator], ...]
@@ -316,21 +337,7 @@ class PivotLadder:
                 f"a ladder needs T >= 1 rungs and step-backs and T - 1 steps, got "
                 f"{len(self.steps)}/{len(self.rungs)}/{len(self.backs)}"
             )
-        worst, pair = 0.0, None
-        for (gsites, g), (ssites, s) in zip(self.steps, self.backs):
-            if gsites == ssites[::-1]:
-                g = _swap_legs(g)
-            elif gsites != ssites:
-                raise ValueError(f"step {gsites} and step-back {ssites} act on different sites")
-            defect = (super_multiply(s, g) - identity_operator(g.dim, 2)).norm()
-            defect = math.inf if math.isnan(defect) else defect
-            if defect > worst:
-                worst, pair = defect, (ssites, gsites)
-        if worst > LADDER_UNITARITY_TOL:
-            raise ValueError(
-                f"step-back at sites {pair[0]} does not invert the step at {pair[1]}: "
-                f"||s g - 1|| = {worst:.2e} > {LADDER_UNITARITY_TOL:g}"
-            )
+        check_inverse_pairs(zip(self.steps, self.backs))
 
     def terms(self, coeff: complex) -> tuple[ProductTerm, ...]:
         """The expanded products, t = T first, each weighted by ``coeff``."""
@@ -341,56 +348,45 @@ class PivotLadder:
 
 
 class ChainOperator:
-    """Operator on an L-site chain, dense and/or sum-of-factor-products.
+    """Operator on an L-site chain: a sum of products of embedded two-site
+    factors, given as factor ``terms`` or as pivot ``ladders``.
 
-    The stored dense form is the realized matrix as ``(indices, block)``
-    pairs, one per sector of a partition of the basis that the operator
-    does not mix (see :meth:`blocks`).  A ``dense`` coefficient array is
-    sign-masked into one block on entry; a factor-term operator builds its
-    blocks on first use (up to ``DENSE_SITE_CAP``) and keeps them, and the
-    full matrix is assembled from them when asked for.  An operator given as
-    ``ladder_coeff`` times a sum of pivot ladders keeps them, evaluates
-    through them, and lists their expanded ``terms``.
+    ``terms`` always lists the expanded products; an operator built from
+    ladders keeps them and evaluates through them.  It is applied
+    matrix-free (see :func:`apply`).  Its dense form is the realized matrix
+    as ``(indices, block)`` pairs, one per sector of a partition of the
+    basis that the operator does not mix (see :meth:`blocks`), built on
+    first use (up to ``DENSE_SITE_CAP``) and kept; the full matrix is
+    assembled from the blocks when asked for.
     """
 
     def __init__(
         self,
         dim: GradedDim,
         length: int,
-        dense: np.ndarray | None = None,
         terms: Sequence[ProductTerm] | None = None,
         ladders: Sequence[PivotLadder] | None = None,
-        ladder_coeff: complex = 1.0,
     ) -> None:
         if ladders is not None:
             if terms is not None:
                 raise ValueError("give factor terms or pivot ladders, not both")
             ladders = tuple(ladders)
-            terms = tuple(t for ladder in ladders for t in ladder.terms(ladder_coeff))
-        if dense is None and terms is None:
-            raise ValueError("need a dense array or a factor-term list")
-        self.ladders = ladders
-        self.ladder_coeff = ladder_coeff
+            terms = [t for ladder in ladders for t in ladder.terms(1.0)]
+        elif terms is None:
+            raise ValueError("need factor terms or pivot ladders")
         self.dim = dim
         self.length = length
-        d = dim.n ** length
-        self._realized: np.ndarray | None = None
-        self._blocks: tuple | None = None
-        if dense is not None:
-            dense = np.asarray(dense, dtype=complex)
-            if dense.shape != (d, d):
-                raise ValueError(f"dense array must be {d}x{d}")
-            self._realized = sigma_mask(dim, length) * dense if dim.n_odd else dense
-            self._blocks = ((np.arange(d), self._realized),)
-        self.terms = tuple(terms) if terms is not None else None
-        if self.terms is not None:
-            for term in self.terms:
-                for sites, op in term.factors:
-                    _check_factor(op, sites, length)
-                    if op.dim != dim:
-                        raise ValueError("factors must act on the chain dim")
+        self.ladders = ladders
+        self.terms = tuple(terms)
+        for term in self.terms:
+            for sites, op in term.factors:
+                _check_factor(op, sites, length)
+                if op.dim != dim:
+                    raise ValueError("factors must act on the chain dim")
         self._plans: _PlanNode | None = None  # prefix tree of the terms
         self._ladder_plans: tuple | None = None
+        self._blocks: tuple | None = None
+        self._realized: np.ndarray | None = None
 
     @property
     def hilbert_dim(self) -> int:
@@ -409,9 +405,10 @@ class ChainOperator:
     def blocks(self) -> tuple:
         """The realized matrix as ``(indices, block)`` per sector: ``block``
         is its restriction to the ascending flat basis ``indices``, and every
-        entry between two sectors is zero.  Factor-term operators whose plans
-        all conserve colour content have one sector per content; any other
-        operator has one block, the whole matrix."""
+        entry between two sectors is zero.  An operator whose plans all
+        conserve colour content has one sector per content, and the
+        ``indices`` arrays are shared by every such operator of the same n
+        and L; any other operator has one block, the whole matrix."""
         if self._blocks is None:
             self._blocks = _realize_blocks(self)
         return self._blocks
@@ -434,40 +431,6 @@ class ChainOperator:
 
     def apply(self, state: ChainState) -> ChainState:
         return apply(self, state)
-
-    def __add__(self, other: "ChainOperator") -> "ChainOperator":
-        if self.dim != other.dim or self.length != other.length:
-            raise ValueError("chain operator mismatch")
-        terms = None
-        if self.terms is not None and other.terms is not None:
-            terms = self.terms + other.terms
-        dense = None
-        both_dense = self._blocks is not None and other._blocks is not None
-        if terms is None or both_dense:
-            if not both_dense and self.hilbert_dim > DENSE_SITE_CAP:
-                raise ValueError(
-                    f"cannot add a dense-only and a factor-term operator of dimension "
-                    f"{self.hilbert_dim}: factor terms have no dense form above the "
-                    f"cap {DENSE_SITE_CAP}"
-                )
-            dense = self.to_dense() + other.to_dense()
-        return ChainOperator(self.dim, self.length, dense=dense, terms=terms)
-
-    def __mul__(self, scalar: complex) -> "ChainOperator":
-        if self.terms is None:
-            return ChainOperator(self.dim, self.length, dense=self.to_dense() * scalar)
-        if self.ladders is not None:
-            out = ChainOperator(self.dim, self.length, ladders=self.ladders,
-                                ladder_coeff=self.ladder_coeff * scalar)
-            out._ladder_plans = self._ladder_plans  # they carry no coefficient
-        else:
-            out = ChainOperator(self.dim, self.length,
-                                terms=[ProductTerm(t.coeff * scalar, t.factors) for t in self.terms])
-        if self._blocks is not None:
-            out._blocks = tuple((idx, block * scalar) for idx, block in self._blocks)
-        return out
-
-    __rmul__ = __mul__
 
 
 def _check_factor(op: LocalOperator, sites: tuple[int, int], length: int) -> None:
@@ -754,9 +717,9 @@ def _plan_ladders(op: ChainOperator) -> tuple:
     return op._ladder_plans
 
 
-def _apply_ladder(plans: tuple, vec: np.ndarray, coeff: complex, pool: list,
+def _apply_ladder(plans: tuple, vec: np.ndarray, pool: list,
                   total: np.ndarray, tmp: np.ndarray) -> None:
-    """Add ``coeff`` times one ladder applied to ``vec`` into ``total``.
+    """Add one ladder applied to ``vec`` into ``total``.
 
     Descends w = g_{T-1} .. g_1 vec, then climbs t = T .. 1 with
     w <- s_t w (t < T) and acc <- s_t (acc + F_t w): at most three pool
@@ -790,11 +753,7 @@ def _apply_ladder(plans: tuple, vec: np.ndarray, coeff: complex, pool: list,
         pool.append(y)
     if w is not vec:
         pool.append(w)
-    if coeff == 1.0:
-        total += acc
-    else:
-        np.multiply(acc, coeff, out=tmp)
-        total += tmp
+    total += acc
     pool.append(acc)
 
 
@@ -808,7 +767,7 @@ def _accumulate(op: ChainOperator, vec: np.ndarray, total: np.ndarray) -> None:
         return
     pool: list = []
     for plans in _plan_ladders(op):
-        _apply_ladder(plans, vec, op.ladder_coeff, pool, total, tmp)
+        _apply_ladder(plans, vec, pool, total, tmp)
 
 
 @lru_cache(maxsize=None)
@@ -877,50 +836,36 @@ def _realize_blocks(op: ChainOperator) -> tuple:
 
 
 def apply(op: ChainOperator, state: ChainState) -> ChainState:
-    """Apply a chain operator to a state.
-
-    Factor-term operators are applied matrix-free, one embedded two-site
-    factor at a time, ladder by ladder or along the prefix tree of their
-    terms, with buffers recycled through a pool; dense operators go through
-    the realized matrix.
-    """
+    """Apply a chain operator to a state matrix-free, one embedded two-site
+    factor at a time, ladder by ladder or along the prefix tree of its
+    terms, with buffers recycled through a pool."""
     if op.dim != state.dim or op.length != state.length:
         raise ValueError("operator and state dimensions do not match")
-    if op.terms is not None:
-        vec = state.amplitudes
-        total = np.zeros_like(vec)
-        _accumulate(op, vec, total)
-        return ChainState(op.dim, op.length, total)
-    return ChainState(op.dim, op.length, op.realize() @ state.amplitudes)
+    total = np.zeros_like(state.amplitudes)
+    _accumulate(op, state.amplitudes, total)
+    return ChainState(op.dim, op.length, total)
 
 
-def commutator_norm(a, b) -> float:
-    """Scale-free commutator residual ||ab - ba|| / (||a|| ||b|| + floor).
+def commutator_norm(a: ChainOperator, b: ChainOperator) -> float:
+    """Scale-free commutator residual ||ab - ba|| / (||a|| ||b|| + floor) of
+    two chain operators.
 
-    Accepts ChainOperator or LocalOperator arguments.  On realized matrices
-    the graded product is the plain matrix product, and the masked and
-    realized forms have the same norm.  If both operands are chain
-    operators on the same sectors, the products and norms are taken block
-    by block (a Frobenius norm is the root sum of squares of its blocks);
-    otherwise on the whole realized matrices.
+    On realized matrices the graded product is the plain matrix product,
+    and the masked and realized forms have the same norm.  If both
+    operators have the same sectors, the products and norms are taken
+    block by block (a Frobenius norm is the root sum of squares of its
+    blocks); otherwise, e.g. against a generic-factor operator with one
+    block, on the whole realized matrices.
     """
-    shapes = []
     for x in (a, b):
-        if isinstance(x, ChainOperator):
-            shapes.append((x.dim, x.length))
-        elif isinstance(x, LocalOperator):
-            shapes.append((x.dim, x.legs))
-        else:
-            raise TypeError(f"expected a chain or local operator, got {type(x)!r}")
-    if shapes[0] != shapes[1]:
+        if not isinstance(x, ChainOperator):
+            raise TypeError(f"expected a chain operator, got {type(x)!r}")
+    if (a.dim, a.length) != (b.dim, b.length):
         raise ValueError("commutator operands do not match")
-    parts = [x.blocks() if isinstance(x, ChainOperator) else ((None, x.realize()),)
-             for x in (a, b)]
     # one block is the whole matrix; several share their (cached) sectors
-    pa, pb = parts
+    pa, pb = a.blocks(), b.blocks()
     if len(pa) != len(pb) or (len(pa) > 1 and any(ia is not ib for (ia, _), (ib, _) in zip(pa, pb))):
-        parts = [((None, x.realize()),) for x in (a, b)]
-    comm = math.hypot(*(float(np.linalg.norm(A @ B - B @ A))
-                        for (_, A), (_, B) in zip(*parts)))
-    na, nb = (math.hypot(*(float(np.linalg.norm(X)) for _, X in part)) for part in parts)
+        pa, pb = ((None, a.realize()),), ((None, b.realize()),)
+    comm = math.hypot(*(float(np.linalg.norm(A @ B - B @ A)) for (_, A), (_, B) in zip(pa, pb)))
+    na, nb = (math.hypot(*(float(np.linalg.norm(X)) for _, X in part)) for part in (pa, pb))
     return comm / (na * nb + _NORM_FLOOR)

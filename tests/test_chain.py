@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from gradedhs import (
-    ChainOperator,
     GradedDim,
+    LocalOperator,
     RFamily,
     RMatrixSpec,
     anisotropic_target,
@@ -14,6 +14,7 @@ from gradedhs import (
     c_factorized_h1,
     c_matrix,
     commutator_norm,
+    embed,
     equilibrium_points,
     frozen_chain,
     haldane_shastry_target,
@@ -28,6 +29,7 @@ from gradedhs import (
     phi_sum_identity,
     r_transposed,
     save_operator_binary,
+    sigma_mask,
     site_gauge_conjugation,
     spectrum,
     spectrum_to_csv,
@@ -151,11 +153,11 @@ def test_h1_rejects_a_step_back_that_does_not_invert_its_step(monkeypatch):
     spec = spec_of(RFamily.UQ_GLNM, (1, 1))
     clean = chain_mod.build_r_normalized
     monkeypatch.setattr(chain_mod, "build_r_normalized", lambda spec, z: 1.5 * clean(spec, z))
-    with pytest.raises(ValueError, match=r"does not invert the step at \(3, 2\)"):
+    with pytest.raises(ValueError, match=r"does not invert the step at \(2, 1\)"):
         hamiltonian_h1(spec, 3)
     monkeypatch.setattr(chain_mod, "build_r_normalized",
                         lambda spec, z: clean(spec, z) * (1.0 + 1e-5 * (z > 0.5)))
-    with pytest.raises(ValueError, match=r"sites \(2, 6\) .* = 2.00e-05"):
+    with pytest.raises(ValueError, match=r"sites \(1, 5\) .* = 2.00e-05"):
         hamiltonian_h1(spec, 6)
     # a NaN defect counts as infinite
     def nan_rb(spec, z):
@@ -165,10 +167,28 @@ def test_h1_rejects_a_step_back_that_does_not_invert_its_step(monkeypatch):
     monkeypatch.setattr(chain_mod, "build_r_normalized", nan_rb)
     with pytest.raises(ValueError, match=r"= inf > 1e-06"):
         hamiltonian_h1(spec, 3)
-    # H2 takes its terms from the same ladders; at L = 3 each of them has a
-    # single rung and no step, so the first checked pair comes at L = 4
-    with pytest.raises(ValueError, match=r"does not invert the step at \(4, 3\)"):
+    # H2 takes its terms from the same ladders, so it carries the same checks
+    with pytest.raises(ValueError, match=r"does not invert the step at \(3, 2\)"):
         hamiltonian_h2(spec, 4)
+
+
+def test_pivot_ladders_check_the_pair_at_partner_one(monkeypatch):
+    # H1's reduction writes Rb_{i,1}^{-1} as Rb_{1,i} and H2's Q_m^{-1} uses
+    # Rb_{1,m}, but no step of a ladder ends at partner 1: break only the
+    # pairs that touch site 1
+    import gradedhs.chain as chain_mod
+
+    spec = spec_of(RFamily.UQ_GLNM, (1, 1))
+    clean = chain_mod._EquilibriumFactors.rb
+
+    def rb(self, i, j):
+        op = clean(self, i, j)
+        return 1.5 * op if 1 in (i, j) else op
+
+    monkeypatch.setattr(chain_mod._EquilibriumFactors, "rb", rb)
+    for build, length in ((hamiltonian_h1, 2), (hamiltonian_h1, 4), (hamiltonian_h2, 3)):
+        with pytest.raises(ValueError, match=r"\(1, 2\) does not invert the step at \(2, 1\)"):
+            build(spec, length)
 
 
 def test_h2_two_sites_vanishes_like_its_expansion():
@@ -258,19 +278,51 @@ def test_c_factorized_h1_matches(nm):
 # ---------------------------------------------------------------------------
 
 
+def limit_deviation(limit, target):
+    """Largest entry of |limit - target|, block by block over shared sectors."""
+    pairs = list(zip(limit, target.blocks(), strict=True))
+    assert all(ia is ib for (ia, _), (ib, _) in pairs)
+    return max(float(np.max(np.abs(a - b))) for (_, a), (_, b) in pairs)
+
+
+def neville_reference(spec, length, hbar_ladder=(1e-3, 5e-4, 2.5e-4, 1.25e-4)):
+    """Richardson limit of H1 / hbar on the full coefficient arrays."""
+    row = []
+    for h in hbar_ladder:
+        new = [hamiltonian_h1(RMatrixSpec(spec.family, spec.dim, h), length).to_dense() / h]
+        for k, prev in enumerate(row, start=1):
+            new.append((2.0 ** k * new[-1] - prev) / (2.0 ** k - 1.0))
+        row = new
+    return row[-1]
+
+
+@pytest.mark.parametrize("fam,nm,length", [
+    (RFamily.UQ_GLNM, (1, 1), 6), (RFamily.ZN_GRADED, (1, 1), 6), (RFamily.UQ_GLNM, (2, 1), 4),
+    (RFamily.UQ_GLNM, (2, 0), 5), (RFamily.UQ_GLNM, (0, 2), 5),
+])
+def test_block_limit_equals_the_full_matrix_tableau(fam, nm, length):
+    spec = spec_of(fam, nm)
+    limit = nonrelativistic_limit_h1(spec, length)
+    assert len(limit) > 1
+    d = spec.dim.n ** length
+    full = np.zeros((d, d), dtype=complex)
+    for idx, block in limit:
+        full[np.ix_(idx, idx)] = block
+    # the reference is a coefficient array: mask it into the realized matrix
+    assert np.array_equal(full, sigma_mask(spec.dim, length) * neville_reference(spec, length))
+
+
 @pytest.mark.parametrize("nm", [(1, 1), (2, 0)])
 def test_uq_limit_is_graded_exchange_chain(nm):
     spec = spec_of(RFamily.UQ_GLNM, nm)
-    limit = nonrelativistic_limit_h1(spec, 4).to_dense()
-    target = haldane_shastry_target(spec.dim, 4).to_dense()
-    assert np.max(np.abs(limit - target)) < 1e-5
+    limit = nonrelativistic_limit_h1(spec, 4)
+    assert limit_deviation(limit, haldane_shastry_target(spec.dim, 4)) < 1e-5
 
 
 def test_zn_limit_is_anisotropic_chain():
     spec = spec_of(RFamily.ZN_GRADED, (1, 1))
-    limit = nonrelativistic_limit_h1(spec, 4).to_dense()
-    target = anisotropic_target(spec.dim, 4).to_dense()
-    assert np.max(np.abs(limit - target)) < 1e-5
+    limit = nonrelativistic_limit_h1(spec, 4)
+    assert limit_deviation(limit, anisotropic_target(spec.dim, 4)) < 1e-5
 
 
 def test_limit_target_dispatch():
@@ -295,6 +347,8 @@ def test_limit_ladder_validation():
         nonrelativistic_limit_h1(spec, 3, hbar_ladder=(1e-3, 3e-4, 1e-4))
     with pytest.raises(ValueError):
         nonrelativistic_limit_h1(spec, 3, hbar_ladder=(1e-3,))
+    with pytest.raises(RuntimeError, match="did not settle"):
+        nonrelativistic_limit_h1(spec, 3, hbar_ladder=(0.2, 0.1))
 
 
 @pytest.mark.parametrize("fam,target", [(RFamily.UQ_GLNM, haldane_shastry_target),
@@ -302,15 +356,15 @@ def test_limit_ladder_validation():
 def test_limit_at_seven_sites(fam, target):
     # the three-level ladder's truncation error reached 1.09e-5 here
     spec = spec_of(fam, (1, 1))
-    limit = nonrelativistic_limit_h1(spec, 7).to_dense()
-    assert np.max(np.abs(limit - target(spec.dim, 7).to_dense())) <= 1e-6
+    limit = nonrelativistic_limit_h1(spec, 7)
+    assert limit_deviation(limit, target(spec.dim, 7)) <= 1e-6
 
 
 def test_limit_deeper_ladder_is_closer():
     spec = spec_of(RFamily.UQ_GLNM, (1, 1))
-    target = haldane_shastry_target(spec.dim, 5).to_dense()
+    target = haldane_shastry_target(spec.dim, 5)
     devs = [
-        np.max(np.abs(nonrelativistic_limit_h1(spec, 5, ladder).to_dense() - target))
+        limit_deviation(nonrelativistic_limit_h1(spec, 5, ladder), target)
         for ladder in ((1e-3, 5e-4, 2.5e-4), (1e-3, 5e-4, 2.5e-4, 1.25e-4))
     ]
     assert devs[1] < devs[0] / 10
@@ -346,7 +400,7 @@ def test_site_gauge_does_not_conjugate_h1_between_families():
 def test_spectrum_of_identity():
     dim = GradedDim(1, 1)
     ident = identity_operator(dim, 2)
-    op = ChainOperator(dim, 2, dense=ident.entries)
+    op = embed(ident, (1, 2), 2)
     result = spectrum(op)
     assert len(result.eigenvalues) == 4
     assert result.clusters == ((1 + 0j, 4),)
@@ -402,14 +456,14 @@ def test_block_spectrum_matches_the_full_eigvals(fam, nm, length):
 def test_spectrum_degeneracy_clustering():
     dim = GradedDim(2, 0)
     mat = np.diag([0.0, 0.0, 1.0, 1.0 + 5e-9])
-    result = spectrum(ChainOperator(dim, 2, dense=mat))
+    result = spectrum(embed(LocalOperator(dim, 2, mat), (1, 2), 2))
     assert result.degeneracies == (2, 2)
 
 
 def test_spectrum_csv_roundtrip(tmp_path):
     dim = GradedDim(2, 0)
     mat = np.diag([0.0, 1.0, 1.0, 2.5])
-    result = spectrum(ChainOperator(dim, 2, dense=mat))
+    result = spectrum(embed(LocalOperator(dim, 2, mat), (1, 2), 2))
     path = tmp_path / "spec.csv"
     spectrum_to_csv(result, path)
     lines = path.read_text().strip().splitlines()

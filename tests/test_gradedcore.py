@@ -492,23 +492,6 @@ def test_dense_form_is_lazy_and_shares_the_plans(rng):
     assert op._plans is tree
 
 
-def test_add_terms_only_and_dense_only(rng, monkeypatch):
-    dim, L = GradedDim(1, 1), 3
-    terms = random_terms(dim, L, rng)
-    d = dim.n ** L
-    dense = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    expected = ChainOperator.from_terms(dim, L, terms).to_dense() + dense
-    for total in (ChainOperator(dim, L, terms=terms) + ChainOperator(dim, L, dense=dense),
-                  ChainOperator(dim, L, dense=dense) + ChainOperator(dim, L, terms=terms)):
-        assert total.terms is None
-        assert np.allclose(total.to_dense(), expected, rtol=0, atol=1e-13)
-    both = ChainOperator(dim, L, terms=terms) + ChainOperator(dim, L, terms=terms)
-    assert len(both.terms) == 2 * len(terms)
-    monkeypatch.setattr(gradedcore, "DENSE_SITE_CAP", d - 1)
-    with pytest.raises(ValueError, match="no dense form above the cap"):
-        ChainOperator(dim, L, terms=terms) + ChainOperator(dim, L, dense=dense)
-
-
 def test_apply_identity_factors_leaves_state(rng):
     dim = GradedDim(1, 1)
     st = random_state(dim, 3, rng)
@@ -699,26 +682,6 @@ def test_h1_ladder_realize_and_apply_agree_column_by_column(dim, monkeypatch):
     assert h1._plans is None
 
 
-def test_h1_scalar_multiples_keep_the_ladder_and_sums_take_the_tree(rng):
-    spec = RMatrixSpec(RFamily.UQ_GLNM, GradedDim(2, 1), 0.3)
-    L = 4
-    h1 = hamiltonian_h1(spec, L)
-    st = random_state(spec.dim, L, rng)
-    base = h1.apply(st).amplitudes
-    for scaled in (h1 * (0.5 - 2j), (0.5 - 2j) * h1):
-        assert scaled.ladders is h1.ladders
-        assert [t.coeff for t in scaled.terms] == [0.5 - 2j] * len(h1.terms)
-        got = scaled.apply(st).amplitudes
-        assert np.linalg.norm(got - (0.5 - 2j) * base) / np.linalg.norm(base) < 1e-13
-    total = h1 + hamiltonian_h2(spec, L)
-    assert total.ladders is None
-    ref = base + hamiltonian_h2(spec, L).apply(st).amplitudes
-    assert np.linalg.norm(total.apply(st).amplitudes - ref) / np.linalg.norm(ref) < 1e-12
-    # a dense form made before scaling scales with it
-    h1.realize()
-    assert rel_max((h1 * 3.0).realize(), 3.0 * h1.realize()) < 1e-14
-
-
 def test_pivot_ladder_rejects_malformed_ladders():
     spec = RMatrixSpec(RFamily.UQ_GLNM, GradedDim(1, 1), 0.3)
     rb = build_r_normalized(spec, 0.25)
@@ -731,6 +694,8 @@ def test_pivot_ladder_rejects_malformed_ladders():
                                backs=(((1, 2), rb_back),) * 2)
     with pytest.raises(ValueError, match="not both"):
         ChainOperator(spec.dim, 2, terms=(), ladders=())
+    with pytest.raises(ValueError, match="need factor terms or pivot ladders"):
+        ChainOperator(spec.dim, 2)
 
 
 def _plan_apply(plan, vec):
@@ -819,10 +784,11 @@ def test_commutator_norm_mixed_arguments_match_the_graded_product(rng):
     # sign masks only flip signs, so both routes multiply the same matrices
     dim = GradedDim(2, 1)
     x, y = random_factor(dim, rng), random_factor(dim, rng)
-    chain_op = embed(x, (3, 1), 3)
-    chain = (chain_op, LocalOperator(dim, 3, chain_op.to_dense()))  # (argument, coefficient form)
-    local = (embed_local(y, (2, 3), 3),) * 2
-    for (a, ea), (b, eb) in ((chain, local), (local, chain), (local, (chain[1],) * 2)):
+    ops = (embed(x, (3, 1), 3), embed(y, (2, 3), 3))
+    # (argument, coefficient form)
+    pairs = [(op, LocalOperator(dim, 3, op.to_dense())) for op in ops]
+    assert np.array_equal(pairs[1][1].entries, embed_local(y, (2, 3), 3).entries)
+    for (a, ea), (b, eb) in (pairs, pairs[::-1]):
         comm = super_multiply(ea, eb) - super_multiply(eb, ea)
         assert commutator_norm(a, b) == comm.norm() / (ea.norm() * eb.norm() + 1e-300)
 
@@ -833,7 +799,7 @@ def full_commutator_norm(A, B):
 
 @pytest.mark.parametrize("fam", list(RFamily))
 @pytest.mark.parametrize("nm", [(1, 1), (2, 1)])
-def test_block_commutator_norm_matches_the_full_formula(fam, nm):
+def test_block_commutator_norm_matches_the_full_formula(fam, nm, rng):
     spec = RMatrixSpec(fam, GradedDim(*nm), 0.3)
     L = 5 if nm == (1, 1) else 4
     h1 = hamiltonian_h1(spec, L)
@@ -843,24 +809,28 @@ def test_block_commutator_norm_matches_the_full_formula(fam, nm):
     want = full_commutator_norm(A, B)
     assert want > 1e-3
     assert abs(commutator_norm(h1, swap) - want) <= 1e-14 * want
-    # a dense-only operand has one block, so both take the whole matrices
-    dense = ChainOperator(spec.dim, L, dense=swap.to_dense())
-    assert len(dense.blocks()) == 1
-    assert commutator_norm(h1, dense) == full_commutator_norm(A, B)
-    assert commutator_norm(dense, h1) == full_commutator_norm(B, A)
+    # a generic-factor operand has one block, so both take the whole matrices
+    generic = embed(random_factor(spec.dim, rng), (1, 3), L)
+    assert len(generic.blocks()) == 1
+    G = generic.realize()
+    assert commutator_norm(h1, generic) == full_commutator_norm(A, G)
+    assert commutator_norm(generic, h1) == full_commutator_norm(G, A)
     assert h1.norm() == pytest.approx(np.linalg.norm(A), rel=1e-14)
 
 
 def test_commutator_norm_rejects_mismatched_and_foreign_operands(rng):
     x = random_factor(GradedDim(1, 1), rng)
+    ungraded = embed(identity_operator(GradedDim(2, 0), 2), (1, 2), 2)
     with pytest.raises(ValueError):  # same size, other grading
-        commutator_norm(embed(x, (1, 2), 2), identity_operator(GradedDim(2, 0), 2))
+        commutator_norm(embed(x, (1, 2), 2), ungraded)
     with pytest.raises(ValueError):
-        commutator_norm(embed(x, (1, 2), 3), x)
+        commutator_norm(embed(x, (1, 2), 3), embed(x, (1, 2), 2))
+    with pytest.raises(TypeError):  # local operators are not chain operators
+        commutator_norm(embed(x, (1, 2), 2), x)
     with pytest.raises(TypeError):
         commutator_norm(embed(x, (1, 2), 2), x.entries)
     with pytest.raises(TypeError):
-        commutator_norm(3.0, x)
+        commutator_norm(3.0, embed(x, (1, 2), 2))
 
 
 def test_permutation_chain_commutator_disjoint():
