@@ -309,8 +309,18 @@ def cmd_chain(cfg: RunConfig) -> int:
     if cfg.family == "all":
         raise ConfigError("the chain command needs a single --family (uq or zn)")
     specs = _specs(cfg)
+    # a commutator that is zero by construction checks nothing
+    if cfg.length == 2:
+        raise ConfigError(
+            "H2 has no terms at L = 2, so [H1,H2] = 0 checks nothing; use --L 3 or more"
+        )
     targets = []
     for spec in specs:
+        if spec.dim.n == 1:
+            raise ConfigError(
+                f"the {spec.dim} chain space has dimension 1 at every L, so [H1,H2] = 0 "
+                f"checks nothing; give --nm with N + M >= 2"
+            )
         dim_total = spec.dim.n ** cfg.length
         if dim_total > DENSE_SITE_CAP:
             raise ConfigError(

@@ -28,18 +28,22 @@ order (see :func:`_placement`).
 
 States live in (C^(N|M))^{(x) L}.  A chain operator is a sum of products
 of embedded two-site factors, given as factor terms or as pivot ladders
-(:class:`PivotLadder`, the form of H1), and is applied matrix-free through
-factor plans (a diagonal and a weighted-swap pass per factor): terms along
-their shared-prefix tree, ladders one Horner ladder per pivot, which uses
-that each step-back factor inverts its step.  Its dense form is the
-realized matrix held as one block per sector of basis states that the
-operator does not mix.  It is built on first use, up to n^L =
-DENSE_SITE_CAP, by running the same evaluation over a probe that holds the
-k-th state of every colour content sector in its column k (every factor of
-both R-matrix families conserves colour content), so no d x d factor matrix
-is formed and the probe has only as many columns as the largest sector has
-states: H1 and H2 of uq(1|1) at L = 10 (d = 1024) take about 3 s together
-on one core.
+(:class:`PivotLadder`, the form of H1).  Every factor has one form: a
+diagonal block e_aa (x) e_cc plus a flip block e_ac (x) e_ca, as are R, its
+normalization and derivative in both families, the constant factor C and
+the limit targets; a factor with any other entry is refused.  Each is
+applied matrix-free as a factor plan, one diagonal and one weighted-swap
+pass: terms along their shared-prefix tree, ladders one Horner ladder per
+pivot, which uses that each step-back factor inverts its step.  Such
+factors conserve colour content, so the dense form is the realized matrix
+held as one block per content sector.  It is built on first use, up to
+n^L = DENSE_SITE_CAP, by running the same evaluation over a probe that
+holds the k-th state of every content sector in its column k, so no d x d
+factor matrix is formed and the probe has only as many columns as the
+largest sector has states: H1 and H2 of uq(1|1) at L = 10 (d = 1024) take
+about 3 s together on one core.  The placement routines
+(:func:`embed_local`, :func:`embed_realized`) and :func:`super_multiply`
+take any two-leg operator.
 """
 
 from __future__ import annotations
@@ -353,11 +357,13 @@ class ChainOperator:
 
     ``terms`` always lists the expanded products; an operator built from
     ladders keeps them and evaluates through them.  It is applied
-    matrix-free (see :func:`apply`).  Its dense form is the realized matrix
-    as ``(indices, block)`` pairs, one per sector of a partition of the
-    basis that the operator does not mix (see :meth:`blocks`), built on
-    first use (up to ``DENSE_SITE_CAP``) and kept; the full matrix is
-    assembled from the blocks when asked for.
+    matrix-free (see :func:`apply`).  Every factor must be a diagonal block
+    e_aa (x) e_cc plus a flip block e_ac (x) e_ca; any other entry raises
+    ``ValueError`` here.  Such factors conserve colour content, so the dense
+    form is the realized matrix as ``(indices, block)`` pairs, one per
+    content sector (see :meth:`blocks`), built on first use (up to
+    ``DENSE_SITE_CAP``) and kept; the full matrix is assembled from the
+    blocks when asked for.
     """
 
     def __init__(
@@ -383,6 +389,7 @@ class ChainOperator:
                 _check_factor(op, sites, length)
                 if op.dim != dim:
                     raise ValueError("factors must act on the chain dim")
+                _check_flip_form(op, sites)
         self._plans: _PlanNode | None = None  # prefix tree of the terms
         self._ladder_plans: tuple | None = None
         self._blocks: tuple | None = None
@@ -405,10 +412,9 @@ class ChainOperator:
     def blocks(self) -> tuple:
         """The realized matrix as ``(indices, block)`` per sector: ``block``
         is its restriction to the ascending flat basis ``indices``, and every
-        entry between two sectors is zero.  An operator whose plans all
-        conserve colour content has one sector per content, and the
-        ``indices`` arrays are shared by every such operator of the same n
-        and L; any other operator has one block, the whole matrix."""
+        entry between two sectors is zero.  Every factor conserves colour
+        content, so there is one sector per content, and the ``indices``
+        arrays are shared by every operator of the same n and L."""
         if self._blocks is None:
             self._blocks = _realize_blocks(self)
         return self._blocks
@@ -416,14 +422,10 @@ class ChainOperator:
     def realize(self) -> np.ndarray:
         """Matrix of the operator as a linear map on chain states."""
         if self._realized is None:
-            blocks = self.blocks()
-            if len(blocks) == 1:
-                self._realized = blocks[0][1]
-            else:
-                d = self.hilbert_dim
-                self._realized = np.zeros((d, d), dtype=complex)
-                for idx, block in blocks:
-                    self._realized[np.ix_(idx, idx)] = block
+            d = self.hilbert_dim
+            self._realized = np.zeros((d, d), dtype=complex)
+            for idx, block in self.blocks():
+                self._realized[np.ix_(idx, idx)] = block
         return self._realized
 
     def norm(self) -> float:
@@ -543,43 +545,63 @@ def _range_sign(parities: tuple[int, ...], legs: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=None)
+def _flip_form_mask(n: int) -> np.ndarray:
+    """Entries of a two-leg coefficient array outside e_aa (x) e_cc and
+    e_ac (x) e_ca: True off the identity and the swap pattern."""
+    a, c = np.indices((n, n)).reshape(2, -1)
+    outside = np.ones((n * n, n * n), dtype=bool)
+    outside[a * n + c, a * n + c] = outside[a * n + c, c * n + a] = False
+    outside.flags.writeable = False
+    return outside
+
+
+def _check_flip_form(op: LocalOperator, sites: tuple[int, int]) -> None:
+    """Refuse a chain factor with any entry outside the diagonal block
+    e_aa (x) e_cc and the flip block e_ac (x) e_ca, the one form the factor
+    plans apply."""
+    if np.any(op.entries[_flip_form_mask(op.dim.n)]):
+        raise ValueError(
+            f"factor at sites {tuple(sites)} has entries outside the "
+            f"e_aa (x) e_cc and e_ac (x) e_ca blocks"
+        )
+
+
 class _FactorPlan:
     """Precomputed application recipe for one embedded two-site factor.
 
-    The coefficient array is split by entry position.  The e_aa (x) e_cc
-    entries, a == c included, form one diagonal gate.  The e_ac (x) e_ca
-    entries with a != c form one weighted swap of the two site axes; an odd
-    pair's weight carries the Koszul sign of the later slot and the parity
-    string over the legs in between.  Both R-matrix families, their
-    derivatives and the limit targets have no other entries, so each of
-    their factors is two elementwise passes.  Any other entries are sorted
-    into slot-parity sectors, each a generic two-axis contraction.  A plan
-    does not depend on the chain length: the legs after the later site, and
-    a batch of states, fold into the trailing axis.
+    Every chain factor has entries only at e_aa (x) e_cc, a == c included,
+    and e_ac (x) e_ca (checked on construction).  The first form one
+    diagonal gate ``diag``; the second, a != c, one weighted swap of the two
+    site axes, ``swap`` (None at n = 1), where an odd pair's weight carries
+    the Koszul sign of the later slot and the parity string over the legs
+    in between.  So a factor is two elementwise passes.  A plan does not
+    depend on the chain length: the legs after the later site, and a batch
+    of states, fold into the trailing axis.
     """
 
-    __slots__ = ("i", "j", "shape", "actions")
+    __slots__ = ("shape", "diag", "swap")
 
     def __init__(self, dim: GradedDim, sites: tuple[int, int], op: LocalOperator):
+        _check_flip_form(op, sites)
         i, j = sites
         if i > j:
             op = _swap_legs(op)
             i, j = j, i
         n = dim.n
-        self.i, self.j = i, j
         # the trailing axis holds the legs after j and a batch of states, if any
         self.shape = (n ** (i - 1), n, n ** (j - i - 1), n, -1)
         nmid = self.shape[2]
-        p = dim.parities
-        pkey = tuple(p)
-        sgn = 1.0 - 2.0 * p.astype(np.float64)
-        smid = _range_sign(pkey, j - i - 1)
         X4 = np.ascontiguousarray(op.entries).reshape(n, n, n, n)  # [a, c, b, d]
-        qtab = (p[:, None] + p[None, :]) % 2  # parity of e_ab at [a, b]
         # the strided diagonal view, not a contiguous copy: the copy changes
         # numpy's broadcast loop order and slows the multiply
-        actions = [("diag", np.einsum("acac->ac", X4).reshape(1, n, 1, n, 1), None, None)]
+        self.diag = np.einsum("acac->ac", X4).reshape(1, n, 1, n, 1)
+        self.swap = None
         if n > 1:
+            p = dim.parities
+            smid = _range_sign(tuple(p), j - i - 1)
+            qtab = (p[:, None] + p[None, :]) % 2  # parity of e_ab at [a, b]
+            sgn = 1.0 - 2.0 * p.astype(np.float64)
             # an odd flip's later slot passes the input label at the earlier
             # site and the legs in between
             W = np.einsum("acca->ac", X4) * (1.0 - np.eye(n)) * np.where(qtab, sgn, 1.0)
@@ -587,24 +609,7 @@ class _FactorPlan:
             for a, c in np.ndindex(n, n):
                 # one long strided pass per pair and no (n, nmid, n) temporary
                 np.multiply(W[a, c], smid if qtab[a, c] else 1.0, out=Wb[a, :, c])
-            actions.append(("swap", Wb.reshape(1, n, nmid, n, 1), None, None))
-        a, c = np.indices((n, n))
-        rest = X4.copy()
-        rest[a, c, a, c] = rest[a, c, c, a] = 0.0
-        if np.any(rest):
-            for q1 in (0, 1):
-                for q2 in (0, 1):
-                    sector = (qtab[:, None, :, None] == q1) & (qtab[None, :, None, :] == q2)
-                    G = np.where(sector, rest, 0.0)
-                    if not np.any(G):
-                        continue
-                    if q2:
-                        # Koszul sign of the later slot passing the input
-                        # label at the earlier site, absorbed into the gate
-                        G = G * sgn[None, None, :, None]
-                    slead = _range_sign(pkey, i - 1) if (q1 + q2) % 2 else None
-                    actions.append(("gen", G, smid if q2 else None, slead))
-        self.actions = tuple(actions)
+            self.swap = Wb.reshape(1, n, nmid, n, 1)
 
     def apply_into(self, vec: np.ndarray, out_flat: np.ndarray, tmp_flat: np.ndarray) -> None:
         """Write the factor applied to ``vec`` into ``out_flat``.  The three
@@ -612,26 +617,11 @@ class _FactorPlan:
         batch axis folds into the trailing stride."""
         v = vec.reshape(self.shape)
         out = out_flat.reshape(self.shape)
-        tmp = tmp_flat.reshape(self.shape)
-        first = True
-        for kind, W, smid, slead in self.actions:
-            tgt = out if first else tmp
-            if kind == "diag":
-                np.multiply(v, W, out=tgt)
-            elif kind == "swap":
-                np.multiply(np.swapaxes(v, 1, 3), W, out=tgt)
-            else:
-                w = v
-                if slead is not None:
-                    w = w * slead.reshape(-1, 1, 1, 1, 1)
-                if smid is not None:
-                    w = w * smid.reshape(1, 1, -1, 1, 1)
-                r = np.tensordot(W, w, axes=([2, 3], [1, 3]))  # (a, c, x, y, z)
-                np.copyto(tgt, np.moveaxis(r, (0, 1), (1, 3)))
-            if first:
-                first = False
-            else:
-                out += tmp
+        np.multiply(v, self.diag, out=out)
+        if self.swap is not None:
+            tmp = tmp_flat.reshape(self.shape)
+            np.multiply(np.swapaxes(v, 1, 3), self.swap, out=tmp)
+            out += tmp
 
 
 class _PlanNode:
@@ -785,39 +775,22 @@ def _content_sectors(n: int, length: int) -> tuple[np.ndarray, ...]:
     return tuple(sectors)
 
 
-def _factor_plans(op: ChainOperator) -> list:
-    """Every factor plan that ``op``'s evaluation applies."""
-    if op.ladders is not None:
-        return [plan for ladder in _plan_ladders(op) for part in ladder for plan in part]
-    plans, stack = [], [_plan_tree(op)]
-    while stack:
-        for plan, child in stack.pop().children:
-            plans.append(plan)
-            stack.append(child)
-    return plans
-
-
 def _realize_blocks(op: ChainOperator) -> tuple:
-    """Realized sector blocks of a factor-term operator.
+    """Realized content-sector blocks of a chain operator.
 
-    A plan of only ``diag`` and ``swap`` actions conserves colour content,
-    so if every plan does, the sectors are the content sectors; otherwise
-    one sector holds every state.  Column k of the probe is the k-th state
-    of every sector at once, so the probe is d x s_max, and in its image
-    the rows of sector S at columns k < |S| are that sector's block.  The
-    evaluation runs over blocks of probe columns (at most
-    ``_DENSE_BLOCK_AMPS`` amplitudes each); with one sector the probe is
-    the identity.
+    Every factor plan conserves colour content, so the operator does not
+    mix content sectors.  Column k of the probe is the k-th state of every
+    sector at once, so the probe is d x s_max, and in its image the rows of
+    sector S at columns k < |S| are that sector's block.  The evaluation
+    runs over blocks of probe columns (at most ``_DENSE_BLOCK_AMPS``
+    amplitudes each).
     """
     d = op.hilbert_dim
     if d > DENSE_SITE_CAP:
         raise ValueError(
             f"dense form of a {d}-dimensional chain operator exceeds the cap {DENSE_SITE_CAP}"
         )
-    if any(kind == "gen" for plan in _factor_plans(op) for kind, *_ in plan.actions):
-        sectors = (np.arange(d),)
-    else:
-        sectors = _content_sectors(op.dim.n, op.length)
+    sectors = _content_sectors(op.dim.n, op.length)
     pos = np.empty(d, dtype=np.int64)  # place of each state within its sector
     for idx in sectors:
         pos[idx] = np.arange(len(idx))
@@ -830,8 +803,6 @@ def _realize_blocks(op: ChainOperator) -> tuple:
         probe = np.zeros((d, hi - lo), dtype=complex)
         probe[rows, pos[rows] - lo] = 1.0
         _accumulate(op, probe, stacked[:, lo:hi])
-    if len(sectors) == 1:
-        return ((sectors[0], stacked),)
     return tuple((idx, stacked[idx, :len(idx)]) for idx in sectors)
 
 
@@ -851,21 +822,17 @@ def commutator_norm(a: ChainOperator, b: ChainOperator) -> float:
     two chain operators.
 
     On realized matrices the graded product is the plain matrix product,
-    and the masked and realized forms have the same norm.  If both
-    operators have the same sectors, the products and norms are taken
-    block by block (a Frobenius norm is the root sum of squares of its
-    blocks); otherwise, e.g. against a generic-factor operator with one
-    block, on the whole realized matrices.
+    and the masked and realized forms have the same norm.  Every chain
+    operator of one (dim, L) has the same content sectors, so the products
+    and norms are taken block by block (a Frobenius norm is the root sum of
+    squares of its blocks).
     """
     for x in (a, b):
         if not isinstance(x, ChainOperator):
             raise TypeError(f"expected a chain operator, got {type(x)!r}")
     if (a.dim, a.length) != (b.dim, b.length):
         raise ValueError("commutator operands do not match")
-    # one block is the whole matrix; several share their (cached) sectors
     pa, pb = a.blocks(), b.blocks()
-    if len(pa) != len(pb) or (len(pa) > 1 and any(ia is not ib for (ia, _), (ib, _) in zip(pa, pb))):
-        pa, pb = ((None, a.realize()),), ((None, b.realize()),)
     comm = math.hypot(*(float(np.linalg.norm(A @ B - B @ A)) for (_, A), (_, B) in zip(pa, pb)))
     na, nb = (math.hypot(*(float(np.linalg.norm(X)) for _, X in part)) for part in (pa, pb))
     return comm / (na * nb + _NORM_FLOOR)

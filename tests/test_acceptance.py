@@ -253,7 +253,12 @@ def test_criterion_09_limit_suite():
 
 
 def test_criterion_10_oracle_equivalence():
-    from test_gradedcore import koszul_product_oracle, product_reference, random_monomial
+    from test_gradedcore import (
+        koszul_product_oracle,
+        product_reference,
+        random_colour_factor,
+        random_monomial,
+    )
 
     rng = np.random.default_rng(SEED + 9)
     exact = True
@@ -276,14 +281,13 @@ def test_criterion_10_oracle_equivalence():
     for nm in ((1, 1), (2, 1)):
         dim = GradedDim(*nm)
         L = 4
-        n2 = dim.n ** 2
         terms = []
         for _ in range(3):
             factors = []
             for _ in range(3):
                 i, j = rng.choice(np.arange(1, L + 1), size=2, replace=False)
-                ent = rng.standard_normal((n2, n2)) + 1j * rng.standard_normal((n2, n2))
-                factors.append(((int(i), int(j)), g.LocalOperator(dim, 2, ent)))
+                # colour-conserving, the one factor form chain operators take
+                factors.append(((int(i), int(j)), random_colour_factor(dim, rng)))
             terms.append(g.ProductTerm(1.0 + 0.3j, tuple(factors)))
         st = g.random_state(dim, L, rng)
         # the dense side places each factor by the index map, apart from

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -368,6 +369,55 @@ def test_limit_deeper_ladder_is_closer():
         for ladder in ((1e-3, 5e-4, 2.5e-4), (1e-3, 5e-4, 2.5e-4, 1.25e-4))
     ]
     assert devs[1] < devs[0] / 10
+
+
+def motif_levels(nm, length):
+    """Haldane-Shastry motif energies, built from the one-magnon dispersion
+    eps(j) = 2 pi^2 j (L - j), j = 1..L-1, and not from any chain operator:
+    at (2|0) the sums of eps over subsets of {1..L-1} with no two adjacent
+    elements, at (1|1) over all subsets (supersymmetric motifs), at (0|2)
+    sum(eps) minus the (2|0) sums.  Repeats are kept."""
+    eps = np.array([2 * math.pi ** 2 * j * (length - j) for j in range(1, length)])
+    levels = np.array([
+        float(np.dot(bits, eps)) for bits in itertools.product((0, 1), repeat=length - 1)
+        if nm == (1, 1) or not any(a and b for a, b in zip(bits, bits[1:]))
+    ])
+    return eps.sum() - levels if nm == (0, 2) else levels
+
+
+def motif_miss(vals, levels):
+    """Largest distance, relative to max |value|, from an eigenvalue to the
+    nearest level or from a level to the nearest eigenvalue: below a
+    tolerance, the distinct eigenvalues are the distinct levels."""
+    dist = np.abs(vals[:, None] - levels[None, :])
+    scale = max(np.max(np.abs(vals)), np.max(np.abs(levels)))
+    return max(np.max(dist.min(axis=1)), np.max(dist.min(axis=0))) / scale
+
+
+MOTIF_NMS = [(2, 0), (1, 1), (0, 2)]
+
+
+@pytest.mark.parametrize("nm", MOTIF_NMS)
+@pytest.mark.parametrize("length", [3, 4, 5, 6, 7])
+def test_exchange_target_spectrum_is_the_motif_spectrum(nm, length):
+    vals = spectrum(haldane_shastry_target(GradedDim(*nm), length)).eigenvalues
+    assert motif_miss(vals, motif_levels(nm, length)) <= 1e-8
+    # the three gradings have different motif spectra, so the oracle tells
+    # them apart
+    for other in MOTIF_NMS:
+        if other != nm:
+            assert motif_miss(vals, motif_levels(other, length)) > 1e-3
+
+
+@pytest.mark.parametrize("nm", MOTIF_NMS)
+@pytest.mark.parametrize("length", [4, 5])
+def test_uq_limit_spectrum_is_the_motif_spectrum(nm, length):
+    # the Richardson limit of H1 / hbar, block by block, against the motif
+    # levels (measured misses at most 1.7e-11)
+    limit = nonrelativistic_limit_h1(spec_of(RFamily.UQ_GLNM, nm, 0.305), length)
+    vals = np.concatenate([np.linalg.eigvals(block) for _, block in limit])
+    assert len(vals) == sum(nm) ** length
+    assert motif_miss(vals, motif_levels(nm, length)) <= 1e-8
 
 
 # ---------------------------------------------------------------------------

@@ -205,6 +205,21 @@ def test_chain_limit_of_the_other_family_exits_before_building(
     assert not (tmp_path / "chain_report.json").exists()
 
 
+@pytest.mark.parametrize("nm,length,why", [
+    ("1,1", "2", "H2 has no terms at L = 2"),  # [H1,H2] = 0 with H2 = 0
+    ("1,0", "3", "(1|0) chain space has dimension 1"),  # H1 = H2 = 0 exactly
+    ("0,1", "3", "(0|1) chain space has dimension 1"),
+])
+def test_chain_with_a_vacuous_commutator_exits_before_building(
+    nm, length, why, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.setattr(cli.chain_mod, "hamiltonian_h1", build_nothing)
+    code = run_cli(["chain", "--family", "uq", "--nm", nm, "--L", length], tmp_path, monkeypatch)
+    assert code == 2
+    assert why in capsys.readouterr().err
+    assert not (tmp_path / "chain_report.json").exists()
+
+
 @pytest.mark.parametrize(
     "nm,length,seed",
     # the first draw of each sat on the pole lattice at a second eta-step

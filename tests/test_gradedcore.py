@@ -34,6 +34,7 @@ from gradedhs.rmatrix import (
     build_r,
     build_r_normalized,
     c_matrix,
+    c_matrix_closed_form,
     r_transposed,
 )
 
@@ -205,7 +206,7 @@ def test_ungraded_path_is_plain_matmul(rng):
 
 def test_embed_adjacent_is_op_itself(rng):
     dim = GradedDim(1, 1)
-    x = LocalOperator(dim, 2, rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    x = random_colour_factor(dim, rng)
     emb = embed(x, (1, 2), 2)
     assert np.array_equal(emb.to_dense(), x.entries)
 
@@ -248,8 +249,7 @@ def test_disjoint_embeddings_commute(rng):
     # disjoint supports commute for even operators (odd ones anticommute
     # pairwise, which is the graded analogue of the same statement)
     dim = GradedDim(1, 1)
-    x = LocalOperator(dim, 2, rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
-    y = LocalOperator(dim, 2, rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    x, y = random_colour_factor(dim, rng), random_colour_factor(dim, rng)
     a = embed(x.homogeneous_part(0), (1, 2), 4)
     b = embed(y.homogeneous_part(0), (3, 4), 4)
     assert commutator_norm(a, b) < 1e-14
@@ -359,11 +359,23 @@ def random_factor(dim, rng):
     return LocalOperator(dim, 2, rng.standard_normal((n2, n2)) + 1j * rng.standard_normal((n2, n2)))
 
 
+def random_colour_factor(dim, rng):
+    """Random two-leg factor in the one form chain operators take: random
+    entries at e_aa (x) e_cc and e_ac (x) e_ca only, so odd flips, with
+    their Koszul signs and parity strings, are included."""
+    n = dim.n
+    a, c = np.indices((n, n)).reshape(2, -1)
+    ent = np.zeros((n * n, n * n), dtype=complex)
+    for col in (a * n + c, c * n + a):
+        ent[a * n + c, col] = rng.standard_normal(n * n) + 1j * rng.standard_normal(n * n)
+    return LocalOperator(dim, 2, ent)
+
+
 def random_terms(dim, L, rng):
-    """Terms of random full factors (odd sectors take the generic plan
-    path) on both site orders, complex weights, one empty term and one
-    duplicated term."""
-    pool = [(sites, random_factor(dim, rng)) for sites in ((1, 2), (3, 1), (2, L), (L, 2))]
+    """Terms of random colour-conserving factors on both site orders, with
+    sites apart (parity strings) and adjacent, complex weights, one empty
+    term and one duplicated term."""
+    pool = [(sites, random_colour_factor(dim, rng)) for sites in ((1, 2), (3, 1), (2, L), (L, 2))]
     terms = [ProductTerm(0.5 - 0.25j, ())]
     for _ in range(5):
         picks = rng.integers(0, len(pool), size=int(rng.integers(1, 4)))
@@ -388,10 +400,6 @@ def test_dense_and_apply_match_product_reference(dim, rng):
     expected = ref @ st.amplitudes
     got = ChainOperator(dim, L, terms=terms).apply(st).amplitudes
     assert np.linalg.norm(got - expected) / np.linalg.norm(expected) < 1e-12
-    if dim.n_odd:
-        kinds = {kind for sites, fac in terms[1].factors
-                 for kind, *_ in _FactorPlan(dim, sites, fac).actions}
-        assert "gen" in kinds
 
 
 def test_dense_build_over_several_column_blocks(rng, monkeypatch):
@@ -457,19 +465,6 @@ def test_sector_build_is_byte_identical_to_identity_columns(fam, nm):
             assert np.array_equal(realized[np.ix_(idx, idx)], block)
 
 
-def test_a_factor_with_a_generic_action_takes_one_block(rng):
-    dim, L = GradedDim(2, 0), 4
-    terms = random_terms(dim, L, rng)
-    assert any(kind == "gen" for sites, fac in terms[1].factors
-               for kind, *_ in _FactorPlan(dim, sites, fac).actions)
-    op = ChainOperator.from_terms(dim, L, terms)
-    ((idx, block),) = op.blocks()
-    assert np.array_equal(idx, np.arange(dim.n ** L))
-    assert op.realize() is block
-    assert rel_max(block, product_reference(dim, L, terms)) < 1e-12
-    assert block.tobytes() == identity_column_reference(op).tobytes()
-
-
 def test_sector_build_over_several_probe_blocks(monkeypatch):
     spec = RMatrixSpec(RFamily.ZN_GRADED, GradedDim(2, 1), 0.3)
     L = 4  # 81 states, the largest sector 12
@@ -504,14 +499,12 @@ def test_apply_identity_factors_leaves_state(rng):
 @pytest.mark.parametrize("dim", [GradedDim(2, 0), GradedDim(1, 1), GradedDim(2, 1)])
 def test_matrix_free_apply_matches_dense(dim, rng):
     L = 4
-    n2 = dim.n ** 2
     terms = []
     for _ in range(3):
         factors = []
         for _ in range(int(rng.integers(1, 4))):
             i, j = rng.choice(np.arange(1, L + 1), size=2, replace=False)
-            ent = rng.standard_normal((n2, n2)) + 1j * rng.standard_normal((n2, n2))
-            factors.append(((int(i), int(j)), LocalOperator(dim, 2, ent)))
+            factors.append(((int(i), int(j)), random_colour_factor(dim, rng)))
         terms.append(ProductTerm(complex(rng.standard_normal(), rng.standard_normal()), tuple(factors)))
     st = random_state(dim, L, rng)
     dense_result = product_reference(dim, L, terms) @ st.amplitudes
@@ -533,11 +526,7 @@ def test_prefix_tree_apply_matches_term_by_term(dim, rng):
     # terms drawn from a small factor pool so that application-order
     # prefixes, whole terms and single factors recur; one term is empty
     L = 4
-    n2 = dim.n ** 2
-    pool = []
-    for sites in ((1, 2), (3, 1), (2, 4), (4, 3)):
-        ent = rng.standard_normal((n2, n2)) + 1j * rng.standard_normal((n2, n2))
-        pool.append((sites, LocalOperator(dim, 2, ent)))
+    pool = [(sites, random_colour_factor(dim, rng)) for sites in ((1, 2), (3, 1), (2, 4), (4, 3))]
     terms = [ProductTerm(0.5 - 0.25j, ())]
     for _ in range(12):
         picks = rng.integers(0, len(pool), size=int(rng.integers(1, 5)))
@@ -706,12 +695,14 @@ def _plan_apply(plan, vec):
 
 def program_factors(spec):
     """Every two-site factor the program builds for ``spec``: R, Rbar, F,
-    the constant C, and the factors of the hbar -> 0 limit targets."""
+    the constant C (fitted and closed form), P, 1 - P, the identity, and
+    the factors of the hbar -> 0 limit targets."""
     z = 0.27 + 0.19j
     ops = [build(spec, z) for build in (build_r, build_r_normalized, build_f_derivative)]
+    ops += [graded_permutation(spec.dim), identity_operator(spec.dim, 2)]
     ops.append(haldane_shastry_target(spec.dim, 2).terms[0].factors[0][1])  # 1 - P
     if spec.family is RFamily.UQ_GLNM and spec.dim.n == 2:
-        ops.append(c_matrix(spec))
+        ops += [c_matrix(spec), c_matrix_closed_form(spec)]
     if spec.dim.n == 2 and spec.dim.n_odd == 1:
         ops += [fac for term in anisotropic_target(spec.dim, 2).terms for _, fac in term.factors]
     return ops
@@ -720,16 +711,17 @@ def program_factors(spec):
 @pytest.mark.parametrize("dim", [GradedDim(1, 0), GradedDim(0, 1)] + DIMS)
 @pytest.mark.parametrize("fam", list(RFamily))
 def test_r_factor_plans_split_into_diag_and_swap(dim, fam, rng):
-    # program factors have only e_aa x e_cc and e_ac x e_ca entries: one
-    # diagonal and one swap action, flips of both parities in the one swap
+    # program factors have only e_aa x e_cc and e_ac x e_ca entries: they
+    # pass the form check, and each plan is one diagonal and (n > 1) one
+    # swap pass, flips of both parities in the one swap
     L = 4
     spec = RMatrixSpec(fam, dim, 0.3)
     vec = rng.standard_normal(dim.n ** L) + 1j * rng.standard_normal(dim.n ** L)
-    kinds = ["diag", "swap"] if dim.n > 1 else ["diag"]
     for idx, op in enumerate(program_factors(spec)):
         for sites in ((1, 3), (4, 2), (2, 3), (3, 2)):
+            gradedcore._check_flip_form(op, sites)
             plan = _FactorPlan(dim, sites, op)
-            assert [kind for kind, *_ in plan.actions] == kinds, (idx, sites)
+            assert (plan.swap is None) == (dim.n == 1), (idx, sites)
             ref = embed_realized(op, sites, L) @ vec
             err = np.linalg.norm(_plan_apply(plan, vec) - ref) / (np.linalg.norm(ref) + 1e-300)
             assert err < 1e-13, (idx, sites, err)
@@ -739,30 +731,29 @@ def test_mixed_parity_r_keeps_one_diag_and_one_swap():
     # at (1|1) the flips are odd, so the even sector is purely diagonal
     spec = RMatrixSpec(RFamily.UQ_GLNM, GradedDim(1, 1), 0.3)
     plan = _FactorPlan(spec.dim, (2, 4), build_r_normalized(spec, 0.31 + 0.2j))
-    assert [kind for kind, *_ in plan.actions] == ["diag", "swap"]
+    assert plan.diag.shape == (1, 2, 1, 2, 1) and plan.swap.shape == (1, 2, 2, 2, 1)
 
 
 @pytest.mark.parametrize("dim", DIMS)
-def test_full_factor_plan_leaves_only_the_remainder_to_gen(dim, rng):
-    L = 4
+def test_a_factor_outside_the_flip_form_is_refused(dim, rng):
+    # one entry off the e_aa x e_cc and e_ac x e_ca pattern, here
+    # e_11 x e_12 (an odd entry when direction 2 is odd), is refused at
+    # every entry point into the chain engine, naming the sites; the
+    # placement routines still take it
     n = dim.n
-    op = random_factor(dim, rng)
-    vec = rng.standard_normal(n ** L) + 1j * rng.standard_normal(n ** L)
-    a, c = np.indices((n, n))
-    for sites in ((1, 3), (2, 3), (4, 2)):
-        X4 = (op if sites[0] < sites[1] else r_transposed(op)).entries.reshape(n, n, n, n)
-        rest = X4.copy()
-        rest[a, c, a, c] = 0.0
-        rest[a, c, c, a] = 0.0
-        plan = _FactorPlan(dim, sites, op)
-        kinds = [kind for kind, *_ in plan.actions]
-        assert kinds[:2] == ["diag", "swap"] and set(kinds[2:]) == {"gen"}
-        # the gen sectors are disjoint and carry +-1 signs only
-        gen = sum(np.abs(G) for kind, G, *_ in plan.actions if kind == "gen")
-        assert np.array_equal(gen, np.abs(rest))
-        ref = embed_realized(op, sites, L) @ vec
-        err = np.linalg.norm(_plan_apply(plan, vec) - ref) / np.linalg.norm(ref)
-        assert err <= 1e-13, (sites, err)
+    ent = random_colour_factor(dim, rng).entries
+    ent[0, 1] = 0.5
+    op = LocalOperator(dim, 2, ent)
+    L = 3
+    term = ProductTerm(1.0, (((1, 2), identity_operator(dim, 2)), ((3, 1), op)))
+    for build in (lambda: ChainOperator(dim, L, terms=[term]),
+                  lambda: ChainOperator.from_terms(dim, L, [term]),
+                  lambda: embed(op, (3, 1), L),
+                  lambda: _FactorPlan(dim, (3, 1), op)):
+        with pytest.raises(ValueError, match=r"sites \(3, 1\)"):
+            build()
+    assert embed_local(op, (3, 1), L).entries.shape == (n ** L, n ** L)
+    assert embed_realized(op, (3, 1), L).shape == (n ** L, n ** L)
 
 
 def test_dense_cap_enforced():
@@ -774,8 +765,7 @@ def test_dense_cap_enforced():
 
 def test_commutator_norm_same_operator_is_zero(rng):
     dim = GradedDim(1, 1)
-    x = LocalOperator(dim, 2, rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
-    a = embed(x, (1, 2), 3)
+    a = embed(random_colour_factor(dim, rng), (1, 2), 3)
     assert commutator_norm(a, a) == 0.0
 
 
@@ -783,7 +773,7 @@ def test_commutator_norm_mixed_arguments_match_the_graded_product(rng):
     # realized matrices give the value of the coefficient-array route: the
     # sign masks only flip signs, so both routes multiply the same matrices
     dim = GradedDim(2, 1)
-    x, y = random_factor(dim, rng), random_factor(dim, rng)
+    x, y = random_colour_factor(dim, rng), random_colour_factor(dim, rng)
     ops = (embed(x, (3, 1), 3), embed(y, (2, 3), 3))
     # (argument, coefficient form)
     pairs = [(op, LocalOperator(dim, 3, op.to_dense())) for op in ops]
@@ -799,7 +789,7 @@ def full_commutator_norm(A, B):
 
 @pytest.mark.parametrize("fam", list(RFamily))
 @pytest.mark.parametrize("nm", [(1, 1), (2, 1)])
-def test_block_commutator_norm_matches_the_full_formula(fam, nm, rng):
+def test_block_commutator_norm_matches_the_full_formula(fam, nm):
     spec = RMatrixSpec(fam, GradedDim(*nm), 0.3)
     L = 5 if nm == (1, 1) else 4
     h1 = hamiltonian_h1(spec, L)
@@ -809,17 +799,11 @@ def test_block_commutator_norm_matches_the_full_formula(fam, nm, rng):
     want = full_commutator_norm(A, B)
     assert want > 1e-3
     assert abs(commutator_norm(h1, swap) - want) <= 1e-14 * want
-    # a generic-factor operand has one block, so both take the whole matrices
-    generic = embed(random_factor(spec.dim, rng), (1, 3), L)
-    assert len(generic.blocks()) == 1
-    G = generic.realize()
-    assert commutator_norm(h1, generic) == full_commutator_norm(A, G)
-    assert commutator_norm(generic, h1) == full_commutator_norm(G, A)
     assert h1.norm() == pytest.approx(np.linalg.norm(A), rel=1e-14)
 
 
 def test_commutator_norm_rejects_mismatched_and_foreign_operands(rng):
-    x = random_factor(GradedDim(1, 1), rng)
+    x = random_colour_factor(GradedDim(1, 1), rng)
     ungraded = embed(identity_operator(GradedDim(2, 0), 2), (1, 2), 2)
     with pytest.raises(ValueError):  # same size, other grading
         commutator_norm(embed(x, (1, 2), 2), ungraded)
@@ -844,10 +828,7 @@ def test_chain_dense_is_ordered_product_of_embeddings(rng):
     # of the individually embedded factors
     dim = GradedDim(1, 1)
     L = 3
-    ops = []
-    for _ in range(3):
-        ent = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        ops.append(LocalOperator(dim, 2, ent))
+    ops = [random_colour_factor(dim, rng) for _ in range(3)]
     sites = [(1, 2), (3, 1), (2, 3)]
     term = ProductTerm(1.0, tuple(zip(sites, ops)))
     chain_dense = ChainOperator.from_terms(dim, L, [term]).to_dense()
