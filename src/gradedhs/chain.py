@@ -11,11 +11,11 @@ evaluated at x_i - x_j: one pivot ladder Lad_i per i, summed over k.  H2
 is built from the same ladders: per pair m < l, weighted by the pair's
 phi products w_ml over the spectator sites,
 
-    H2 = sum_{m<l} w_ml [ Lad_m + Q_m^{-1} Lad_{l\\m}^{k<m} Q_m + Lad_{l\\m}^{k>m} ]
+    H2 = sum_{m<l} w_ml [ Lad_m + Lad_l^{k>m} + Q_m^{-1} Lad_l^{k<m}|_m Q_m ]
 
-as term lists, with Lad_{l\\m} pivot l's ladder skipping partner m and
-Q_m = Rb_{m,1} ... Rb_{m,m-1}.  Both carry the ladder guard: a step-back
-that does not invert its step raises.  A general H_k comes
+as term lists, with |_m dropping the site-m factors and Q_m = Rb_{m,1}
+... Rb_{m,m-1}.  The L - 1 ladders check each step pair once per build: a
+step-back that does not invert its step raises.  A general H_k comes
 from the first-order expansion of the k-th spin difference operator in
 the shift step: apply the operator to constant vectors, so only the right
 R-product arguments carry the step, and differentiate each shifted factor
@@ -172,17 +172,16 @@ class _EquilibriumFactors:
         return op
 
 
-def _pivot_ladder(fac: _EquilibriumFactors, i: int, partners: Sequence[int]) -> PivotLadder:
-    """The ladder of pivot i over the descending ``partners`` k: steps
+def _pivot_ladder(fac: _EquilibriumFactors, i: int) -> PivotLadder:
+    """The ladder of pivot i over the partners k = i-1 .. 1: steps
     Rb_{i,k}, rungs Fb_{i,k} and step-backs Rb_{k,i}.  Besides the step
-    pairs the ladder checks, the last partner's pair Rb_{k,i} Rb_{i,k} = 1
-    is checked too: H1's reduction and H2's Q_m^{-1} rest on it."""
-    last = partners[-1]
-    check_inverse_pairs([(((i, last), fac.rb(i, last)), ((last, i), fac.rb(last, i)))])
+    pairs the ladder checks, the partner-1 pair Rb_{1,i} Rb_{i,1} = 1 is
+    checked too: H1's reduction and H2's Q_m^{-1} rest on it."""
+    check_inverse_pairs([(((i, 1), fac.rb(i, 1)), ((1, i), fac.rb(1, i)))])
     return PivotLadder(
-        steps=tuple(((i, k), fac.rb(i, k)) for k in partners[:-1]),
-        rungs=tuple(((i, k), fac.fb(i, k)) for k in partners),
-        backs=tuple(((k, i), fac.rb(k, i)) for k in partners),
+        steps=tuple(((i, k), fac.rb(i, k)) for k in range(i - 1, 1, -1)),
+        rungs=tuple(((i, k), fac.fb(i, k)) for k in range(i - 1, 0, -1)),
+        backs=tuple(((k, i), fac.rb(k, i)) for k in range(i - 1, 0, -1)),
     )
 
 
@@ -198,28 +197,26 @@ def hamiltonian_h1(spec: RMatrixSpec, length: int) -> ChainOperator:
     pair (k ascending within each i).
     """
     fac = _EquilibriumFactors(spec, length)
-    ladders = [_pivot_ladder(fac, i, range(i - 1, 0, -1)) for i in range(2, length + 1)]
+    ladders = [_pivot_ladder(fac, i) for i in range(2, length + 1)]
     return ChainOperator(spec.dim, length, ladders=ladders)
 
 
 def hamiltonian_h2(spec: RMatrixSpec, length: int) -> ChainOperator:
-    """Second chain Hamiltonian: per pair m < l, weighted by the pair's phi
-    products w_ml over the spectator sites, the term lists of
-
-        Lad_m + Q_m^{-1} Lad_{l\\m}^{k<m} Q_m + Lad_{l\\m}^{k>m},
-
-    with Lad_m pivot m's ladder (as in H1), Lad_{l\\m} pivot l's ladder over
-    the partners k = l-1 .. 1 other than m, split by k, and
-    Q_m = Rb_{m,1} ... Rb_{m,m-1}, whose inverse is written as the
+    """Second chain Hamiltonian from H1's pivot ladders Lad_i: per pair
+    m < l, weighted by the pair's phi products w_ml over the spectator
+    sites, the terms of Lad_m + Lad_l^{k>m} + Q_m^{-1} Lad_l^{k<m}|_m Q_m.
+    That is pivot m's terms (none for m = 1), pivot l's terms of partners
+    k > m as they stand, and those of k < m without Rb_{m,l} and Rb_{l,m},
+    wrapped in Q_m = Rb_{m,1} ... Rb_{m,m-1} and its inverse, the
     step-backs Rb_{m-1,m} ... Rb_{1,m}.  The ladders carry H1's unitarity
     guard, so a step-back that does not invert its step raises
     ``ValueError``.  The terms are evaluated along the prefix tree.
     """
     fac = _EquilibriumFactors(spec, length)
     x = fac.x
+    ladders = {i: _pivot_ladder(fac, i) for i in range(2, length + 1)}
     terms = []
     for m in range(1, length):
-        own = _pivot_ladder(fac, m, range(m - 1, 0, -1)) if m > 1 else None
         q_inv = tuple(((k, m), fac.rb(k, m)) for k in range(m - 1, 0, -1))
         q = tuple(((m, k), fac.rb(m, k)) for k in range(1, m))
         for l in range(m + 1, length + 1):
@@ -229,14 +226,14 @@ def hamiltonian_h2(spec: RMatrixSpec, length: int) -> ChainOperator:
                     pref *= phi(spec.hbar, x[j - 1] - x[m - 1]) * phi(
                         spec.hbar, x[j - 1] - x[l - 1]
                     )
-            if own is not None:
-                terms.extend(own.terms(pref))
-            partners = [k for k in range(l - 1, 0, -1) if k != m]
-            if not partners:
-                continue
-            # the expanded products run k ascending
-            for k, term in zip(partners[::-1], _pivot_ladder(fac, l, partners).terms(pref)):
-                terms.append(ProductTerm(pref, q_inv + term.factors + q) if k < m else term)
+            if m > 1:
+                terms.extend(ladders[m].terms(pref))
+            for k, term in enumerate(ladders[l].terms(pref), start=1):  # k ascending
+                if k < m:
+                    kept = tuple(f for f in term.factors if m not in f[0])
+                    term = ProductTerm(pref, q_inv + kept + q)
+                if k != m:
+                    terms.append(term)
     return ChainOperator.from_terms(spec.dim, length, terms)
 
 

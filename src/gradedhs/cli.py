@@ -82,6 +82,10 @@ class RunConfig:
         ).hexdigest()[:16]
 
 
+#: the default gradings of ``chain``: (1|0) has a one-dimensional chain space
+CHAIN_DIMS = tuple(nm for nm in DEFAULT_DIMS if sum(nm) >= 2)
+
+
 def _parse_nm(values: list[str] | None) -> tuple:
     if not values:
         return DEFAULT_DIMS
@@ -438,7 +442,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"--samples must be at least 1, got {args.samples}")
     cfg = RunConfig(
         command=args.command,
-        dims=_parse_nm(args.nm),
+        dims=CHAIN_DIMS if args.command == "chain" and not args.nm else _parse_nm(args.nm),
         hbar=hbar,
         seed=args.seed,
         samples=args.samples,

@@ -36,7 +36,8 @@ applied matrix-free as a factor plan, one diagonal and one weighted-swap
 pass: terms along their shared-prefix tree, ladders one Horner ladder per
 pivot, which uses that each step-back factor inverts its step.  Such
 factors conserve colour content, so the dense form is the realized matrix
-held as one block per content sector.  It is built on first use, up to
+kept as one block per content sector; the full matrix is assembled from
+the blocks afresh on each call.  The blocks are built on first use, up to
 n^L = DENSE_SITE_CAP, by running the same evaluation over a probe that
 holds the k-th state of every content sector in its column k, so no d x d
 factor matrix is formed and the probe has only as many columns as the
@@ -359,11 +360,11 @@ class ChainOperator:
     ladders keeps them and evaluates through them.  It is applied
     matrix-free (see :func:`apply`).  Every factor must be a diagonal block
     e_aa (x) e_cc plus a flip block e_ac (x) e_ca; any other entry raises
-    ``ValueError`` here.  Such factors conserve colour content, so the dense
-    form is the realized matrix as ``(indices, block)`` pairs, one per
-    content sector (see :meth:`blocks`), built on first use (up to
-    ``DENSE_SITE_CAP``) and kept; the full matrix is assembled from the
-    blocks when asked for.
+    ``ValueError`` here (each distinct factor at its sites checked once).
+    Such factors conserve colour content, so the dense form is the realized
+    matrix as ``(indices, block)`` pairs, one per content sector (see
+    :meth:`blocks`), built on first use (up to ``DENSE_SITE_CAP``) and kept;
+    :meth:`realize` assembles a fresh full matrix from them on each call.
     """
 
     def __init__(
@@ -384,16 +385,14 @@ class ChainOperator:
         self.length = length
         self.ladders = ladders
         self.terms = tuple(terms)
-        for term in self.terms:
-            for sites, op in term.factors:
-                _check_factor(op, sites, length)
-                if op.dim != dim:
-                    raise ValueError("factors must act on the chain dim")
-                _check_flip_form(op, sites)
-        self._plans: _PlanNode | None = None  # prefix tree of the terms
-        self._ladder_plans: tuple | None = None
+        # the terms keep the factors alive, so their ids are distinct
+        for sites, op in {(s, id(f)): (s, f) for t in self.terms for s, f in t.factors}.values():
+            _check_factor(op, sites, length)
+            if op.dim != dim:
+                raise ValueError("factors must act on the chain dim")
+            _check_flip_form(op, sites)
+        self._plans: _PlanNode | tuple | None = None  # prefix tree, or per-ladder plans
         self._blocks: tuple | None = None
-        self._realized: np.ndarray | None = None
 
     @property
     def hilbert_dim(self) -> int:
@@ -420,13 +419,13 @@ class ChainOperator:
         return self._blocks
 
     def realize(self) -> np.ndarray:
-        """Matrix of the operator as a linear map on chain states."""
-        if self._realized is None:
-            d = self.hilbert_dim
-            self._realized = np.zeros((d, d), dtype=complex)
-            for idx, block in self.blocks():
-                self._realized[np.ix_(idx, idx)] = block
-        return self._realized
+        """Matrix of the operator as a linear map on chain states, a fresh
+        array assembled from the sector blocks."""
+        d = self.hilbert_dim
+        out = np.zeros((d, d), dtype=complex)
+        for idx, block in self.blocks():
+            out[np.ix_(idx, idx)] = block
+        return out
 
     def norm(self) -> float:
         return math.hypot(*(float(np.linalg.norm(block)) for _, block in self.blocks()))
@@ -698,13 +697,13 @@ def _apply_tree(node: _PlanNode, state: np.ndarray, owned: bool, pool: list,
 
 def _plan_ladders(op: ChainOperator) -> tuple:
     """Factor plans of ``op``'s ladders: (steps, rungs, backs) per ladder."""
-    if op._ladder_plans is None:
-        op._ladder_plans = tuple(
+    if op._plans is None:
+        op._plans = tuple(
             tuple(tuple(_FactorPlan(op.dim, sites, fac) for sites, fac in part)
                   for part in (ladder.steps, ladder.rungs, ladder.backs))
             for ladder in op.ladders
         )
-    return op._ladder_plans
+    return op._plans
 
 
 def _apply_ladder(plans: tuple, vec: np.ndarray, pool: list,
@@ -832,7 +831,6 @@ def commutator_norm(a: ChainOperator, b: ChainOperator) -> float:
             raise TypeError(f"expected a chain operator, got {type(x)!r}")
     if (a.dim, a.length) != (b.dim, b.length):
         raise ValueError("commutator operands do not match")
-    pa, pb = a.blocks(), b.blocks()
-    comm = math.hypot(*(float(np.linalg.norm(A @ B - B @ A)) for (_, A), (_, B) in zip(pa, pb)))
-    na, nb = (math.hypot(*(float(np.linalg.norm(X)) for _, X in part)) for part in (pa, pb))
-    return comm / (na * nb + _NORM_FLOOR)
+    comm = math.hypot(*(float(np.linalg.norm(A @ B - B @ A))
+                        for (_, A), (_, B) in zip(a.blocks(), b.blocks())))
+    return comm / (a.norm() * b.norm() + _NORM_FLOOR)

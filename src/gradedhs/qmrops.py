@@ -251,17 +251,15 @@ class SubsetTerm:
 class DifferenceOperator:
     """Symbolic structure of the order-k difference operator on L sites.
 
-    Spin mode lists, per subset I = (i_1 < ... < i_k), the ordered factor
-    blocks: the left block runs slots t = 1..k, each a descending product of
+    Lists, per subset I = (i_1 < ... < i_k), the ordered factor blocks: the
+    left block runs slots t = 1..k, each a descending product of
     Rbar_{j, i_t} over j < i_t outside I; the right block runs slots
     t = k..1, each an ascending product of Rbar_{i_t, j} over j < i_t
-    outside I, evaluated at shifted first arguments.  Scalar mode has empty
-    factor lists.
+    outside I, evaluated at shifted first arguments.
     """
 
     order: int
     length: int
-    spin: bool = True
 
     def __post_init__(self) -> None:
         if not 1 <= self.order <= self.length:
@@ -277,16 +275,15 @@ class DifferenceOperator:
             )
             left = []
             right = []
-            if self.spin:
-                for t, it in enumerate(subset):
-                    for j in range(it - 1, 0, -1):
-                        if j not in subset[:t]:
-                            left.append((j, it))
-                for t in range(k - 1, -1, -1):
-                    it = subset[t]
-                    for j in range(1, it):
-                        if j not in subset[:t]:
-                            right.append((it, j))
+            for t, it in enumerate(subset):
+                for j in range(it - 1, 0, -1):
+                    if j not in subset[:t]:
+                        left.append((j, it))
+            for t in range(k - 1, -1, -1):
+                it = subset[t]
+                for j in range(1, it):
+                    if j not in subset[:t]:
+                        right.append((it, j))
             terms.append(SubsetTerm(subset, phi_pairs, tuple(left), tuple(right)))
         return tuple(terms)
 

@@ -336,8 +336,8 @@ def build_r(spec: RMatrixSpec, z: complex) -> LocalOperator:
 
 
 def build_r_normalized(spec: RMatrixSpec, z: complex) -> LocalOperator:
-    """R divided by phi(hbar, z); satisfies Rbar_12(z) Rbar_21(-z) = Id."""
-    _check_r_args(spec, z)
+    """R divided by phi(hbar, z); satisfies Rbar_12(z) Rbar_21(-z) = Id.
+    ``build_r`` makes the pole checks."""
     return build_r(spec, z) / phi(spec.hbar, z)
 
 

@@ -27,6 +27,7 @@ from gradedhs import (
     limit_target,
     load_operator_binary,
     nonrelativistic_limit_h1,
+    phi,
     phi_sum_identity,
     r_transposed,
     save_operator_binary,
@@ -107,6 +108,79 @@ def test_h1_terms_are_the_pair_products(fam, nm):
     assert sum(len(t.factors) for t in hamiltonian_h1(spec, 16).terms) == 1360
 
 
+@pytest.mark.parametrize("fam", list(RFamily))
+@pytest.mark.parametrize("nm", [(1, 1), (2, 1)])
+def test_h2_terms_are_pivot_products(fam, nm):
+    # per pair m < l, weighted by w_ml: pivot m's pair products (kind A),
+    # then pivot l's in k ascending, k != m, as they stand for k > m (kind
+    # C) and for k < m without Rb_{m,l}, Rb_{l,m} and conjugated by
+    # Q_m = Rb_{m,1} .. Rb_{m,m-1} (kind B)
+    spec = spec_of(fam, nm)
+    L = 5
+    x = equilibrium_points(L)
+
+    def pair_product(i, k, skip=None):
+        return ([((j, i), build_r_normalized, j, i) for j in range(i - 1, k - 1, -1) if j != skip]
+                + [((i, k), build_f_derivative, i, k)]
+                + [((i, j), build_r_normalized, i, j) for j in range(k + 1, i) if j != skip])
+
+    expected = []
+    for m in range(1, L):
+        q_inv = [((j, m), build_r_normalized, j, m) for j in range(m - 1, 0, -1)]
+        q = [((m, j), build_r_normalized, m, j) for j in range(1, m)]
+        for l in range(m + 1, L + 1):
+            w = np.prod([phi(spec.hbar, x[j - 1] - x[m - 1]) * phi(spec.hbar, x[j - 1] - x[l - 1])
+                         for j in range(1, L + 1) if j not in (m, l)])
+            expected += [(w, pair_product(m, k)) for k in range(1, m)]
+            expected += [(w, pair_product(l, k) if k > m else q_inv + pair_product(l, k, m) + q)
+                         for k in range(1, l) if k != m]
+    terms = hamiltonian_h2(spec, L).terms
+    assert len(terms) == len(expected)
+    for term, (w, factors) in zip(terms, expected):
+        assert term.coeff == pytest.approx(w, rel=1e-13)
+        assert [sites for sites, _ in term.factors] == [f[0] for f in factors]
+        for (_, op), (_, build, a, b) in zip(term.factors, factors):
+            assert op.entries.tobytes() == build(spec, x[a - 1] - x[b - 1]).entries.tobytes()
+
+
+def test_h2_checks_each_step_pair_once(monkeypatch):
+    # one ladder per pivot: the L(L-1)/2 pairs Rb_{k,l} Rb_{l,k}, k < l,
+    # each checked once per build
+    import gradedhs.chain as chain_mod
+    from gradedhs import gradedcore
+
+    clean = gradedcore.check_inverse_pairs
+    checked = []
+
+    def counted(pairs):
+        pairs = list(pairs)
+        checked.extend((g[0], s[0]) for g, s in pairs)
+        clean(pairs)
+
+    monkeypatch.setattr(gradedcore, "check_inverse_pairs", counted)
+    monkeypatch.setattr(chain_mod, "check_inverse_pairs", counted)
+    L = 6
+    hamiltonian_h2(spec_of(RFamily.UQ_GLNM, (1, 1)), L)
+    assert len(checked) == len(set(checked)) == L * (L - 1) // 2
+
+
+def test_h2_checks_each_distinct_factor_once(monkeypatch):
+    from gradedhs import gradedcore
+
+    clean = gradedcore._check_flip_form
+    calls = []
+
+    def counted(op, sites):
+        calls.append((sites, id(op)))
+        clean(op, sites)
+
+    monkeypatch.setattr(gradedcore, "_check_flip_form", counted)
+    h2 = hamiltonian_h2(spec_of(RFamily.UQ_GLNM, (1, 1)), 6)
+    distinct = {(sites, id(op)) for t in h2.terms for sites, op in t.factors}
+    assert len(calls) == len(set(calls)) == len(distinct) == 44
+    assert sum(len(t.factors) for t in h2.terms) == 340
+
+
 @pytest.mark.parametrize("build", [
     hamiltonian_h1,
     hamiltonian_h2,
@@ -169,7 +243,8 @@ def test_h1_rejects_a_step_back_that_does_not_invert_its_step(monkeypatch):
     with pytest.raises(ValueError, match=r"= inf > 1e-06"):
         hamiltonian_h1(spec, 3)
     # H2 takes its terms from the same ladders, so it carries the same checks
-    with pytest.raises(ValueError, match=r"does not invert the step at \(3, 2\)"):
+    # (pivot 2's ladder first)
+    with pytest.raises(ValueError, match=r"does not invert the step at \(2, 1\)"):
         hamiltonian_h2(spec, 4)
 
 

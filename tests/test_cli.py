@@ -114,6 +114,17 @@ def test_chain_command_writes_files(tmp_path, monkeypatch):
     assert (tmp_path / "h1_uq_1_1_L3.bin").exists()
 
 
+def test_bare_chain_runs_the_gradings_with_two_or_more_directions(tmp_path, capsys):
+    # without --nm, chain skips the vacuous (1|0) of the default list
+    assert main(["chain", "--out", str(tmp_path)]) == 0
+    rows = [line for line in capsys.readouterr().out.splitlines() if line.startswith("PASS")]
+    assert [row.split()[2] for row in rows] == [
+        f"uq({n}|{m})" for n, m in ((2, 0), (0, 2), (1, 1), (2, 1), (1, 2), (2, 2))
+    ]
+    doc = json.loads((tmp_path / "chain_report.json").read_text())
+    assert [r["verdict"] for r in doc["results"]] == ["pass"] * 6
+
+
 def test_chain_dense_cap_exceeded(tmp_path, monkeypatch):
     code = run_cli(
         ["chain", "--family", "uq", "--nm", "1,1", "--L", "20", "--spectrum"],

@@ -477,12 +477,17 @@ def test_sector_build_over_several_probe_blocks(monkeypatch):
 def test_dense_form_is_lazy_and_shares_the_plans(rng):
     dim, L = GradedDim(1, 1), 3
     op = ChainOperator.from_terms(dim, L, random_terms(dim, L, rng))
-    assert op._realized is None
+    assert op._blocks is None and op._plans is None
     realized = op.realize()
-    assert op.realize() is realized
-    assert np.array_equal(op.to_dense(), sigma_mask(dim, L) * realized)
+    blocks, kept = op._blocks, realized.copy()
+    # the blocks are kept and each call assembles a fresh matrix, so writing
+    # into one result leaves the next intact
+    realized[:] = 0.0
+    again = op.realize()
+    assert op._blocks is blocks and np.array_equal(again, kept) and np.any(kept)
+    assert np.array_equal(op.to_dense(), sigma_mask(dim, L) * kept)
     tree = op._plans
-    assert tree is not None
+    assert isinstance(tree, gradedcore._PlanNode)
     op.apply(random_state(dim, L, rng))
     assert op._plans is tree
 
@@ -661,14 +666,13 @@ def test_h1_ladder_realize_and_apply_agree_column_by_column(dim, monkeypatch):
     monkeypatch.setattr(gradedcore, "_DENSE_BLOCK_AMPS", 5 * dim.n ** L)
     h1 = hamiltonian_h1(spec, L)
     realized = h1.realize()
-    plans = h1._ladder_plans
+    plans, blocks = h1._plans, h1._blocks
     d = dim.n ** L
     for j in range(d):
         col = apply(h1, ChainState(dim, L, np.eye(d)[:, j])).amplitudes
         assert np.max(np.abs(col - realized[:, j])) <= 1e-14 * max(1.0, np.max(np.abs(col)))
     # one set of ladder plans serves both, and no prefix tree is built
-    assert plans is not None and h1._ladder_plans is plans
-    assert h1._plans is None
+    assert len(plans) == L - 1 and h1._plans is plans and h1._blocks is blocks
 
 
 def test_pivot_ladder_rejects_malformed_ladders():
@@ -754,6 +758,23 @@ def test_a_factor_outside_the_flip_form_is_refused(dim, rng):
             build()
     assert embed_local(op, (3, 1), L).entries.shape == (n ** L, n ** L)
     assert embed_realized(op, (3, 1), L).shape == (n ** L, n ** L)
+
+
+def test_chain_operator_construction_guards():
+    # each distinct factor is checked once, but a factor object met again at
+    # another site pair is checked at that pair too
+    dim, L = GradedDim(1, 1), 3
+    one = identity_operator(dim, 2)
+    cases = [
+        ((((1, 2), identity_operator(dim, 3)),), "two-leg"),
+        ((((0, 2), one),), r"site pair \(0,2\) out of range"),
+        ((((2, 2), one),), "must be distinct"),
+        ((((1, 2), identity_operator(GradedDim(2, 0), 2)),), "chain dim"),
+        ((((1, 2), one), ((2, 3), one), ((3, 4), one)), r"site pair \(3,4\) out of range"),
+    ]
+    for factors, msg in cases:
+        with pytest.raises(ValueError, match=msg):
+            ChainOperator(dim, L, terms=[ProductTerm(1.0, factors[:1]), ProductTerm(1.0, factors)])
 
 
 def test_dense_cap_enforced():

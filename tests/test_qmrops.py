@@ -536,8 +536,6 @@ def test_difference_operator_subset_structure():
     t23 = by_subset[(2, 3)]
     assert t23.left_sites == ((1, 2), (1, 3))
     assert t23.right_sites == ((3, 1), (2, 1))
-    # scalar mode carries no factor lists
-    assert DifferenceOperator(2, 4, spin=False).subset_terms()[0].left_sites == ()
 
 
 def test_sign_function_values():
