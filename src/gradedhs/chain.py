@@ -14,8 +14,9 @@ phi products w_ml over the spectator sites,
     H2 = sum_{m<l} w_ml [ Lad_m + Lad_l^{k>m} + Q_m^{-1} Lad_l^{k<m}|_m Q_m ]
 
 as term lists, with |_m dropping the site-m factors and Q_m = Rb_{m,1}
-... Rb_{m,m-1}.  The L - 1 ladders check each step pair once per build: a
-step-back that does not invert its step raises.  A general H_k comes
+... Rb_{m,m-1}, the string ladder m holds with its inverse.  The L - 1
+ladders check each step pair once per build: a step-back that does not
+invert its step raises.  A general H_k comes
 from the first-order expansion of the k-th spin difference operator in
 the shift step: apply the operator to constant vectors, so only the right
 R-product arguments carry the step, and differentiate each shifted factor
@@ -46,7 +47,6 @@ from .gradedcore import (
     LocalOperator,
     PivotLadder,
     ProductTerm,
-    check_inverse_pairs,
     graded_permutation,
     identity_operator,
     matrix_units,
@@ -174,14 +174,15 @@ class _EquilibriumFactors:
 
 def _pivot_ladder(fac: _EquilibriumFactors, i: int) -> PivotLadder:
     """The ladder of pivot i over the partners k = i-1 .. 1: steps
-    Rb_{i,k}, rungs Fb_{i,k} and step-backs Rb_{k,i}.  Besides the step
-    pairs the ladder checks, the partner-1 pair Rb_{1,i} Rb_{i,1} = 1 is
-    checked too: H1's reduction and H2's Q_m^{-1} rest on it."""
-    check_inverse_pairs([(((i, 1), fac.rb(i, 1)), ((1, i), fac.rb(1, i)))])
+    Rb_{i,k}, rungs Fb_{i,k} and step-backs Rb_{k,i}.  Its steps are the
+    string P_i = Rb_{i,1} ... Rb_{i,i-1} and its step-backs P_i^{-1}; the
+    ladder checks every pair Rb_{k,i} Rb_{i,k} = 1, which H1's reduction
+    and H2's Q_m^{-1} rest on."""
+    partners = range(i - 1, 0, -1)
     return PivotLadder(
-        steps=tuple(((i, k), fac.rb(i, k)) for k in range(i - 1, 1, -1)),
-        rungs=tuple(((i, k), fac.fb(i, k)) for k in range(i - 1, 0, -1)),
-        backs=tuple(((k, i), fac.rb(k, i)) for k in range(i - 1, 0, -1)),
+        steps=tuple(((i, k), fac.rb(i, k)) for k in partners),
+        rungs=tuple(((i, k), fac.fb(i, k)) for k in partners),
+        backs=tuple(((k, i), fac.rb(k, i)) for k in partners),
     )
 
 
@@ -191,10 +192,10 @@ def hamiltonian_h1(spec: RMatrixSpec, length: int) -> ChainOperator:
 
         sum_{k<i} Rb_{i-1,i} ... Rb_{k,i} Fb_{i,k} Rb_{i,k+1} ... Rb_{i,i-1}.
 
-    Each pivot is one :class:`PivotLadder` over the partners k = i-1 .. 1,
-    so applying it (and building its dense form) takes 4i - 6 factor
-    applications per pivot; ``terms`` lists the expanded products, pair by
-    pair (k ascending within each i).
+    Each pivot is one :class:`PivotLadder` over the partners k = i-1 .. 1
+    that holds P_i and P_i^{-1}, so applying it (and building its dense
+    form) takes 4i - 6 factor applications per pivot; ``terms`` lists the
+    expanded products, pair by pair (k ascending within each i).
     """
     fac = _EquilibriumFactors(spec, length)
     ladders = [_pivot_ladder(fac, i) for i in range(2, length + 1)]
@@ -207,8 +208,9 @@ def hamiltonian_h2(spec: RMatrixSpec, length: int) -> ChainOperator:
     sites, the terms of Lad_m + Lad_l^{k>m} + Q_m^{-1} Lad_l^{k<m}|_m Q_m.
     That is pivot m's terms (none for m = 1), pivot l's terms of partners
     k > m as they stand, and those of k < m without Rb_{m,l} and Rb_{l,m},
-    wrapped in Q_m = Rb_{m,1} ... Rb_{m,m-1} and its inverse, the
-    step-backs Rb_{m-1,m} ... Rb_{1,m}.  The ladders carry H1's unitarity
+    wrapped in Q_m = Rb_{m,1} ... Rb_{m,m-1} and its inverse.  Q_m is
+    ladder m's string P_m: its steps in reverse, with its step-backs as
+    Q_m^{-1} (both empty at m = 1).  The ladders carry H1's unitarity
     guard, so a step-back that does not invert its step raises
     ``ValueError``.  The terms are evaluated along the prefix tree.
     """
@@ -217,8 +219,7 @@ def hamiltonian_h2(spec: RMatrixSpec, length: int) -> ChainOperator:
     ladders = {i: _pivot_ladder(fac, i) for i in range(2, length + 1)}
     terms = []
     for m in range(1, length):
-        q_inv = tuple(((k, m), fac.rb(k, m)) for k in range(m - 1, 0, -1))
-        q = tuple(((m, k), fac.rb(m, k)) for k in range(1, m))
+        q_inv, q = (ladders[m].backs, ladders[m].steps[::-1]) if m > 1 else ((), ())
         for l in range(m + 1, length + 1):
             pref = 1.0 + 0.0j
             for j in range(1, length + 1):

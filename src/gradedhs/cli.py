@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass, field
@@ -32,7 +33,7 @@ from .qmrops import (
 )
 from .rmatrix import PoleError, RFamily, RMatrixSpec
 from . import chain as chain_mod
-from .verify import DEFAULT_DIMS, DEFAULT_HBAR, run_battery
+from .verify import DEFAULT_DIMS, DEFAULT_HBAR, DEFAULT_TOLERANCES, run_battery
 
 
 class ConfigError(ValueError):
@@ -108,16 +109,37 @@ def _parse_complex(text: str, flag: str) -> complex:
         raise ConfigError(f"{flag} expects a complex number, got {text!r}") from exc
 
 
-def _parse_tolerances(values: list[str] | None) -> dict:
+#: the gates that ``--tolerance`` may set, per command, with their defaults
+GATES = {
+    "verify": DEFAULT_TOLERANCES,
+    "ops": {"f_identity": 1e-10, "commute": 1e-9},
+    "chain": {"commute": 1e-10},
+}
+
+
+def _parse_tolerances(values: list[str] | None, command: str) -> dict:
+    """The gates the user set, as given: a name of the command's gates and
+    a value with 0 < value < inf each."""
+    gates = GATES[command]
     out = {}
     for val in values or []:
         if "=" not in val:
             raise ConfigError(f"--tolerance expects NAME=VALUE, got {val!r}")
         name, raw = val.split("=", 1)
+        if name not in gates:
+            raise ConfigError(
+                f"--tolerance {name!r} is not a gate of {command}; valid gates: "
+                f"{', '.join(gates)}"
+            )
         try:
-            out[name] = float(raw)
-        except ValueError as exc:
-            raise ConfigError(f"tolerance {name!r} has non-numeric value {raw!r}") from exc
+            value = float(raw)
+        except ValueError:
+            value = math.nan
+        if not 0.0 < value < math.inf:
+            raise ConfigError(
+                f"--tolerance {name} needs a number with 0 < value < inf, got {raw!r}"
+            )
+        out[name] = value
     return out
 
 
@@ -215,6 +237,8 @@ def _ops_plan(cfg: RunConfig) -> tuple[tuple, list]:
     bad = [k for k in orders if not 1 <= k <= cfg.length]
     if bad:
         raise ConfigError(f"operator orders {bad} out of range 1..{cfg.length}")
+    if len(set(orders)) != len(orders):
+        raise ConfigError(f"--k repeats an operator order: {list(orders)}")
     identities = orders if cfg.check in ("f-identity", "all") else ()
     pairs = []
     if cfg.check in ("commute", "all"):
@@ -234,7 +258,7 @@ def _ops_rows(cfg: RunConfig, spec: RMatrixSpec, site: SiteConfig, identities, p
         res = f_identity_residual(spec, site, k, store=store)
         spread = f_identity_eta_spread(spec, site, k, _spread_etas(cfg.eta), store=store)
         spread = max(res, spread)  # the residual is the value at eta itself
-        tol = cfg.tolerances.get("f_identity", 1e-10)
+        tol = cfg.tolerances.get("f_identity", GATES["ops"]["f_identity"])
         rows.append(
             {
                 "check": "f_identity",
@@ -248,7 +272,7 @@ def _ops_rows(cfg: RunConfig, spec: RMatrixSpec, site: SiteConfig, identities, p
         )
     for (k, l), fs in zip(pairs, probes):
         worst = commutator_eval(spec, site, k, l, fs, store=store)
-        tol = cfg.tolerances.get("commute", 1e-9)
+        tol = cfg.tolerances.get("commute", GATES["ops"]["commute"])
         rows.append(
             {
                 "check": "commute",
@@ -342,7 +366,7 @@ def cmd_chain(cfg: RunConfig) -> int:
         h1 = chain_mod.hamiltonian_h1(spec, cfg.length)
         h2 = chain_mod.hamiltonian_h2(spec, cfg.length)
         comm = commutator_norm(h1, h2)
-        tol = cfg.tolerances.get("commute", 1e-10)
+        tol = cfg.tolerances.get("commute", GATES["chain"]["commute"])
         verdict = "pass" if comm <= tol else "fail"
         ok &= verdict == "pass"
         dropped = chain_mod.htilde1_constant(spec, cfg.length)
@@ -446,7 +470,7 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
         hbar=hbar,
         seed=args.seed,
         samples=args.samples,
-        tolerances=_parse_tolerances(args.tolerance),
+        tolerances=_parse_tolerances(args.tolerance, args.command),
         out=args.out,
     )
     cfg.family = getattr(args, "family", "all")

@@ -28,13 +28,15 @@ order (see :func:`_placement`).
 
 States live in (C^(N|M))^{(x) L}.  A chain operator is a sum of products
 of embedded two-site factors, given as factor terms or as pivot ladders
-(:class:`PivotLadder`, the form of H1).  Every factor has one form: a
-diagonal block e_aa (x) e_cc plus a flip block e_ac (x) e_ca, as are R, its
+(:class:`PivotLadder`, the form of H1).  A ladder holds one pivot's whole
+R-string P and its inverse, step by step, and checks at construction that
+every step-back inverts its step.  Every factor has one form: a diagonal
+block e_aa (x) e_cc plus a flip block e_ac (x) e_ca, as are R, its
 normalization and derivative in both families, the constant factor C and
 the limit targets; a factor with any other entry is refused.  Each is
 applied matrix-free as a factor plan, one diagonal and one weighted-swap
-pass: terms along their shared-prefix tree, ladders one Horner ladder per
-pivot, which uses that each step-back factor inverts its step.  Such
+pass: terms along their shared-prefix tree, ladders in Horner form, one
+descent and one climb per pivot, which never applies P's last step.  Such
 factors conserve colour content, so the dense form is the realized matrix
 kept as one block per content sector; the full matrix is assembled from
 the blocks afresh on each call.  The blocks are built on first use, up to
@@ -158,9 +160,7 @@ class LocalOperator:
         object.__setattr__(self, "entries", ent)
 
     def realize(self) -> np.ndarray:
-        """Matrix of the operator as a linear map on states."""
-        if self.dim.n_odd == 0:
-            return self.entries
+        """Matrix of the operator as a linear map on states (a fresh array)."""
         return sigma_mask(self.dim, self.legs) * self.entries
 
     def norm(self) -> float:
@@ -231,8 +231,6 @@ def matrix_units(dim: GradedDim, pairs: Sequence[tuple[int, int]]) -> LocalOpera
 def super_multiply(a: LocalOperator, b: LocalOperator) -> LocalOperator:
     """Product in the graded tensor algebra (Koszul signs on odd slots)."""
     _check_same_shape(a, b)
-    if a.dim.n_odd == 0:
-        return LocalOperator(a.dim, a.legs, a.entries @ b.entries)
     s = sigma_mask(a.dim, a.legs)
     return LocalOperator(a.dim, a.legs, s * ((s * a.entries) @ (s * b.entries)))
 
@@ -293,42 +291,23 @@ class ProductTerm:
 LADDER_UNITARITY_TOL = 1e-6
 
 
-def check_inverse_pairs(pairs) -> None:
-    """Check that each step-back inverts its step, s g = 1 on their two
-    sites, for ``((g_sites, g), (s_sites, s))`` pairs; raise ``ValueError``
-    naming the worst pair if its defect ||s g - 1|| exceeds
-    ``LADDER_UNITARITY_TOL`` (a NaN defect counts as infinite)."""
-    worst, pair = 0.0, None
-    for (gsites, g), (ssites, s) in pairs:
-        if gsites == ssites[::-1]:
-            g = _swap_legs(g)
-        elif gsites != ssites:
-            raise ValueError(f"step {gsites} and step-back {ssites} act on different sites")
-        defect = (super_multiply(s, g) - identity_operator(g.dim, 2)).norm()
-        defect = math.inf if math.isnan(defect) else defect
-        if defect > worst:
-            worst, pair = defect, (ssites, gsites)
-    if worst > LADDER_UNITARITY_TOL:
-        raise ValueError(
-            f"step-back at sites {pair[0]} does not invert the step at {pair[1]}: "
-            f"||s g - 1|| = {worst:.2e} > {LADDER_UNITARITY_TOL:g}"
-        )
-
-
 @dataclass(frozen=True)
 class PivotLadder:
-    """The terms of one pivot that share a descending chain of steps:
+    """One pivot's R-string P = g_T ... g_1 and its inverse P^{-1} = s_1 ...
+    s_T, with the terms they carry:
 
         sum_{t=1..T} s_1 s_2 ... s_t F_t g_{t-1} ... g_1
 
-    read as operators (g_1 acts first), with ``steps`` (g_1 .. g_{T-1}),
+    read as operators (g_1 acts first), with ``steps`` (g_1 .. g_T),
     ``rungs`` (F_1 .. F_T) and step-backs ``backs`` (s_1 .. s_T), each a
-    ``(sites, op)`` factor.  A step-back undoes its step, s_t g_t = 1 for
-    t < T, so the sum is evaluated in Horner form: descend w = g_{T-1} ..
-    g_1 v once, then for t = T .. 1 climb with w <- s_t w (t < T) and
-    acc <- s_t (acc + F_t w).  That is 4T - 2 factor applications instead
-    of the T(T + 1) in the expanded products.  Construction checks every
-    step pair with :func:`check_inverse_pairs`.
+    ``(sites, op)`` factor.  Construction checks that every step-back
+    undoes its step, s_t g_t = 1 for t = 1 .. T, and raises ``ValueError``
+    naming the worst pair if its defect ||s g - 1|| exceeds
+    ``LADDER_UNITARITY_TOL`` (a NaN defect counts as infinite).  So the sum
+    is evaluated in Horner form: descend w = g_{T-1} .. g_1 v once, then for
+    t = T .. 1 climb with w <- s_t w (t < T) and acc <- s_t (acc + F_t w).
+    That is 4T - 2 factor applications instead of the T(T + 1) in the
+    expanded products; g_T closes the string and is never applied.
     """
 
     steps: tuple[tuple[tuple[int, int], LocalOperator], ...]
@@ -336,13 +315,27 @@ class PivotLadder:
     backs: tuple[tuple[tuple[int, int], LocalOperator], ...]
 
     def __post_init__(self) -> None:
-        depth = len(self.rungs)
-        if depth < 1 or len(self.backs) != depth or len(self.steps) != depth - 1:
+        depth = len(self.steps)
+        if depth < 1 or len(self.rungs) != depth or len(self.backs) != depth:
             raise ValueError(
-                f"a ladder needs T >= 1 rungs and step-backs and T - 1 steps, got "
+                f"a ladder needs T >= 1 steps, rungs and step-backs, got "
                 f"{len(self.steps)}/{len(self.rungs)}/{len(self.backs)}"
             )
-        check_inverse_pairs(zip(self.steps, self.backs))
+        worst, pair = 0.0, None
+        for (gsites, g), (ssites, s) in zip(self.steps, self.backs):
+            if gsites == ssites[::-1]:
+                g = _swap_legs(g)
+            elif gsites != ssites:
+                raise ValueError(f"step {gsites} and step-back {ssites} act on different sites")
+            defect = (super_multiply(s, g) - identity_operator(g.dim, 2)).norm()
+            defect = math.inf if math.isnan(defect) else defect
+            if defect > worst:
+                worst, pair = defect, (ssites, gsites)
+        if worst > LADDER_UNITARITY_TOL:
+            raise ValueError(
+                f"step-back at sites {pair[0]} does not invert the step at {pair[1]}: "
+                f"||s g - 1|| = {worst:.2e} > {LADDER_UNITARITY_TOL:g}"
+            )
 
     def terms(self, coeff: complex) -> tuple[ProductTerm, ...]:
         """The expanded products, t = T first, each weighted by ``coeff``."""
@@ -405,8 +398,7 @@ class ChainOperator:
 
     def to_dense(self) -> np.ndarray:
         """Coefficient array of the full chain operator (computed per call)."""
-        realized = self.realize()
-        return sigma_mask(self.dim, self.length) * realized if self.dim.n_odd else realized
+        return sigma_mask(self.dim, self.length) * self.realize()
 
     def blocks(self) -> tuple:
         """The realized matrix as ``(indices, block)`` per sector: ``block``
@@ -696,11 +688,12 @@ def _apply_tree(node: _PlanNode, state: np.ndarray, owned: bool, pool: list,
 
 
 def _plan_ladders(op: ChainOperator) -> tuple:
-    """Factor plans of ``op``'s ladders: (steps, rungs, backs) per ladder."""
+    """Factor plans of ``op``'s ladders: (steps, rungs, backs) per ladder.
+    The last step g_T is never applied, so it gets no plan."""
     if op._plans is None:
         op._plans = tuple(
             tuple(tuple(_FactorPlan(op.dim, sites, fac) for sites, fac in part)
-                  for part in (ladder.steps, ladder.rungs, ladder.backs))
+                  for part in (ladder.steps[:-1], ladder.rungs, ladder.backs))
             for ladder in op.ladders
         )
     return op._plans

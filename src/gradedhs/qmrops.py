@@ -16,10 +16,13 @@ the ordering conventions are
   product Rbar_{i_t, j}(z_{i_t} - eta - z_j) over j = 1 .. i_t - 1,
   j not in I (the shift has already hit the first argument).
 
-Operators are realized as evaluators (function to value at a point), and
-compositions track the exact exponential shift action on test functions,
-so there is no interpolation error anywhere.  Subsets are enumerated
-lexicographically and subset sums use a fixed pairwise (tree) reduction.
+Each operator is evaluated as a plain function of a point: the value of
+D_k f at z calls f, itself a function of a point, at the shifted
+positions.  A composition D_k D_l f is D_k applied to the function
+z -> (D_l f)(z), so it evaluates the exact shift action on the test
+functions and there is no interpolation error anywhere.  Subsets are
+enumerated lexicographically and subset sums use a fixed pairwise (tree)
+reduction.
 
 The normalized R-factors act on vectors through the factor plans of
 ``gradedcore`` (one diagonal and one swap pass per factor, O(n^L) work
@@ -44,7 +47,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from itertools import combinations
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -149,16 +152,6 @@ def random_test_function(
     return TestFunction(length, tuple(terms))
 
 
-class _Deferred:
-    """Evaluator wrapper: some operator already applied to a function."""
-
-    def __init__(self, fn: Callable[[np.ndarray], object]):
-        self._fn = fn
-
-    def value(self, z):
-        return self._fn(np.asarray(z, dtype=complex))
-
-
 def _tree_sum(items: list):
     """Pairwise reduction in a fixed order (deterministic rounding)."""
     if not items:
@@ -207,23 +200,14 @@ def _scalar_d_value(k: int, hbar: complex, eta: complex, f, z: np.ndarray):
         zs = z.copy()
         for i in subset:
             zs[i - 1] -= eta
-        vals.append(_phi_prefactor(hbar, z, subset) * f.value(zs))
+        vals.append(_phi_prefactor(hbar, z, subset) * f(zs))
     return _tree_sum(vals)
 
 
 def scalar_d(k: int, cfg: SiteConfig, f) -> complex:
     """Value of the k-th scalar difference operator applied to f at cfg.z."""
     _check_order(k, cfg.length)
-    return _scalar_d_value(k, cfg.hbar, cfg.eta, f, np.array(cfg.z, dtype=complex))
-
-
-def scalar_d_operator(k: int, hbar: complex, eta: complex) -> Callable:
-    """The k-th scalar operator as an evaluator transformer (for composition)."""
-
-    def op(f):
-        return _Deferred(lambda z: _scalar_d_value(k, hbar, eta, f, z))
-
-    return op
+    return _scalar_d_value(k, cfg.hbar, cfg.eta, f.value, np.array(cfg.z, dtype=complex))
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +376,7 @@ def _spin_d_value(store: FactorStore, k: int, f, z: np.ndarray):
     bufs = None
     vals = []
     for pref, zs, plans in store.recipe(k, z):
-        vec = np.ascontiguousarray(f.value(zs), dtype=complex)
+        vec = np.ascontiguousarray(f(zs), dtype=complex)
         if bufs is None:
             bufs = [np.empty_like(vec) for _ in range(3)]
         vals.append(pref * _apply_plans(plans, vec, bufs))
@@ -406,16 +390,7 @@ def spin_d(spec: RMatrixSpec, k: int, cfg: SiteConfig, f) -> np.ndarray:
     """
     store = FactorStore(spec, cfg)
     _check_order(k, cfg.length)
-    return _spin_d_value(store, k, f, np.array(cfg.z, dtype=complex))
-
-
-def spin_d_operator(store: FactorStore, k: int) -> Callable:
-    """The k-th spin operator as an evaluator transformer (for composition)."""
-
-    def op(f):
-        return _Deferred(lambda z: _spin_d_value(store, k, f, z))
-
-    return op
+    return _spin_d_value(store, k, f.value, np.array(cfg.z, dtype=complex))
 
 
 def commutator_eval(
@@ -435,10 +410,12 @@ def commutator_eval(
         store.check(spec, cfg)
     cfg.validate_shifts(2)
     z0 = np.array(cfg.z, dtype=complex)
-    dk = spin_d_operator(store, k)
-    dl = spin_d_operator(store, l)
-    v_kl = dk(dl(probes)).value(z0)
-    v_lk = dl(dk(probes)).value(z0)
+
+    def d(order, g):
+        return lambda z: _spin_d_value(store, order, g, z)
+
+    v_kl = d(k, d(l, probes.value))(z0)
+    v_lk = d(l, d(k, probes.value))(z0)
     num = np.linalg.norm(v_kl - v_lk, axis=0)
     den = np.linalg.norm(v_kl, axis=0) + np.linalg.norm(v_lk, axis=0) + _FLOOR
     return float(np.max(num / den))
@@ -448,10 +425,12 @@ def scalar_commutator_eval(cfg: SiteConfig, k: int, l: int, f) -> float:
     """Normalized |([D_k, D_l] f)(cfg.z)| for the scalar operators."""
     cfg.validate_shifts(2)
     z0 = np.array(cfg.z, dtype=complex)
-    dk = scalar_d_operator(k, cfg.hbar, cfg.eta)
-    dl = scalar_d_operator(l, cfg.hbar, cfg.eta)
-    v_kl = dk(dl(f)).value(z0)
-    v_lk = dl(dk(f)).value(z0)
+
+    def d(order, g):
+        return lambda z: _scalar_d_value(order, cfg.hbar, cfg.eta, g, z)
+
+    v_kl = d(k, d(l, f.value))(z0)
+    v_lk = d(l, d(k, f.value))(z0)
     return float(abs(v_kl - v_lk) / (abs(v_kl) + abs(v_lk) + _FLOOR))
 
 
@@ -527,9 +506,7 @@ def _f_identity_assembled(
         fm = _apply_plans(plans(minus), eye, bufs_minus)
         total += fm - fp
         scale += np.linalg.norm(fp) + np.linalg.norm(fm)
-    if spec.dim.n_odd:
-        total = sigma_mask(spec.dim, L) * total
-    return LocalOperator(spec.dim, L, total), scale
+    return LocalOperator(spec.dim, L, sigma_mask(spec.dim, L) * total), scale
 
 
 def f_identity(spec: RMatrixSpec, cfg: SiteConfig, k: int) -> LocalOperator:

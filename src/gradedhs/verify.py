@@ -121,8 +121,8 @@ class IdentityCheck:
     last_max: bool = False
 
     def __post_init__(self) -> None:
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        if not 0 < self.tolerance < math.inf:
+            raise ValueError("tolerance must be positive and finite")
         if self.samples < 1:
             raise ValueError("need at least one sample")
 

@@ -145,23 +145,32 @@ def test_h2_terms_are_pivot_products(fam, nm):
 
 def test_h2_checks_each_step_pair_once(monkeypatch):
     # one ladder per pivot: the L(L-1)/2 pairs Rb_{k,l} Rb_{l,k}, k < l,
-    # each checked once per build
-    import gradedhs.chain as chain_mod
+    # each checked once per build; the ladder guard makes the only graded
+    # products of an H2 build, one per pair
+    from collections import Counter
+
     from gradedhs import gradedcore
 
-    clean = gradedcore.check_inverse_pairs
+    clean = gradedcore.super_multiply
     checked = []
 
-    def counted(pairs):
-        pairs = list(pairs)
-        checked.extend((g[0], s[0]) for g, s in pairs)
-        clean(pairs)
+    def counted(a, b):
+        checked.append((a.entries.tobytes(), b.entries.tobytes()))
+        return clean(a, b)
 
-    monkeypatch.setattr(gradedcore, "check_inverse_pairs", counted)
-    monkeypatch.setattr(chain_mod, "check_inverse_pairs", counted)
+    monkeypatch.setattr(gradedcore, "super_multiply", counted)
     L = 6
-    hamiltonian_h2(spec_of(RFamily.UQ_GLNM, (1, 1)), L)
-    assert len(checked) == len(set(checked)) == L * (L - 1) // 2
+    spec = spec_of(RFamily.UQ_GLNM, (1, 1))
+    hamiltonian_h2(spec, L)
+    assert len(checked) == L * (L - 1) // 2
+    x = equilibrium_points(L)
+
+    def rb(i, k):
+        return build_r_normalized(spec, x[i - 1] - x[k - 1])
+
+    pairs = Counter((rb(k, i).entries.tobytes(), r_transposed(rb(i, k)).entries.tobytes())
+                    for i in range(2, L + 1) for k in range(1, i))
+    assert Counter(checked) == pairs
 
 
 def test_h2_checks_each_distinct_factor_once(monkeypatch):

@@ -1,4 +1,7 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -60,6 +63,43 @@ def test_verify_tightened_tolerance_fails(tmp_path, monkeypatch):
         monkeypatch,
     )
     assert code == 1
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "--nm", "1,1", "--samples", "2", "--tolerance", "qybe=-1"],
+    ["verify", "--nm", "1,1", "--samples", "2", "--tolerance", "qybe=nan"],
+    ["verify", "--nm", "1,1", "--samples", "2", "--tolerance", "qyb=1e-30"],
+    ["ops", "--nm", "1,1", "--L", "3", "--tolerance", "commute=nan"],
+    ["chain", "--nm", "1,1", "--L", "3", "--tolerance", "commute=-1"],
+    ["chain", "--nm", "1,1", "--L", "3", "--tolerance", "commute=inf"],
+    ["chain", "--nm", "1,1", "--L", "3", "--tolerance", "f_identity=1e-3"],
+])
+def test_unusable_tolerance_is_a_usage_error(args, tmp_path, monkeypatch, capsys):
+    assert run_cli(args, tmp_path, monkeypatch) == 2
+    err = capsys.readouterr().err
+    assert "--tolerance" in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_unknown_tolerance_names_the_valid_gates(tmp_path, monkeypatch, capsys):
+    assert run_cli(["ops", "--tolerance", "comute=1e-3"], tmp_path, monkeypatch) == 2
+    assert "valid gates: f_identity, commute" in capsys.readouterr().err
+
+
+def test_command_gates_are_the_report_defaults(tmp_path, monkeypatch):
+    # the rows report the table's defaults; a user value replaces only its gate
+    args = ["ops", "--family", "uq", "--nm", "1,1", "--L", "3", "--samples", "1"]
+    assert run_cli(args + ["--tolerance", "commute=1e-3"], tmp_path, monkeypatch) == 0
+    rows = json.loads((tmp_path / "ops_report.json").read_text())["results"]
+    tols = {r["check"]: r["tolerance"] for r in rows}
+    assert tols == {"f_identity": cli.GATES["ops"]["f_identity"], "commute": 1e-3}
+
+
+def test_ops_rejects_a_repeated_order(tmp_path, monkeypatch, capsys):
+    args = ["ops", "--nm", "1,1", "--L", "3", "--k", "1,1,2"]
+    assert run_cli(args, tmp_path, monkeypatch) == 2
+    assert "--k repeats" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_ops_command(tmp_path, monkeypatch):
@@ -326,3 +366,19 @@ def test_ops_draws_valid_positions_for_benchmark_seeds():
                 site.validate_shifts(2)
                 for eta in _spread_etas(cfg.eta):
                     SiteConfig(length, site.z, eta, cfg.hbar)
+
+
+def test_readme_examples_run(tmp_path, monkeypatch):
+    # every `gradedhs ...` line of the README's sh blocks, continuation
+    # lines joined, is a command the CLI accepts and passes
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    commands = [
+        shlex.split(line)[1:]
+        for block in re.findall(r"```sh\n(.*?)```", readme, re.S)
+        for line in block.replace("\\\n", " ").splitlines()
+        if line.startswith("gradedhs ")
+    ]
+    assert {args[0] for args in commands} == {"verify", "ops", "chain"}
+    for idx, args in enumerate(commands):
+        out = tmp_path / str(idx)
+        assert run_cli(args + ["--out", str(out)], tmp_path, monkeypatch) == 0, args

@@ -680,15 +680,46 @@ def test_pivot_ladder_rejects_malformed_ladders():
     rb = build_r_normalized(spec, 0.25)
     rb_back = build_r_normalized(spec, -0.25)
     fb = build_f_derivative(spec, 0.25)
-    with pytest.raises(ValueError, match="rungs"):
-        gradedcore.PivotLadder(steps=(), rungs=(((2, 1), fb),) * 2, backs=(((1, 2), rb_back),) * 2)
+    # T steps, rungs and step-backs, T >= 1
+    with pytest.raises(ValueError, match="steps, rungs and step-backs, got 0/0/0"):
+        gradedcore.PivotLadder(steps=(), rungs=(), backs=())
+    with pytest.raises(ValueError, match="got 1/2/2"):
+        gradedcore.PivotLadder(steps=(((2, 1), rb),), rungs=(((2, 1), fb),) * 2,
+                               backs=(((1, 2), rb_back),) * 2)
     with pytest.raises(ValueError, match="different sites"):
-        gradedcore.PivotLadder(steps=(((3, 1), rb),), rungs=(((2, 1), fb),) * 2,
+        gradedcore.PivotLadder(steps=(((2, 1), rb), ((3, 1), rb)), rungs=(((2, 1), fb),) * 2,
                                backs=(((1, 2), rb_back),) * 2)
     with pytest.raises(ValueError, match="not both"):
         ChainOperator(spec.dim, 2, terms=(), ladders=())
     with pytest.raises(ValueError, match="need factor terms or pivot ladders"):
         ChainOperator(spec.dim, 2)
+
+
+def test_pivot_ladder_checks_its_last_pair():
+    # the last step g_T is never applied, but it closes the string P that
+    # H2 borrows, so its pair is checked like every other
+    spec = RMatrixSpec(RFamily.UQ_GLNM, GradedDim(1, 1), 0.3)
+    x = [1 / 3, 2 / 3, 1.0]
+
+    def rb(i, j):
+        return build_r_normalized(spec, x[i - 1] - x[j - 1])
+
+    steps = (((3, 2), rb(3, 2)), ((3, 1), rb(3, 1)))
+    rungs = tuple((sites, build_f_derivative(spec, x[2] - x[sites[1] - 1])) for sites, _ in steps)
+    backs = (((2, 3), rb(2, 3)), ((1, 3), rb(1, 3)))
+    ladder = gradedcore.PivotLadder(steps=steps, rungs=rungs, backs=backs)
+    assert len(ladder.steps) == len(ladder.rungs) == len(ladder.backs) == 2
+    with pytest.raises(ValueError, match=r"sites \(1, 3\) does not invert the step at \(3, 1\)"):
+        gradedcore.PivotLadder(steps=steps, rungs=rungs,
+                               backs=backs[:1] + (((1, 3), 1.5 * rb(1, 3)),))
+
+
+@pytest.mark.parametrize("nm", [(2, 0), (1, 1)])
+def test_local_realize_returns_a_fresh_array(nm):
+    op = build_r_normalized(RMatrixSpec(RFamily.UQ_GLNM, GradedDim(*nm), 0.3), 0.25)
+    mat = op.realize()
+    assert not np.shares_memory(mat, op.entries)
+    assert np.array_equal(mat, sigma_mask(op.dim, 2) * op.entries)
 
 
 def _plan_apply(plan, vec):

@@ -286,6 +286,9 @@ def test_identity_check_validation():
         IdentityCheck("qybe", spec, samples=0, seed=1, tolerance=1e-10)
     with pytest.raises(ValueError):
         IdentityCheck("qybe", spec, samples=5, seed=1, tolerance=0.0)
+    for tol in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            IdentityCheck("qybe", spec, samples=5, seed=1, tolerance=tol)
 
 
 def test_residuals_stable_under_imaginary_window_rescaling(rng):
