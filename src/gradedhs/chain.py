@@ -13,10 +13,12 @@ phi products w_ml over the spectator sites,
 
     H2 = sum_{m<l} w_ml [ Lad_m + Lad_l^{k>m} + Q_m^{-1} Lad_l^{k<m}|_m Q_m ]
 
-as term lists, with |_m dropping the site-m factors and Q_m = Rb_{m,1}
-... Rb_{m,m-1}, the string ladder m holds with its inverse.  The L - 1
-ladders check each step pair once per build: a step-back that does not
-invert its step raises.  A general H_k comes
+with |_m dropping the site-m factors and Q_m = Rb_{m,1} ... Rb_{m,m-1},
+the string ladder m holds with its inverse.  Regrouped, that is one
+weighted ladder per pivot and one per pair that climbs ladder m's steps
+first, all on the factors of the L - 1 pivot ladders, so each step pair
+is checked once per build: a step-back that does not invert its step
+raises.  A general H_k comes
 from the first-order expansion of the k-th spin difference operator in
 the shift step: apply the operator to constant vectors, so only the right
 R-product arguments carry the step, and differentiate each shifted factor
@@ -35,7 +37,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import Mapping, Sequence
 
@@ -174,10 +176,10 @@ class _EquilibriumFactors:
 
 def _pivot_ladder(fac: _EquilibriumFactors, i: int) -> PivotLadder:
     """The ladder of pivot i over the partners k = i-1 .. 1: steps
-    Rb_{i,k}, rungs Fb_{i,k} and step-backs Rb_{k,i}.  Its steps are the
-    string P_i = Rb_{i,1} ... Rb_{i,i-1} and its step-backs P_i^{-1}; the
-    ladder checks every pair Rb_{k,i} Rb_{i,k} = 1, which H1's reduction
-    and H2's Q_m^{-1} rest on."""
+    Rb_{i,k}, rungs Fb_{i,k} and step-backs Rb_{k,i}, each rung of weight
+    1.  Its steps are the string P_i = Rb_{i,1} ... Rb_{i,i-1} and its
+    step-backs P_i^{-1}; a chain operator built from it checks every pair
+    Rb_{k,i} Rb_{i,k} = 1, which H1's reduction and H2's Q_m^{-1} rest on."""
     partners = range(i - 1, 0, -1)
     return PivotLadder(
         steps=tuple(((i, k), fac.rb(i, k)) for k in partners),
@@ -194,8 +196,9 @@ def hamiltonian_h1(spec: RMatrixSpec, length: int) -> ChainOperator:
 
     Each pivot is one :class:`PivotLadder` over the partners k = i-1 .. 1
     that holds P_i and P_i^{-1}, so applying it (and building its dense
-    form) takes 4i - 6 factor applications per pivot; ``terms`` lists the
-    expanded products, pair by pair (k ascending within each i).
+    form) takes 3i - 4 factor applications per pivot up to the dense cap
+    and 4i - 6 above it; ``terms`` lists the expanded products, pair by
+    pair (k ascending within each i).
     """
     fac = _EquilibriumFactors(spec, length)
     ladders = [_pivot_ladder(fac, i) for i in range(2, length + 1)]
@@ -203,39 +206,50 @@ def hamiltonian_h1(spec: RMatrixSpec, length: int) -> ChainOperator:
 
 
 def hamiltonian_h2(spec: RMatrixSpec, length: int) -> ChainOperator:
-    """Second chain Hamiltonian from H1's pivot ladders Lad_i: per pair
+    """Second chain Hamiltonian on H1's pivot ladders Lad_i.  Per pair
     m < l, weighted by the pair's phi products w_ml over the spectator
-    sites, the terms of Lad_m + Lad_l^{k>m} + Q_m^{-1} Lad_l^{k<m}|_m Q_m.
-    That is pivot m's terms (none for m = 1), pivot l's terms of partners
-    k > m as they stand, and those of k < m without Rb_{m,l} and Rb_{l,m},
-    wrapped in Q_m = Rb_{m,1} ... Rb_{m,m-1} and its inverse.  Q_m is
-    ladder m's string P_m: its steps in reverse, with its step-backs as
-    Q_m^{-1} (both empty at m = 1).  The ladders carry H1's unitarity
-    guard, so a step-back that does not invert its step raises
-    ``ValueError``.  The terms are evaluated along the prefix tree.
+    sites, it is Lad_m + Lad_l^{k>m} + Q_m^{-1} Lad_l^{k<m}|_m Q_m: pivot
+    m's terms (none for m = 1), pivot l's terms of partners k > m as they
+    stand, and those of k < m without Rb_{m,l} and Rb_{l,m}, wrapped in
+    Q_m = Rb_{m,1} ... Rb_{m,m-1} and its inverse.  Summed over the pairs
+    that is L - 1 + (L - 1)(L - 2)/2 ladders:
+
+    - one per pivot l, rung at partner k of weight W_l + sum_{m<k} w_ml,
+      with W_l = sum_{l'>l} w_{l l'};
+    - one per pair 2 <= m < l: ladder m's steps and step-backs with zero
+      rungs (the conjugation by Q_m), then pivot l's levels without
+      partner m, where only the rungs of k < m weigh w_ml.
+
+    The expanded products are those of the pairs, with the pair weights
+    summed per product.  The ladders borrow every factor from the pivot
+    ladders, so each step pair is checked once, and a step-back that does
+    not invert its step raises ``ValueError``.  Like H1's, they climb with
+    stored descent up to ``DENSE_SITE_CAP`` (every dense build: 1559
+    factor applications per probe column at uq(1|1), L = 12) and step back
+    above it.
     """
     fac = _EquilibriumFactors(spec, length)
     x = fac.x
-    ladders = {i: _pivot_ladder(fac, i) for i in range(2, length + 1)}
-    terms = []
-    for m in range(1, length):
-        q_inv, q = (ladders[m].backs, ladders[m].steps[::-1]) if m > 1 else ((), ())
-        for l in range(m + 1, length + 1):
-            pref = 1.0 + 0.0j
-            for j in range(1, length + 1):
-                if j not in (m, l):
-                    pref *= phi(spec.hbar, x[j - 1] - x[m - 1]) * phi(
-                        spec.hbar, x[j - 1] - x[l - 1]
-                    )
-            if m > 1:
-                terms.extend(ladders[m].terms(pref))
-            for k, term in enumerate(ladders[l].terms(pref), start=1):  # k ascending
-                if k < m:
-                    kept = tuple(f for f in term.factors if m not in f[0])
-                    term = ProductTerm(pref, q_inv + kept + q)
-                if k != m:
-                    terms.append(term)
-    return ChainOperator.from_terms(spec.dim, length, terms)
+    pivots = {i: _pivot_ladder(fac, i) for i in range(2, length + 1)}
+    phi_at = lambda j, i: phi(spec.hbar, x[j - 1] - x[i - 1])
+    w = {(m, l): math.prod((phi_at(j, m) * phi_at(j, l) for j in range(1, length + 1)
+                            if j not in (m, l)), start=1.0 + 0.0j)
+         for m, l in combinations(range(1, length + 1), 2)}
+    ladders = []
+    for l, lad in pivots.items():
+        outer = sum((w[l, j] for j in range(l + 1, length + 1)), 0j)
+        weights = tuple(outer + sum((w[m, l] for m in range(1, k)), 0j) for k in range(l - 1, 0, -1))
+        ladders.append(replace(lad, weights=weights))
+    for m, l in combinations(range(2, length + 1), 2):
+        q, lad = pivots[m], pivots[l]
+        keep = [t for t in range(l - 1) if l - 1 - t != m]  # level t is partner l - 1 - t
+        ladders.append(PivotLadder(
+            steps=q.steps + tuple(lad.steps[t] for t in keep),
+            rungs=q.rungs + tuple(lad.rungs[t] for t in keep),
+            backs=q.backs + tuple(lad.backs[t] for t in keep),
+            weights=(0j,) * (m - 1) + tuple(w[m, l] if l - 1 - t < m else 0j for t in keep),
+        ))
+    return ChainOperator(spec.dim, length, ladders=ladders)
 
 
 def htilde_k(spec: RMatrixSpec, length: int, k: int) -> ChainOperator:

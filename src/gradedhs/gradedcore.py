@@ -28,23 +28,26 @@ order (see :func:`_placement`).
 
 States live in (C^(N|M))^{(x) L}.  A chain operator is a sum of products
 of embedded two-site factors, given as factor terms or as pivot ladders
-(:class:`PivotLadder`, the form of H1).  A ladder holds one pivot's whole
-R-string P and its inverse, step by step, and checks at construction that
-every step-back inverts its step.  Every factor has one form: a diagonal
-block e_aa (x) e_cc plus a flip block e_ac (x) e_ca, as are R, its
+(:class:`PivotLadder`, the form of H1 and H2).  A ladder holds one
+pivot's whole R-string P and its inverse, step by step, with one weight
+per rung, and the operator checks once per distinct pair that every
+step-back inverts its step.  Every factor has one form: a diagonal block
+e_aa (x) e_cc plus a flip block e_ac (x) e_ca, as are R, its
 normalization and derivative in both families, the constant factor C and
 the limit targets; a factor with any other entry is refused.  Each is
 applied matrix-free as a factor plan, one diagonal and one weighted-swap
-pass: terms along their shared-prefix tree, ladders in Horner form, one
-descent and one climb per pivot, which never applies P's last step.  Such
-factors conserve colour content, so the dense form is the realized matrix
-kept as one block per content sector; the full matrix is assembled from
-the blocks afresh on each call.  The blocks are built on first use, up to
+pass: terms one by one, ladders by one descent and one climb each, which
+never applies P's last step.  Up to n^L = DENSE_SITE_CAP the climb reads
+the descent states it kept, which needs no unitarity; above the cap it
+recomputes them with the step-backs, in constant memory.  Such factors
+conserve colour content, so the dense form is the realized matrix kept
+as one block per content sector; the full matrix is assembled from the
+blocks afresh on each call.  The blocks are built on first use, up to
 n^L = DENSE_SITE_CAP, by running the same evaluation over a probe that
-holds the k-th state of every content sector in its column k, so no d x d
-factor matrix is formed and the probe has only as many columns as the
-largest sector has states: H1 and H2 of uq(1|1) at L = 10 (d = 1024) take
-about 3 s together on one core.  The placement routines
+holds the k-th state of every content sector in its column k, so no d x
+d factor matrix is formed and the probe has only as many columns as the
+largest sector has states: H1 and H2 of uq(1|1) at L = 10 (d = 1024)
+take about 2 s together on one core.  The placement routines
 (:func:`embed_local`, :func:`embed_realized`) and :func:`super_multiply`
 take any two-leg operator.
 """
@@ -287,46 +290,70 @@ class ProductTerm:
     factors: tuple[tuple[tuple[int, int], LocalOperator], ...]
 
 
-#: largest ||s g - 1|| of a ladder's step pairs that the Horner form trusts
+#: largest ||s g - 1|| of a ladder's step pairs that a chain operator accepts
 LADDER_UNITARITY_TOL = 1e-6
 
 
 @dataclass(frozen=True)
 class PivotLadder:
     """One pivot's R-string P = g_T ... g_1 and its inverse P^{-1} = s_1 ...
-    s_T, with the terms they carry:
+    s_T, with the weighted terms they carry:
 
-        sum_{t=1..T} s_1 s_2 ... s_t F_t g_{t-1} ... g_1
+        sum_{t=1..T} c_t s_1 s_2 ... s_t F_t g_{t-1} ... g_1
 
     read as operators (g_1 acts first), with ``steps`` (g_1 .. g_T),
     ``rungs`` (F_1 .. F_T) and step-backs ``backs`` (s_1 .. s_T), each a
-    ``(sites, op)`` factor.  Construction checks that every step-back
-    undoes its step, s_t g_t = 1 for t = 1 .. T, and raises ``ValueError``
-    naming the worst pair if its defect ||s g - 1|| exceeds
-    ``LADDER_UNITARITY_TOL`` (a NaN defect counts as infinite).  So the sum
-    is evaluated in Horner form: descend w = g_{T-1} .. g_1 v once, then for
-    t = T .. 1 climb with w <- s_t w (t < T) and acc <- s_t (acc + F_t w).
-    That is 4T - 2 factor applications instead of the T(T + 1) in the
-    expanded products; g_T closes the string and is never applied.
+    ``(sites, op)`` factor, and one weight c_t per rung (``weights``, all 1
+    if not given).  A rung of weight 0 is skipped: it is not a term.  Each
+    step-back must act on its step's sites; that it undoes its step,
+    s_t g_t = 1, is checked by the :class:`ChainOperator` the ladder goes
+    into.  The sum is evaluated as one climb (see :func:`_climb`), in 3T - 1
+    factor applications up to ``DENSE_SITE_CAP`` and 4T - 2 above it,
+    instead of the T(T + 1) in the expanded products; g_T closes the string
+    and is never applied.
     """
 
     steps: tuple[tuple[tuple[int, int], LocalOperator], ...]
     rungs: tuple[tuple[tuple[int, int], LocalOperator], ...]
     backs: tuple[tuple[tuple[int, int], LocalOperator], ...]
+    weights: tuple[complex, ...] | None = None
 
     def __post_init__(self) -> None:
         depth = len(self.steps)
-        if depth < 1 or len(self.rungs) != depth or len(self.backs) != depth:
+        if self.weights is None:
+            object.__setattr__(self, "weights", (1.0,) * depth)
+        if depth < 1 or {len(self.rungs), len(self.backs), len(self.weights)} != {depth}:
             raise ValueError(
                 f"a ladder needs T >= 1 steps, rungs and step-backs, got "
-                f"{len(self.steps)}/{len(self.rungs)}/{len(self.backs)}"
+                f"{depth}/{len(self.rungs)}/{len(self.backs)}, and one weight per rung, "
+                f"got {len(self.weights)}"
             )
-        worst, pair = 0.0, None
-        for (gsites, g), (ssites, s) in zip(self.steps, self.backs):
-            if gsites == ssites[::-1]:
-                g = _swap_legs(g)
-            elif gsites != ssites:
+        for (gsites, _), (ssites, _) in zip(self.steps, self.backs):
+            if gsites not in (ssites, ssites[::-1]):
                 raise ValueError(f"step {gsites} and step-back {ssites} act on different sites")
+
+    def terms(self) -> tuple[ProductTerm, ...]:
+        """The expanded products of the nonzero rungs, t = T first."""
+        return tuple(
+            ProductTerm(c, self.backs[:t] + (self.rungs[t - 1],) + self.steps[:t - 1][::-1])
+            for t, c in zip(range(len(self.rungs), 0, -1), self.weights[::-1]) if c
+        )
+
+
+def _check_step_pairs(ladders: Sequence[PivotLadder]) -> None:
+    """Check s g = 1 for every distinct (step, step-back) pair of the
+    ladders, once per pair, and raise ``ValueError`` naming the worst pair
+    of the first ladder whose defect ||s g - 1|| exceeds
+    ``LADDER_UNITARITY_TOL`` (a NaN defect counts as infinite)."""
+    checked: set = set()
+    for ladder in ladders:
+        worst, pair = 0.0, None
+        for (gsites, g), (ssites, s) in zip(ladder.steps, ladder.backs):
+            if (key := (gsites, id(g), ssites, id(s))) in checked:  # the ladders keep them alive
+                continue
+            checked.add(key)
+            if gsites != ssites:
+                g = _swap_legs(g)
             defect = (super_multiply(s, g) - identity_operator(g.dim, 2)).norm()
             defect = math.inf if math.isnan(defect) else defect
             if defect > worst:
@@ -337,23 +364,18 @@ class PivotLadder:
                 f"||s g - 1|| = {worst:.2e} > {LADDER_UNITARITY_TOL:g}"
             )
 
-    def terms(self, coeff: complex) -> tuple[ProductTerm, ...]:
-        """The expanded products, t = T first, each weighted by ``coeff``."""
-        return tuple(
-            ProductTerm(coeff, self.backs[:t] + (self.rungs[t - 1],) + self.steps[:t - 1][::-1])
-            for t in range(len(self.rungs), 0, -1)
-        )
-
 
 class ChainOperator:
     """Operator on an L-site chain: a sum of products of embedded two-site
     factors, given as factor ``terms`` or as pivot ``ladders``.
 
     ``terms`` always lists the expanded products; an operator built from
-    ladders keeps them and evaluates through them.  It is applied
+    ladders keeps them and evaluates through the ladders.  It is applied
     matrix-free (see :func:`apply`).  Every factor must be a diagonal block
-    e_aa (x) e_cc plus a flip block e_ac (x) e_ca; any other entry raises
-    ``ValueError`` here (each distinct factor at its sites checked once).
+    e_aa (x) e_cc plus a flip block e_ac (x) e_ca, and every step-back of a
+    ladder must invert its step; either fault raises ``ValueError`` here
+    (each distinct factor at its sites, and each distinct pair, checked
+    once).
     Such factors conserve colour content, so the dense form is the realized
     matrix as ``(indices, block)`` pairs, one per content sector (see
     :meth:`blocks`), built on first use (up to ``DENSE_SITE_CAP``) and kept;
@@ -371,7 +393,8 @@ class ChainOperator:
             if terms is not None:
                 raise ValueError("give factor terms or pivot ladders, not both")
             ladders = tuple(ladders)
-            terms = [t for ladder in ladders for t in ladder.terms(1.0)]
+            _check_step_pairs(ladders)
+            terms = [t for ladder in ladders for t in ladder.terms()]
         elif terms is None:
             raise ValueError("need factor terms or pivot ladders")
         self.dim = dim
@@ -384,7 +407,7 @@ class ChainOperator:
             if op.dim != dim:
                 raise ValueError("factors must act on the chain dim")
             _check_flip_form(op, sites)
-        self._plans: _PlanNode | tuple | None = None  # prefix tree, or per-ladder plans
+        self._plans: tuple | None = None  # see _plans_of
         self._blocks: tuple | None = None
 
     @property
@@ -615,125 +638,95 @@ class _FactorPlan:
             out += tmp
 
 
-class _PlanNode:
-    """Node of the prefix tree of a factor-term operator's application
-    sequences.  Its state is the input with the factors on its path applied;
-    ``coeff`` sums the coefficients of the terms that end here, and each
-    child edge applies one more factor plan."""
-
-    __slots__ = ("coeff", "children")
-
-    def __init__(self) -> None:
-        self.coeff = 0.0
-        self.children: dict | list = {}
+def _apply_plans(plans: Sequence[_FactorPlan], vec: np.ndarray, bufs: list) -> np.ndarray:
+    """The plans applied to ``vec`` in order; the result lives in ``bufs[0]``
+    or ``bufs[1]`` (or is ``vec`` itself when there are no plans), and
+    ``bufs[2]`` is scratch."""
+    for slot, plan in enumerate(plans):
+        out = bufs[slot % 2]
+        plan.apply_into(vec, out, bufs[2])
+        vec = out
+    return vec
 
 
-def _plan_tree(op: ChainOperator) -> _PlanNode:
-    """Factor plans of ``op`` merged on shared application-order prefixes.
-
-    Terms that start (in application order, the last factor of the product
-    first) with the same factors share those applications, and a factor that
-    recurs across terms gets one plan.  Children are ordered by subtree size,
-    largest last, so a node's state is released as soon as its largest
-    subtree starts and chains of single children run in two buffers.
-    """
+def _plans_of(op: ChainOperator) -> tuple:
+    """Factor plans of ``op``, built on first use and kept, one per distinct
+    factor at its sites: per term its coefficient and plans in application
+    order, or per ladder the plans of the steps, rungs and step-backs the
+    climb applies, with the rung weights (None for a rung of weight 0).
+    Rungs of weight 0 above the last nonzero one drop with their levels, a
+    ladder without a nonzero rung drops whole, and g_T gets no plan."""
     if op._plans is None:
-        root = _PlanNode()
-        plans: dict = {}
-        for term in op.terms:
-            node = root
-            for sites, fac in reversed(term.factors):
-                key = (sites, fac.entries.tobytes())
-                plan = plans.get(key)
-                if plan is None:
-                    plan = plans[key] = _FactorPlan(op.dim, sites, fac)
-                edge = node.children.get(key)
-                if edge is None:
-                    edge = node.children[key] = (plan, _PlanNode())
-                node = edge[1]
-            node.coeff += term.coeff
+        built: dict = {}
 
-        def order(node: _PlanNode) -> int:
-            sized = [(order(child), plan, child) for plan, child in node.children.values()]
-            sized.sort(key=lambda item: item[0])
-            node.children = [(plan, child) for _, plan, child in sized]
-            return 1 + sum(size for size, _, _ in sized)
+        def plan(sites, fac):
+            key = (sites, id(fac))  # the operator keeps the factors alive
+            if key not in built:
+                built[key] = _FactorPlan(op.dim, sites, fac)
+            return built[key]
 
-        order(root)
-        op._plans = root
+        if op.ladders is None:
+            op._plans = tuple((term.coeff, tuple(plan(*f) for f in reversed(term.factors)))
+                              for term in op.terms)
+        else:
+            parts = []
+            for ladder in op.ladders:
+                top = max((t for t, c in enumerate(ladder.weights, start=1) if c), default=0)
+                if top:
+                    parts.append((tuple(plan(*f) for f in ladder.steps[:top - 1]),
+                                  tuple(plan(*f) if c else None
+                                        for f, c in zip(ladder.rungs[:top], ladder.weights)),
+                                  tuple(plan(*f) for f in ladder.backs[:top]),
+                                  ladder.weights[:top]))
+            op._plans = tuple(parts)
     return op._plans
 
 
-def _apply_tree(node: _PlanNode, state: np.ndarray, owned: bool, pool: list,
-                total: np.ndarray, tmp: np.ndarray) -> None:
-    """Add the terms below ``node`` applied to ``state`` into ``total``.
-
-    ``owned`` marks a pool buffer, returned to ``pool`` once no child needs
-    it; ``tmp`` is scratch shared with the factor plans.
-    """
-    if node.coeff == 1.0:
-        total += state
-    elif node.coeff:
-        np.multiply(state, node.coeff, out=tmp)
-        total += tmp
-    last = len(node.children) - 1
-    for idx, (plan, child) in enumerate(node.children):
-        out = pool.pop() if pool else np.empty_like(state)
-        plan.apply_into(state, out, tmp)
-        if idx == last and owned:
-            pool.append(state)
-        _apply_tree(child, out, True, pool, total, tmp)
-    if last < 0 and owned:
-        pool.append(state)
-
-
-def _plan_ladders(op: ChainOperator) -> tuple:
-    """Factor plans of ``op``'s ladders: (steps, rungs, backs) per ladder.
-    The last step g_T is never applied, so it gets no plan."""
-    if op._plans is None:
-        op._plans = tuple(
-            tuple(tuple(_FactorPlan(op.dim, sites, fac) for sites, fac in part)
-                  for part in (ladder.steps[:-1], ladder.rungs, ladder.backs))
-            for ladder in op.ladders
-        )
-    return op._plans
-
-
-def _apply_ladder(plans: tuple, vec: np.ndarray, pool: list,
-                  total: np.ndarray, tmp: np.ndarray) -> None:
+def _climb(plans: tuple, vec: np.ndarray, stored: bool, pool: list,
+           total: np.ndarray, tmp: np.ndarray) -> None:
     """Add one ladder applied to ``vec`` into ``total``.
 
-    Descends w = g_{T-1} .. g_1 vec, then climbs t = T .. 1 with
-    w <- s_t w (t < T) and acc <- s_t (acc + F_t w): at most three pool
-    buffers (w, acc and the rung image) are live, and no prefix state is
-    kept.
-    """
-    steps, rungs, backs = plans
+    One descent w_t = g_t w_{t-1} from w_0 = vec, then the climb
+    acc <- s_t (c_t F_t w_{t-1} + acc) for t = T .. 1, skipping the rung of
+    a zero weight.  It gets w_{t-1} back in one of two ways:
 
-    def applied(plan: _FactorPlan, src: np.ndarray) -> np.ndarray:
+    - ``stored``: the descent keeps the states a nonzero rung reads.  That
+      is 3T - 1 applications for a full ladder, needs no unitarity, and
+      holds up to T - 1 states at once;
+    - step-back: w_{t-1} = s_t w_t, leaning on s_t g_t = 1.  That is
+      4T - 2 applications with at most three pool buffers live.
+    """
+    steps, rungs, backs, weights = plans
+
+    def applied(plan: _FactorPlan, src: np.ndarray, release: bool) -> np.ndarray:
         dst = pool.pop() if pool else np.empty_like(vec)
         plan.apply_into(src, dst, tmp)
+        if release and src is not vec:
+            pool.append(src)
         return dst
 
-    w = vec
-    for g in steps:
-        nxt = applied(g, w)
-        if w is not vec:
-            pool.append(w)
-        w = nxt
-    y = applied(rungs[-1], w)
-    acc = applied(backs[-1], y)
-    pool.append(y)
-    for t in range(len(rungs) - 2, -1, -1):
-        nxt = applied(backs[t], w)
-        pool.append(w)
-        w = nxt
-        y = applied(rungs[t], w)
-        y += acc
-        pool.append(acc)
-        acc = applied(backs[t], y)
-        pool.append(y)
-    if w is not vec:
+    kept, w, acc = [], vec, None
+    for g, c in zip(steps, weights):
+        if stored and c:
+            kept.append(w)
+        w = applied(g, w, release=not (stored and c))
+    for t in range(len(backs) - 1, -1, -1):
+        c = weights[t]
+        if t < len(steps) and not stored:
+            w = applied(backs[t], w, release=True)
+        elif t < len(steps) and c:
+            w = kept.pop()
+        if not c:
+            acc = applied(backs[t], acc, release=True)
+            continue
+        y = applied(rungs[t], w, release=stored)
+        if c != 1.0:
+            y *= c
+        if acc is not None:
+            y += acc
+            pool.append(acc)
+        acc = applied(backs[t], y, release=True)
+    if not stored and w is not vec:
         pool.append(w)
     total += acc
     pool.append(acc)
@@ -741,15 +734,18 @@ def _apply_ladder(plans: tuple, vec: np.ndarray, pool: list,
 
 def _accumulate(op: ChainOperator, vec: np.ndarray, total: np.ndarray) -> None:
     """Add ``op`` applied to ``vec`` (a state or a (d, B) block of states)
-    into ``total``: ladder by ladder if ``op`` has pivot ladders, else
-    along the prefix tree of its terms."""
+    into ``total``: ladder by ladder if ``op`` has pivot ladders, with
+    stored descent up to ``DENSE_SITE_CAP`` states and step-backs above it
+    (constant memory for large states), else term by term."""
     tmp = np.empty_like(vec)
     if op.ladders is None:
-        _apply_tree(_plan_tree(op), vec, False, [], total, tmp)
+        bufs = [np.empty_like(vec), np.empty_like(vec), tmp]
+        for coeff, plans in _plans_of(op):
+            total += np.multiply(_apply_plans(plans, vec, bufs), coeff, out=tmp)
         return
     pool: list = []
-    for plans in _plan_ladders(op):
-        _apply_ladder(plans, vec, pool, total, tmp)
+    for plans in _plans_of(op):
+        _climb(plans, vec, op.hilbert_dim <= DENSE_SITE_CAP, pool, total, tmp)
 
 
 @lru_cache(maxsize=None)
@@ -800,8 +796,8 @@ def _realize_blocks(op: ChainOperator) -> tuple:
 
 def apply(op: ChainOperator, state: ChainState) -> ChainState:
     """Apply a chain operator to a state matrix-free, one embedded two-site
-    factor at a time, ladder by ladder or along the prefix tree of its
-    terms, with buffers recycled through a pool."""
+    factor at a time, ladder by ladder or term by term (see
+    :func:`_accumulate`)."""
     if op.dim != state.dim or op.length != state.length:
         raise ValueError("operator and state dimensions do not match")
     total = np.zeros_like(state.amplitudes)

@@ -51,7 +51,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .gradedcore import GradedDim, LocalOperator, _FactorPlan, sigma_mask
+from .gradedcore import GradedDim, LocalOperator, _apply_plans, _FactorPlan, sigma_mask
 from .gradedcore import embed_realized  # noqa: F401  (perfbench/tracing.py wraps this name)
 from .rmatrix import RMatrixSpec, build_r, build_r_normalized, phi
 
@@ -359,17 +359,6 @@ class ProbeBlock:
     def value(self, z: Sequence[complex]) -> np.ndarray:
         ph = np.exp(2j * np.pi * (self.freqs @ np.asarray(z, dtype=complex)))
         return np.ascontiguousarray(np.einsum("ptd,pt->dp", self.coeffs, ph))
-
-
-def _apply_plans(plans: Sequence[_FactorPlan], vec: np.ndarray, bufs: list) -> np.ndarray:
-    """The plans applied to ``vec`` in order; the result lives in ``bufs[0]``
-    or ``bufs[1]`` (or is ``vec`` itself when there are no plans), and
-    ``bufs[2]`` is scratch."""
-    for slot, plan in enumerate(plans):
-        out = bufs[slot % 2]
-        plan.apply_into(vec, out, bufs[2])
-        vec = out
-    return vec
 
 
 def _spin_d_value(store: FactorStore, k: int, f, z: np.ndarray):

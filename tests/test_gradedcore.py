@@ -26,7 +26,7 @@ from gradedhs.chain import (
     haldane_shastry_target,
     htilde_k,
 )
-from gradedhs.gradedcore import ProductTerm, _FactorPlan, _plan_tree, embed_realized, sigma_mask
+from gradedhs.gradedcore import ProductTerm, _FactorPlan, embed_realized, sigma_mask
 from gradedhs.rmatrix import (
     RFamily,
     RMatrixSpec,
@@ -339,18 +339,24 @@ def test_embed_invalid_sites():
 # ---------------------------------------------------------------------------
 
 
-def product_reference(dim, L, terms):
-    """Realized matrix sum_t coeff_t prod_f embed_realized(f): each factor
-    placed on its own by the index map (checked against the Kronecker walk
-    above) and the products taken as d x d matrices, apart from the factor
-    plans that build dense forms and apply operators."""
+def product_reference(dim, L, terms, vecs=None):
+    """Realized matrix sum_t coeff_t prod_f embed_realized(f), or that
+    matrix applied to ``vecs``: each factor placed on its own by the index
+    map (checked against the Kronecker walk above) and the products taken
+    with d x d matrices, apart from the factor plans that build dense forms
+    and apply operators."""
     d = dim.n ** L
-    total = np.zeros((d, d), dtype=complex)
+    vecs = np.eye(d, dtype=complex) if vecs is None else vecs
+    placed = {}
+    total = np.zeros(vecs.shape, dtype=complex)
     for term in terms:
-        mat = np.eye(d, dtype=complex)
-        for sites, op in term.factors:
-            mat = mat @ embed_realized(op, sites, L)
-        total += term.coeff * mat
+        out = vecs
+        for sites, op in reversed(term.factors):
+            key = (sites, id(op))
+            if key not in placed:
+                placed[key] = embed_realized(op, sites, L)
+            out = placed[key] @ out
+        total += term.coeff * out
     return total
 
 
@@ -486,10 +492,13 @@ def test_dense_form_is_lazy_and_shares_the_plans(rng):
     again = op.realize()
     assert op._blocks is blocks and np.array_equal(again, kept) and np.any(kept)
     assert np.array_equal(op.to_dense(), sigma_mask(dim, L) * kept)
-    tree = op._plans
-    assert isinstance(tree, gradedcore._PlanNode)
+    # one plan per distinct factor at its sites, kept for the apply
+    plans = op._plans
+    assert [coeff for coeff, _ in plans] == [term.coeff for term in op.terms]
+    distinct = {(sites, id(fac)) for term in op.terms for sites, fac in term.factors}
+    assert len({id(plan) for _, term_plans in plans for plan in term_plans}) == len(distinct)
     op.apply(random_state(dim, L, rng))
-    assert op._plans is tree
+    assert op._plans is plans
 
 
 def test_apply_identity_factors_leaves_state(rng):
@@ -528,8 +537,8 @@ def test_single_embedded_permutation_apply(rng):
 
 @pytest.mark.parametrize("dim", [GradedDim(1, 1), GradedDim(2, 1)])
 def test_prefix_tree_apply_matches_term_by_term(dim, rng):
-    # terms drawn from a small factor pool so that application-order
-    # prefixes, whole terms and single factors recur; one term is empty
+    # terms drawn from a small factor pool so that whole terms and single
+    # factors recur and share their plans; one term is empty
     L = 4
     pool = [(sites, random_colour_factor(dim, rng)) for sites in ((1, 2), (3, 1), (2, 4), (4, 3))]
     terms = [ProductTerm(0.5 - 0.25j, ())]
@@ -548,27 +557,6 @@ def test_prefix_tree_apply_matches_term_by_term(dim, rng):
     assert np.linalg.norm(free_result - dense_result) / np.linalg.norm(dense_result) < 1e-12
 
 
-def test_h1_prefix_tree_shares_leading_factors(rng):
-    # the terms of pair (i, k) apply Rbar_{i,i-1} .. Rbar_{i,k+1} first, so
-    # per i the tree holds i-2 shared leading factors, i-1 F factors and
-    # i - k trailing factors below each F: 60 edges at L = 6 instead of 70.
-    # H1 itself evaluates through its ladders; the tree is that of its terms.
-    L = 6
-    spec = RMatrixSpec(RFamily.UQ_GLNM, GradedDim(1, 1), 0.3)
-    h1 = hamiltonian_h1(spec, L)
-    tree_op = ChainOperator.from_terms(spec.dim, L, h1.terms)
-
-    def edges(node):
-        return sum(1 + edges(child) for _, child in node.children)
-
-    assert sum(len(t.factors) for t in h1.terms) == 70
-    assert edges(_plan_tree(tree_op)) == sum(2 * i - 3 + i * (i - 1) // 2 for i in range(2, L + 1))
-    st = random_state(spec.dim, L, rng)
-    ref = product_reference(spec.dim, L, h1.terms) @ st.amplitudes
-    err = np.linalg.norm(tree_op.apply(st).amplitudes - ref) / np.linalg.norm(ref)
-    assert err < 1e-12
-
-
 # ---------------------------------------------------------------------------
 # pivot ladders (H1)
 # ---------------------------------------------------------------------------
@@ -584,25 +572,107 @@ def test_h1_ladder_matches_prefix_tree_and_product_reference(dim, fam, hbar, rng
     for L in range(2, 9):
         h1 = hamiltonian_h1(spec, L)
         assert len(h1.ladders) == L - 1
-        tree_op = ChainOperator.from_terms(dim, L, h1.terms)
+        term_op = ChainOperator.from_terms(dim, L, h1.terms)
         st = random_state(dim, L, rng)
-        got, ref = h1.apply(st).amplitudes, tree_op.apply(st).amplitudes
+        got, ref = h1.apply(st).amplitudes, term_op.apply(st).amplitudes
         assert np.linalg.norm(got - ref) / np.linalg.norm(ref) < 1e-12
         if dim.n ** L <= 243:
             assert rel_max(h1.realize(), product_reference(dim, L, h1.terms)) < 1e-12
 
 
+def climb_errors(op, st, monkeypatch):
+    """Relative error of ``op`` applied to ``st`` against the product
+    reference of its terms, on the stored climb and on the step-back climb
+    (forced by a dense cap below n^L)."""
+    ref = product_reference(op.dim, op.length, op.terms, st.amplitudes)
+    errors = []
+    for cap in (gradedcore.DENSE_SITE_CAP, 0):
+        monkeypatch.setattr(gradedcore, "DENSE_SITE_CAP", cap)
+        errors.append(np.linalg.norm(op.apply(st).amplitudes - ref) / np.linalg.norm(ref))
+    return errors
+
+
 @pytest.mark.parametrize("fam", list(RFamily))
 @pytest.mark.parametrize("L", [5, 8])
-def test_h1_ladder_at_the_pole_margin(fam, L, rng):
+def test_h1_ladder_at_the_pole_margin(fam, L, rng, monkeypatch):
     # hbar * L = 2 + 1e-6, the closest to a pole the chain command accepts:
-    # the step pairs invert each other only to about 1e-9 there
+    # the step pairs invert each other only to about 1e-9 there, which the
+    # step-back climb leans on and the stored climb does not
     spec = RMatrixSpec(fam, GradedDim(1, 1), (2 + 1e-6) / L)
-    h1 = hamiltonian_h1(spec, L)
-    tree_op = ChainOperator.from_terms(spec.dim, L, h1.terms)
-    st = random_state(spec.dim, L, rng)
-    got, ref = h1.apply(st).amplitudes, tree_op.apply(st).amplitudes
-    assert np.linalg.norm(got - ref) / np.linalg.norm(ref) <= 1e-8
+    stored, stepped = climb_errors(hamiltonian_h1(spec, L), random_state(spec.dim, L, rng),
+                                   monkeypatch)
+    assert stored <= 1e-8 and stepped <= 1e-8
+
+
+@pytest.mark.parametrize("fam", list(RFamily))
+@pytest.mark.parametrize("L", [5, 7])
+def test_h2_ladder_at_the_pole_margin(fam, L, rng, monkeypatch):
+    # H2 sums rungs near a pole of Fbar with tiny phi weights, so double
+    # precision keeps only two to three digits there, on every route: the
+    # expanded terms along their shared-prefix tree were off by 6e-4 .. 6e-3
+    # against the same reference, the climbs by 8e-4 .. 1.3e-2 (stored) and
+    # 2e-3 .. 1.3e-2 (step-back); a wrong term would be off by order 1
+    spec = RMatrixSpec(fam, GradedDim(1, 1), (2 + 1e-6) / L)
+    stored, stepped = climb_errors(hamiltonian_h2(spec, L), random_state(spec.dim, L, rng),
+                                   monkeypatch)
+    assert stored <= 5e-2 and stepped <= 5e-2
+
+
+def longdouble_reference(op, vecs):
+    """``op`` applied to ``vecs`` term by term in extended precision: each
+    factor plan's diag and swap weights, each coefficient and the states
+    cast to np.clongdouble, so only the factors' own double entries are
+    shared with the evaluations it judges."""
+    plans = {}
+    total = np.zeros(vecs.shape, dtype=np.clongdouble)
+    for term in op.terms:
+        out = vecs.astype(np.clongdouble)
+        for sites, fac in reversed(term.factors):
+            key = (sites, id(fac))
+            if key not in plans:
+                plan = plans[key] = _FactorPlan(op.dim, sites, fac)
+                plan.diag = plan.diag.astype(np.clongdouble)
+                if plan.swap is not None:
+                    plan.swap = plan.swap.astype(np.clongdouble)
+            image = np.empty_like(out)
+            plans[key].apply_into(out, image, np.empty_like(out))
+            out = image
+        total += np.clongdouble(term.coeff) * out
+    return total
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="long double is double here")
+@pytest.mark.parametrize("fam, nm, L, hbar, tree1, ladder1, dense1, tree2", [
+    # max-entry relative errors on the same 8 states before the ladder
+    # climbs: H1's and H2's expanded terms along their shared-prefix tree
+    # (tree1, tree2), H1's ladders stepping back (ladder1) and H1's dense
+    # form (dense1)
+    (RFamily.UQ_GLNM, (1, 1), 7, 0.3051, 1.88e-15, 5.63e-15, 8.21e-15, 1.99e-13),
+    (RFamily.ZN_GRADED, (1, 1), 7, 0.3049, 4.27e-15, 5.40e-15, 7.76e-15, 4.12e-13),
+    (RFamily.UQ_GLNM, (2, 1), 5, 0.3077, 5.60e-16, 5.27e-16, 5.44e-16, 8.47e-16),
+])
+def test_chain_hamiltonians_against_extended_precision(fam, nm, L, hbar, tree1, ladder1,
+                                                       dense1, tree2, rng, monkeypatch):
+    # each climb within 2x of the tree's error; stepping back is H1's
+    # earlier ladder evaluation unchanged, already 3.0x the tree's error at
+    # uq(1|1), so it is held to 2x its own; the dense H1 is no worse than
+    # before
+    spec = RMatrixSpec(fam, GradedDim(*nm), hbar)
+    d = spec.dim.n ** L
+    vecs = rng.standard_normal((d, 8)) + 1j * rng.standard_normal((d, 8))
+
+    def error(op, ref):
+        out = np.zeros_like(vecs)
+        gradedcore._accumulate(op, vecs, out)
+        return rel_max(out, ref)
+
+    h1, h2 = hamiltonian_h1(spec, L), hamiltonian_h2(spec, L)
+    ref1 = longdouble_reference(h1, vecs)
+    assert error(h1, ref1) <= 2 * tree1
+    assert rel_max(h1.realize(), longdouble_reference(h1, np.eye(d, dtype=complex))) <= dense1
+    assert error(h2, longdouble_reference(h2, vecs)) <= 2 * tree2
+    monkeypatch.setattr(gradedcore, "DENSE_SITE_CAP", 0)
+    assert error(h1, ref1) <= 2 * ladder1
 
 
 def polarized_odd_energy(L, hbar):
@@ -635,12 +705,11 @@ def test_h1_ladder_structure_at_ten_sites(rng):
     assert np.linalg.norm(image[sector]) > 0
 
 
-@pytest.mark.parametrize("L", [2, 3, 6, 9])
-def test_h1_ladder_factor_application_count(L, rng, monkeypatch):
-    spec = RMatrixSpec(RFamily.ZN_GRADED, GradedDim(1, 1), 0.3)
-    h1 = hamiltonian_h1(spec, L)
-    st = random_state(spec.dim, L, rng)
-    h1.apply(st)  # builds the plans
+def count_applications(op, monkeypatch, cap=None):
+    """Factor applications of one evaluation of ``op`` on one probe block,
+    under the dense cap ``cap`` if given."""
+    probe = np.eye(op.hilbert_dim, 3, dtype=complex)
+    gradedcore._accumulate(op, probe, np.zeros_like(probe))  # builds the plans
     calls = []
     inner = _FactorPlan.apply_into
 
@@ -648,14 +717,40 @@ def test_h1_ladder_factor_application_count(L, rng, monkeypatch):
         calls.append(plan)
         inner(plan, vec, out, tmp)
 
-    monkeypatch.setattr(_FactorPlan, "apply_into", counted)
-    h1.apply(st)
-    assert len(calls) == sum(4 * i - 6 for i in range(2, L + 1))
-    calls.clear()
-    ChainOperator.from_terms(spec.dim, L, h1.terms).apply(st)
-    tree_count = sum(2 * i - 3 + i * (i - 1) // 2 for i in range(2, L + 1))
-    assert len(calls) == tree_count
-    assert sum(len(t.factors) for t in h1.terms) == sum(i * (i - 1) for i in range(2, L + 1))
+    with monkeypatch.context() as patch:
+        patch.setattr(_FactorPlan, "apply_into", counted)
+        if cap is not None:
+            patch.setattr(gradedcore, "DENSE_SITE_CAP", cap)
+        gradedcore._accumulate(op, probe, np.zeros_like(probe))
+    return len(calls)
+
+
+@pytest.mark.parametrize("L", [2, 3, 6, 9])
+def test_h1_ladder_factor_application_count(L, monkeypatch):
+    # pivot i's ladder has T = i - 1 levels: 3T - 1 applications on the
+    # stored climb, 4T - 2 on the step-back climb; term by term, one per
+    # term factor
+    spec = RMatrixSpec(RFamily.ZN_GRADED, GradedDim(1, 1), 0.3)
+    h1 = hamiltonian_h1(spec, L)
+    assert count_applications(h1, monkeypatch) == sum(3 * i - 4 for i in range(2, L + 1))
+    assert count_applications(h1, monkeypatch, cap=0) == sum(4 * i - 6 for i in range(2, L + 1))
+    factors = sum(i * (i - 1) for i in range(2, L + 1))
+    assert sum(len(t.factors) for t in h1.terms) == factors
+    assert count_applications(ChainOperator.from_terms(spec.dim, L, h1.terms), monkeypatch) == factors
+
+
+def test_h2_ladder_factor_application_count(monkeypatch):
+    # at L = 6, pivots 2..6 give full ladders (3T - 1 stored, 4T - 2
+    # stepped back, T = 1..5) except pivot 6, whose rung at partner 1 weighs
+    # 0 and drops with its level (T = 4): 40 - 14 + 11 = 37 and
+    # 50 - 18 + 14 = 46.  Pair (m, l) has T = m + l - 3 levels, of which the
+    # top m - 1 rungs are nonzero: 3m + 2l - 8 and 4m + 3l - 12 applications,
+    # 110 and 150 summed over 2 <= m < l <= 6
+    spec = RMatrixSpec(RFamily.UQ_GLNM, GradedDim(1, 1), 0.3)
+    h2 = hamiltonian_h2(spec, 6)
+    assert len(h2.ladders) == 5 + 10
+    assert count_applications(h2, monkeypatch) == 37 + 110
+    assert count_applications(h2, monkeypatch, cap=0) == 46 + 150
 
 
 @pytest.mark.parametrize("dim", [GradedDim(1, 1), GradedDim(2, 1)])
@@ -671,7 +766,7 @@ def test_h1_ladder_realize_and_apply_agree_column_by_column(dim, monkeypatch):
     for j in range(d):
         col = apply(h1, ChainState(dim, L, np.eye(d)[:, j])).amplitudes
         assert np.max(np.abs(col - realized[:, j])) <= 1e-14 * max(1.0, np.max(np.abs(col)))
-    # one set of ladder plans serves both, and no prefix tree is built
+    # one set of ladder plans serves both
     assert len(plans) == L - 1 and h1._plans is plans and h1._blocks is blocks
 
 
@@ -708,10 +803,12 @@ def test_pivot_ladder_checks_its_last_pair():
     rungs = tuple((sites, build_f_derivative(spec, x[2] - x[sites[1] - 1])) for sites, _ in steps)
     backs = (((2, 3), rb(2, 3)), ((1, 3), rb(1, 3)))
     ladder = gradedcore.PivotLadder(steps=steps, rungs=rungs, backs=backs)
-    assert len(ladder.steps) == len(ladder.rungs) == len(ladder.backs) == 2
+    assert len(ladder.steps) == len(ladder.rungs) == len(ladder.backs) == len(ladder.weights) == 2
+    ChainOperator(spec.dim, 3, ladders=[ladder])
+    broken = gradedcore.PivotLadder(steps=steps, rungs=rungs,
+                                    backs=backs[:1] + (((1, 3), 1.5 * rb(1, 3)),))
     with pytest.raises(ValueError, match=r"sites \(1, 3\) does not invert the step at \(3, 1\)"):
-        gradedcore.PivotLadder(steps=steps, rungs=rungs,
-                               backs=backs[:1] + (((1, 3), 1.5 * rb(1, 3)),))
+        ChainOperator(spec.dim, 3, ladders=[broken])
 
 
 @pytest.mark.parametrize("nm", [(2, 0), (1, 1)])
