@@ -39,7 +39,11 @@ applied matrix-free as a factor plan, one diagonal and one weighted-swap
 pass: terms one by one, ladders by one descent and one climb each, which
 never applies P's last step.  Up to n^L = DENSE_SITE_CAP the climb reads
 the descent states it kept, which needs no unitarity; above the cap it
-recomputes them with the step-backs, in constant memory.  Such factors
+recomputes them with the step-backs, in constant memory.  Each ladder
+climbs in its leg frame, the graded reversal of legs 1..p for p its
+largest site, where the factor next to the pivot at distance delta sits
+at (1, delta + 1): the ladders share those plans, and the factors applied
+most get the longest trailing strides.  Such factors
 conserve colour content, so the dense form is the realized matrix kept
 as one block per content sector; the full matrix is assembled from the
 blocks afresh on each call.  The blocks are built on first use, up to
@@ -310,7 +314,8 @@ class PivotLadder:
     into.  The sum is evaluated as one climb (see :func:`_climb`), in 3T - 1
     factor applications up to ``DENSE_SITE_CAP`` and 4T - 2 above it,
     instead of the T(T + 1) in the expanded products; g_T closes the string
-    and is never applied.
+    and is never applied.  The climb runs in the frame that reverses legs
+    1..p, p the ladder's largest site (see :func:`_plans_of`).
     """
 
     steps: tuple[tuple[tuple[int, int], LocalOperator], ...]
@@ -585,19 +590,19 @@ class _FactorPlan:
     """Precomputed application recipe for one embedded two-site factor.
 
     Every chain factor has entries only at e_aa (x) e_cc, a == c included,
-    and e_ac (x) e_ca (checked on construction).  The first form one
-    diagonal gate ``diag``; the second, a != c, one weighted swap of the two
-    site axes, ``swap`` (None at n = 1), where an odd pair's weight carries
-    the Koszul sign of the later slot and the parity string over the legs
-    in between.  So a factor is two elementwise passes.  A plan does not
-    depend on the chain length: the legs after the later site, and a batch
-    of states, fold into the trailing axis.
+    and e_ac (x) e_ca, as :func:`_check_flip_form` checks in the plans'
+    builders, :class:`ChainOperator` and ``qmrops.FactorStore``.  The first
+    form one diagonal gate ``diag``; the second, a != c, one weighted swap
+    of the two site axes, ``swap`` (None at n = 1), where an odd pair's
+    weight carries the Koszul sign of the later slot and the parity string
+    over the legs in between.  So a factor is two elementwise passes.  A
+    plan does not depend on the chain length: the legs after the later
+    site, and a batch of states, fold into the trailing axis.
     """
 
     __slots__ = ("shape", "diag", "swap")
 
     def __init__(self, dim: GradedDim, sites: tuple[int, int], op: LocalOperator):
-        _check_flip_form(op, sites)
         i, j = sites
         if i > j:
             op = _swap_legs(op)
@@ -649,13 +654,32 @@ def _apply_plans(plans: Sequence[_FactorPlan], vec: np.ndarray, bufs: list) -> n
     return vec
 
 
+def _ladder_plans(ladder: PivotLadder, plan) -> tuple | None:
+    """The plans ``plan(sites, factor)`` of the steps, rungs and step-backs
+    one climb of ``ladder`` applies, with the rung weights (None for a rung
+    of weight 0), or None for a ladder without a nonzero rung.  Rungs of
+    weight 0 above the last nonzero one drop with their levels, and g_T
+    gets no plan."""
+    top = max((t for t, c in enumerate(ladder.weights, start=1) if c), default=0)
+    if not top:
+        return None
+    return (tuple(plan(*f) for f in ladder.steps[:top - 1]),
+            tuple(plan(*f) if c else None for f, c in zip(ladder.rungs[:top], ladder.weights)),
+            tuple(plan(*f) for f in ladder.backs[:top]),
+            ladder.weights[:top])
+
+
 def _plans_of(op: ChainOperator) -> tuple:
     """Factor plans of ``op``, built on first use and kept, one per distinct
     factor at its sites: per term its coefficient and plans in application
-    order, or per ladder the plans of the steps, rungs and step-backs the
-    climb applies, with the rung weights (None for a rung of weight 0).
-    Rungs of weight 0 above the last nonzero one drop with their levels, a
-    ladder without a nonzero rung drops whole, and g_T gets no plan."""
+    order, or per ladder its frame p and :func:`_ladder_plans` in that frame.
+
+    A ladder runs in the frame that reverses legs 1..p, p its largest site,
+    where its factor at sites s sits at p + 1 - s: the partner at distance
+    delta of a pivot ladder, or of either kind of H2 ladder, always lands
+    at (1, delta + 1).  So the ladders share their plans wherever they share
+    a factor, and a factor near the pivot gets a long trailing stride.
+    """
     if op._plans is None:
         built: dict = {}
 
@@ -671,20 +695,43 @@ def _plans_of(op: ChainOperator) -> tuple:
         else:
             parts = []
             for ladder in op.ladders:
-                top = max((t for t, c in enumerate(ladder.weights, start=1) if c), default=0)
-                if top:
-                    parts.append((tuple(plan(*f) for f in ladder.steps[:top - 1]),
-                                  tuple(plan(*f) if c else None
-                                        for f, c in zip(ladder.rungs[:top], ladder.weights)),
-                                  tuple(plan(*f) for f in ladder.backs[:top]),
-                                  ladder.weights[:top]))
+                p = max(max(sites) for sites, _ in ladder.steps + ladder.rungs + ladder.backs)
+                plans = _ladder_plans(ladder, lambda s, fac: plan((p + 1 - s[0], p + 1 - s[1]), fac))
+                if plans is not None:
+                    parts.append((p, plans))
             op._plans = tuple(parts)
     return op._plans
 
 
+@lru_cache(maxsize=None)
+def _reversal_sign(parities: tuple[int, ...], legs: int) -> np.ndarray:
+    """Koszul sign (-1)^(m(m-1)/2) of reversing ``legs`` legs, m the number
+    of odd labels among them, shaped (n,) * legs + (1,); it does not change
+    under the reversal."""
+    p = np.array(parities, dtype=np.int64)
+    odd = np.zeros(1, dtype=np.int64)
+    for _ in range(legs):
+        odd = np.add.outer(odd, p).ravel()
+    sign = np.where(odd * (odd - 1) // 2 % 2, -1.0, 1.0).reshape((len(p),) * legs + (1,))
+    sign.flags.writeable = False
+    return sign
+
+
+def _reverse_legs(src: np.ndarray, sign: np.ndarray, dst: np.ndarray) -> None:
+    """Write the graded reversal of legs 1..p of ``src`` into ``dst``, both
+    states or (d, B) blocks of states, ``dst`` C-contiguous; ``sign`` is
+    :func:`_reversal_sign` of the p legs.  The reversal is its own inverse
+    and conjugates a factor at sites s to one at p + 1 - s."""
+    shape = sign.shape[:-1] + (-1,)
+    legs = len(shape) - 1
+    rev = tuple(range(legs - 1, -1, -1)) + (legs,)
+    np.multiply(src.reshape(shape).transpose(rev), sign, out=dst.reshape(shape))
+
+
 def _climb(plans: tuple, vec: np.ndarray, stored: bool, pool: list,
-           total: np.ndarray, tmp: np.ndarray) -> None:
-    """Add one ladder applied to ``vec`` into ``total``.
+           tmp: np.ndarray) -> np.ndarray:
+    """One ladder applied to ``vec``, returned in a buffer of ``pool`` that
+    the caller gives back.
 
     One descent w_t = g_t w_{t-1} from w_0 = vec, then the climb
     acc <- s_t (c_t F_t w_{t-1} + acc) for t = T .. 1, skipping the rung of
@@ -728,24 +775,33 @@ def _climb(plans: tuple, vec: np.ndarray, stored: bool, pool: list,
         acc = applied(backs[t], y, release=True)
     if not stored and w is not vec:
         pool.append(w)
-    total += acc
-    pool.append(acc)
+    return acc
 
 
 def _accumulate(op: ChainOperator, vec: np.ndarray, total: np.ndarray) -> None:
     """Add ``op`` applied to ``vec`` (a state or a (d, B) block of states)
-    into ``total``: ladder by ladder if ``op`` has pivot ladders, with
-    stored descent up to ``DENSE_SITE_CAP`` states and step-backs above it
-    (constant memory for large states), else term by term."""
-    tmp = np.empty_like(vec)
+    into ``total``, which may be a view such as a column slice: term by
+    term, or ladder by ladder if ``op`` has pivot ladders.  A ladder climbs
+    in its leg frame (see :func:`_plans_of`): the state enters it by one
+    signed transposed copy and the ladder's image leaves it by another, so
+    the result is the same to the bit.  It climbs with stored descent up to
+    ``DENSE_SITE_CAP`` states and with step-backs above it (constant memory
+    for large states)."""
+    tmp = np.empty_like(vec, order="C")
     if op.ladders is None:
         bufs = [np.empty_like(vec), np.empty_like(vec), tmp]
         for coeff, plans in _plans_of(op):
             total += np.multiply(_apply_plans(plans, vec, bufs), coeff, out=tmp)
         return
     pool: list = []
-    for plans in _plans_of(op):
-        _climb(plans, vec, op.hilbert_dim <= DENSE_SITE_CAP, pool, total, tmp)
+    framed = np.empty_like(vec, order="C")
+    for p, plans in _plans_of(op):
+        sign = _reversal_sign(tuple(op.dim.parities), p)
+        _reverse_legs(vec, sign, framed)
+        acc = _climb(plans, framed, op.hilbert_dim <= DENSE_SITE_CAP, pool, tmp)
+        _reverse_legs(acc, sign, tmp)  # tmp is contiguous, total need not be
+        total += tmp
+        pool.append(acc)
 
 
 @lru_cache(maxsize=None)

@@ -51,7 +51,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .gradedcore import GradedDim, LocalOperator, _apply_plans, _FactorPlan, sigma_mask
+from .gradedcore import (GradedDim, LocalOperator, _apply_plans, _check_flip_form, _FactorPlan,
+                         sigma_mask)
 from .gradedcore import embed_realized  # noqa: F401  (perfbench/tracing.py wraps this name)
 from .rmatrix import RMatrixSpec, build_r, build_r_normalized, phi
 
@@ -308,6 +309,7 @@ class FactorStore:
         plan = self._plans.get(key)
         if plan is None:
             op = (build_r_normalized if normalized else build_r)(self.spec, arg)
+            _check_flip_form(op, (i, j))
             plan = self._plans[key] = _FactorPlan(self.spec.dim, (i, j), op)
         return plan
 

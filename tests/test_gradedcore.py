@@ -770,6 +770,119 @@ def test_h1_ladder_realize_and_apply_agree_column_by_column(dim, monkeypatch):
     assert len(plans) == L - 1 and h1._plans is plans and h1._blocks is blocks
 
 
+def own_site_reference(op, vecs):
+    """``op``'s ladders climbed at their own sites in the chain's layout,
+    with no leg frame, their images summed ladder by ladder."""
+    built = {}
+
+    def plan(sites, fac):
+        if (sites, id(fac)) not in built:
+            built[sites, id(fac)] = _FactorPlan(op.dim, sites, fac)
+        return built[sites, id(fac)]
+
+    stored = op.hilbert_dim <= gradedcore.DENSE_SITE_CAP
+    total, tmp, pool = np.zeros_like(vecs), np.empty_like(vecs), []
+    for ladder in op.ladders:
+        plans = gradedcore._ladder_plans(ladder, plan)
+        if plans is not None:
+            acc = gradedcore._climb(plans, vecs, stored, pool, tmp)
+            total += acc
+            pool.append(acc)
+    return total
+
+
+def assert_frames_change_no_bit(op, rng):
+    d = op.hilbert_dim
+    state = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+    block = rng.standard_normal((d, 3)) + 1j * rng.standard_normal((d, 3))
+    for vecs in (state, block):
+        out = np.zeros_like(vecs)
+        gradedcore._accumulate(op, vecs, out)
+        assert np.array_equal(out, own_site_reference(op, vecs)), (op.length, vecs.ndim)
+
+
+@pytest.mark.parametrize("fam", list(RFamily))
+@pytest.mark.parametrize("nm", [(1, 1), (2, 0), (2, 1), (1, 2), (0, 2)])
+def test_leg_frames_change_no_bit(fam, nm, rng):
+    # a frame is a graded isomorphism with an exact +-1 sign, so climbing a
+    # ladder in it gives the same bits as at its own sites, for H1 and both
+    # kinds of H2 ladder; at n = 3, L = 8 is above the dense cap and steps
+    # back
+    spec = RMatrixSpec(fam, GradedDim(*nm), 0.3051)
+    for L in range(2, 9):
+        assert_frames_change_no_bit(hamiltonian_h1(spec, L), rng)
+        assert_frames_change_no_bit(hamiltonian_h2(spec, L), rng)
+
+
+def test_leg_frames_change_no_bit_on_the_step_back_climb(rng):
+    spec = RMatrixSpec(RFamily.UQ_GLNM, GradedDim(1, 1), 0.3051)
+    L = 13
+    assert 2 ** L > gradedcore.DENSE_SITE_CAP
+    assert_frames_change_no_bit(hamiltonian_h1(spec, L), rng)
+    assert_frames_change_no_bit(hamiltonian_h2(spec, L), rng)
+
+
+@pytest.mark.parametrize("nm", [(1, 1), (2, 1), (1, 2), (0, 2)])
+def test_reversal_sign_matches_the_dense_graded_reversal(nm):
+    # reversing legs 1..p is a product of adjacent graded swaps in bubble
+    # order; the frame's signed transposition of the identity columns is
+    # its matrix, and its sign is (-1)^(m(m-1)/2) for m odd labels
+    dim = GradedDim(*nm)
+    swap = graded_permutation(dim)
+    for p in range(1, 5):
+        d = dim.n ** p
+        dense = np.eye(d, dtype=complex)
+        for top in range(p, 1, -1):
+            for s in range(1, top):
+                dense = embed_realized(swap, (s, s + 1), p) @ dense
+        sign = gradedcore._reversal_sign(tuple(dim.parities), p)
+        got = np.empty((d, d), dtype=complex)
+        gradedcore._reverse_legs(np.eye(d, dtype=complex), sign, got)
+        assert np.array_equal(got, dense), p
+        odd = np.sum(dim.parities[np.indices((dim.n,) * p).reshape(p, -1)], axis=0)
+        assert np.array_equal(sign.ravel(), np.where(odd * (odd - 1) // 2 % 2, -1.0, 1.0))
+        assert np.any(sign < 0) or p != 2  # two odd legs swap with a sign
+
+
+def test_h1_ladders_share_their_plans_across_pivots():
+    # in its frame pivot p's partner at distance delta sits at (1, delta +
+    # 1) for every p, so the pivots share a plan wherever they share a
+    # factor (one per exact x_i - x_j): 44 plans at L = 16, where the
+    # chain's own sites needed 345, and 5.2 MB of swap weights, not 10.5
+    L = 16
+    h1 = hamiltonian_h1(RMatrixSpec(RFamily.UQ_GLNM, GradedDim(1, 1), 0.3), L)
+    parts = gradedcore._plans_of(h1)
+    assert [p for p, _ in parts] == list(range(2, L + 1))
+    plans = {id(plan): plan for _, ladder in parts for kind in ladder[:3]
+             for plan in kind if plan is not None}
+    assert len(plans) <= 3 * (L - 1)
+    assert sum(plan.swap.nbytes for plan in plans.values()) <= 5.3e6
+
+
+@pytest.mark.parametrize("ladders", [True, False])
+def test_accumulate_adds_into_a_strided_total(ladders, rng):
+    # the dense build adds each probe block into a column slice of one
+    # array, and reshaping such a view copies it: a sum added through the
+    # copy would be lost
+    spec = RMatrixSpec(RFamily.ZN_GRADED, GradedDim(2, 1), 0.3)
+    L = 4
+    op = hamiltonian_h2(spec, L)
+    if not ladders:
+        op = ChainOperator.from_terms(spec.dim, L, op.terms)
+    d = spec.dim.n ** L
+    block = rng.standard_normal((d, 3)) + 1j * rng.standard_normal((d, 3))
+    state = block[:, 0].copy()
+    for vecs, wide, view in ((block, np.zeros((d, 7), complex), np.s_[:, 2:5]),
+                             (state, np.zeros(2 * d, complex), np.s_[1::2])):
+        ref = np.zeros_like(vecs)
+        gradedcore._accumulate(op, vecs, ref)
+        assert np.any(ref)
+        gradedcore._accumulate(op, vecs, wide[view])
+        assert np.array_equal(wide[view], ref)
+        wide[view] = 0.0
+        assert not np.any(wide)
+
+
 def test_pivot_ladder_rejects_malformed_ladders():
     spec = RMatrixSpec(RFamily.UQ_GLNM, GradedDim(1, 1), 0.3)
     rb = build_r_normalized(spec, 0.25)
@@ -870,7 +983,9 @@ def test_mixed_parity_r_keeps_one_diag_and_one_swap():
 def test_a_factor_outside_the_flip_form_is_refused(dim, rng):
     # one entry off the e_aa x e_cc and e_ac x e_ca pattern, here
     # e_11 x e_12 (an odd entry when direction 2 is odd), is refused at
-    # every entry point into the chain engine, naming the sites; the
+    # every entry point into the chain engine, naming the sites (a factor
+    # plan takes its form from its builder, see
+    # test_factor_store_refuses_a_factor_outside_the_flip_form); the
     # placement routines still take it
     n = dim.n
     ent = random_colour_factor(dim, rng).entries
@@ -880,8 +995,7 @@ def test_a_factor_outside_the_flip_form_is_refused(dim, rng):
     term = ProductTerm(1.0, (((1, 2), identity_operator(dim, 2)), ((3, 1), op)))
     for build in (lambda: ChainOperator(dim, L, terms=[term]),
                   lambda: ChainOperator.from_terms(dim, L, [term]),
-                  lambda: embed(op, (3, 1), L),
-                  lambda: _FactorPlan(dim, (3, 1), op)):
+                  lambda: embed(op, (3, 1), L)):
         with pytest.raises(ValueError, match=r"sites \(3, 1\)"):
             build()
     assert embed_local(op, (3, 1), L).entries.shape == (n ** L, n ** L)

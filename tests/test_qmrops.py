@@ -246,6 +246,24 @@ def test_factor_store_refuses_other_configuration():
         commutator_eval(other, cfg_of(Z3), 1, 2, f, store=store)
 
 
+def test_factor_store_refuses_a_factor_outside_the_flip_form(monkeypatch):
+    # the store is the one plan builder besides ChainOperator, and a plan
+    # takes its factor's form on trust, so the store checks it
+    spec = RMatrixSpec(RFamily.UQ_GLNM, GradedDim(1, 1), HBAR)
+
+    def off_form(spec_, z):
+        ent = build_r_normalized(spec_, z).entries.copy()
+        ent[0, 1] = 0.5  # e_11 x e_12
+        return LocalOperator(spec_.dim, 2, ent)
+
+    monkeypatch.setattr(qmrops, "build_r_normalized", off_form)
+    with pytest.raises(ValueError, match=r"sites \(2, 1\)"):
+        FactorStore(spec, cfg_of(Z3)).plan(2, 1, Z3[1] - Z3[0])
+    f = random_test_function(3, np.random.default_rng(1), dim=spec.dim)
+    with pytest.raises(ValueError, match="outside the"):
+        commutator_eval(spec, cfg_of(Z3), 1, 2, f)
+
+
 def test_probe_block_value_matches_stacked_functions(rng):
     dim = GradedDim(2, 1)
     fs = [random_test_function(3, rng, dim=dim) for _ in range(4)]
