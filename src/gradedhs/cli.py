@@ -11,6 +11,7 @@ directory).
 from __future__ import annotations
 
 import argparse
+import cmath
 import hashlib
 import json
 import math
@@ -104,9 +105,12 @@ def _parse_nm(values: list[str] | None) -> tuple:
 
 def _parse_complex(text: str, flag: str) -> complex:
     try:
-        return complex(text)
+        value = complex(text)
     except ValueError as exc:
         raise ConfigError(f"{flag} expects a complex number, got {text!r}") from exc
+    if not cmath.isfinite(value):
+        raise ConfigError(f"{flag} must be finite, got {text!r}")
+    return value
 
 
 #: the gates that ``--tolerance`` may set, per command, with their defaults

@@ -40,10 +40,12 @@ pass: terms one by one, ladders by one descent and one climb each, which
 never applies P's last step.  Up to n^L = DENSE_SITE_CAP the climb reads
 the descent states it kept, which needs no unitarity; above the cap it
 recomputes them with the step-backs, in constant memory.  Each ladder
-climbs in its leg frame, the graded reversal of legs 1..p for p its
+climbs in its leg frame, the plain reversal of legs 1..p for p its
 largest site, where the factor next to the pivot at distance delta sits
 at (1, delta + 1): the ladders share those plans, and the factors applied
-most get the longest trailing strides.  Such factors
+most get the longest trailing strides.  The reversal is a plain
+transpose: its Koszul sign would depend only on the number of odd labels
+on legs 1..p, which a flip-form factor keeps.  Such factors
 conserve colour content, so the dense form is the realized matrix kept
 as one block per content sector; the full matrix is assembled from the
 blocks afresh on each call.  The blocks are built on first use, up to
@@ -678,7 +680,10 @@ def _plans_of(op: ChainOperator) -> tuple:
     where its factor at sites s sits at p + 1 - s: the partner at distance
     delta of a pivot ladder, or of either kind of H2 ladder, always lands
     at (1, delta + 1).  So the ladders share their plans wherever they share
-    a factor, and a factor near the pivot gets a long trailing stride.
+    a factor, and a factor near the pivot gets a long trailing stride.  The
+    plain reversal maps the plan at s to the plan at p + 1 - s bit for bit:
+    the graded one's sign (-1)^(m(m-1)/2), m the odd labels on legs 1..p,
+    commutes with every flip-form factor, which keeps m.
     """
     if op._plans is None:
         built: dict = {}
@@ -703,29 +708,14 @@ def _plans_of(op: ChainOperator) -> tuple:
     return op._plans
 
 
-@lru_cache(maxsize=None)
-def _reversal_sign(parities: tuple[int, ...], legs: int) -> np.ndarray:
-    """Koszul sign (-1)^(m(m-1)/2) of reversing ``legs`` legs, m the number
-    of odd labels among them, shaped (n,) * legs + (1,); it does not change
-    under the reversal."""
-    p = np.array(parities, dtype=np.int64)
-    odd = np.zeros(1, dtype=np.int64)
-    for _ in range(legs):
-        odd = np.add.outer(odd, p).ravel()
-    sign = np.where(odd * (odd - 1) // 2 % 2, -1.0, 1.0).reshape((len(p),) * legs + (1,))
-    sign.flags.writeable = False
-    return sign
-
-
-def _reverse_legs(src: np.ndarray, sign: np.ndarray, dst: np.ndarray) -> None:
-    """Write the graded reversal of legs 1..p of ``src`` into ``dst``, both
-    states or (d, B) blocks of states, ``dst`` C-contiguous; ``sign`` is
-    :func:`_reversal_sign` of the p legs.  The reversal is its own inverse
-    and conjugates a factor at sites s to one at p + 1 - s."""
-    shape = sign.shape[:-1] + (-1,)
-    legs = len(shape) - 1
-    rev = tuple(range(legs - 1, -1, -1)) + (legs,)
-    np.multiply(src.reshape(shape).transpose(rev), sign, out=dst.reshape(shape))
+def _reverse_legs(src: np.ndarray, n: int, p: int, dst: np.ndarray) -> None:
+    """Write ``src`` with legs 1..p reversed into ``dst``, both states or
+    (d, B) blocks of states, ``dst`` C-contiguous.  The reversal is its own
+    inverse and conjugates a flip-form factor at sites s to the same factor
+    at p + 1 - s (see :func:`_plans_of`)."""
+    shape = (n,) * p + (-1,)
+    rev = tuple(range(p - 1, -1, -1)) + (p,)
+    np.copyto(dst.reshape(shape), src.reshape(shape).transpose(rev))
 
 
 def _climb(plans: tuple, vec: np.ndarray, stored: bool, pool: list,
@@ -783,8 +773,8 @@ def _accumulate(op: ChainOperator, vec: np.ndarray, total: np.ndarray) -> None:
     into ``total``, which may be a view such as a column slice: term by
     term, or ladder by ladder if ``op`` has pivot ladders.  A ladder climbs
     in its leg frame (see :func:`_plans_of`): the state enters it by one
-    signed transposed copy and the ladder's image leaves it by another, so
-    the result is the same to the bit.  It climbs with stored descent up to
+    transposed copy and the ladder's image leaves it by another, so the
+    result is the same to the bit.  It climbs with stored descent up to
     ``DENSE_SITE_CAP`` states and with step-backs above it (constant memory
     for large states)."""
     tmp = np.empty_like(vec, order="C")
@@ -796,10 +786,9 @@ def _accumulate(op: ChainOperator, vec: np.ndarray, total: np.ndarray) -> None:
     pool: list = []
     framed = np.empty_like(vec, order="C")
     for p, plans in _plans_of(op):
-        sign = _reversal_sign(tuple(op.dim.parities), p)
-        _reverse_legs(vec, sign, framed)
+        _reverse_legs(vec, op.dim.n, p, framed)
         acc = _climb(plans, framed, op.hilbert_dim <= DENSE_SITE_CAP, pool, tmp)
-        _reverse_legs(acc, sign, tmp)  # tmp is contiguous, total need not be
+        _reverse_legs(acc, op.dim.n, p, tmp)  # tmp is contiguous, total need not be
         total += tmp
         pool.append(acc)
 

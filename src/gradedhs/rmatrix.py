@@ -68,6 +68,8 @@ class RMatrixSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "family", RFamily(self.family))
         object.__setattr__(self, "hbar", complex(self.hbar))
+        if not cmath.isfinite(self.hbar):
+            raise PoleError(f"hbar={self.hbar} is not finite")
         if _dist_to_int(self.hbar) <= POLE_EPS:
             raise PoleError(f"hbar={self.hbar} is congruent to 0 mod 1")
 

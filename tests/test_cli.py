@@ -45,6 +45,22 @@ def test_verify_rejects_integer_hbar(tmp_path, monkeypatch):
     assert run_cli(["verify", "--nm", "1,1", "--hbar", "2"], tmp_path, monkeypatch) == 2
 
 
+@pytest.mark.parametrize("command, flag", [
+    (["verify", "--nm", "1,1", "--samples", "2"], "--hbar"),
+    (["ops", "--nm", "1,1", "--L", "3"], "--hbar"),
+    (["ops", "--nm", "1,1", "--L", "3"], "--eta"),
+    (["chain", "--nm", "1,1", "--L", "3"], "--hbar"),
+])
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan", "0.3+infj", "0.3+nanj"])
+def test_non_finite_hbar_or_eta_is_a_usage_error(command, flag, value, tmp_path, monkeypatch,
+                                                 capsys):
+    # these once died with OverflowError or ValueError tracebacks (exit 1),
+    # or wrote a verify report of FAIL rows as if identities had failed
+    assert run_cli(command + [f"{flag}={value}"], tmp_path, monkeypatch) == 2
+    assert f"{flag} must be finite" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_verify_reports_are_seed_deterministic(tmp_path, monkeypatch):
     args = ["verify", "--nm", "1,1", "--family", "uq", "--samples", "3", "--seed", "11"]
     (tmp_path / "a").mkdir()

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -536,9 +538,11 @@ def test_single_embedded_permutation_apply(rng):
 
 
 @pytest.mark.parametrize("dim", [GradedDim(1, 1), GradedDim(2, 1)])
-def test_prefix_tree_apply_matches_term_by_term(dim, rng):
+def test_shared_plan_apply_matches_term_by_term(dim, rng):
     # terms drawn from a small factor pool so that whole terms and single
-    # factors recur and share their plans; one term is empty
+    # factors recur and share their plans; one term is empty.  The operator
+    # of all terms is checked against one operator per term and the dense
+    # product reference
     L = 4
     pool = [(sites, random_colour_factor(dim, rng)) for sites in ((1, 2), (3, 1), (2, 4), (4, 3))]
     terms = [ProductTerm(0.5 - 0.25j, ())]
@@ -568,6 +572,10 @@ LADDER_DIMS = [GradedDim(1, 1), GradedDim(2, 0), GradedDim(2, 1), GradedDim(1, 2
 @pytest.mark.parametrize("fam", list(RFamily))
 @pytest.mark.parametrize("hbar", [0.3, 0.23 + 0.11j, 1e-4])
 def test_h1_ladder_matches_prefix_tree_and_product_reference(dim, fam, hbar, rng):
+    # H1's ladder climbs against its expanded terms applied one product at a
+    # time (``term_op``; the name's "prefix tree" is this term-by-term
+    # evaluation, kept so the test ids stay stable) and the dense product
+    # reference
     spec = RMatrixSpec(fam, dim, hbar)
     for L in range(2, 9):
         h1 = hamiltonian_h1(spec, L)
@@ -609,9 +617,10 @@ def test_h1_ladder_at_the_pole_margin(fam, L, rng, monkeypatch):
 def test_h2_ladder_at_the_pole_margin(fam, L, rng, monkeypatch):
     # H2 sums rungs near a pole of Fbar with tiny phi weights, so double
     # precision keeps only two to three digits there, on every route: the
-    # expanded terms along their shared-prefix tree were off by 6e-4 .. 6e-3
-    # against the same reference, the climbs by 8e-4 .. 1.3e-2 (stored) and
-    # 2e-3 .. 1.3e-2 (step-back); a wrong term would be off by order 1
+    # expanded terms evaluated one product at a time with shared prefixes
+    # were off by 6e-4 .. 6e-3 against the same reference, the climbs by
+    # 8e-4 .. 1.3e-2 (stored) and 2e-3 .. 1.3e-2 (step-back); a wrong term
+    # would be off by order 1
     spec = RMatrixSpec(fam, GradedDim(1, 1), (2 + 1e-6) / L)
     stored, stepped = climb_errors(hamiltonian_h2(spec, L), random_state(spec.dim, L, rng),
                                    monkeypatch)
@@ -642,21 +651,21 @@ def longdouble_reference(op, vecs):
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="long double is double here")
-@pytest.mark.parametrize("fam, nm, L, hbar, tree1, ladder1, dense1, tree2", [
+@pytest.mark.parametrize("fam, nm, L, hbar, terms1, ladder1, dense1, terms2", [
     # max-entry relative errors on the same 8 states before the ladder
-    # climbs: H1's and H2's expanded terms along their shared-prefix tree
-    # (tree1, tree2), H1's ladders stepping back (ladder1) and H1's dense
-    # form (dense1)
+    # climbs: H1's and H2's expanded terms, evaluated one product at a time
+    # with shared prefixes (terms1, terms2), H1's ladders stepping back
+    # (ladder1) and H1's dense form (dense1)
     (RFamily.UQ_GLNM, (1, 1), 7, 0.3051, 1.88e-15, 5.63e-15, 8.21e-15, 1.99e-13),
     (RFamily.ZN_GRADED, (1, 1), 7, 0.3049, 4.27e-15, 5.40e-15, 7.76e-15, 4.12e-13),
     (RFamily.UQ_GLNM, (2, 1), 5, 0.3077, 5.60e-16, 5.27e-16, 5.44e-16, 8.47e-16),
 ])
-def test_chain_hamiltonians_against_extended_precision(fam, nm, L, hbar, tree1, ladder1,
-                                                       dense1, tree2, rng, monkeypatch):
-    # each climb within 2x of the tree's error; stepping back is H1's
-    # earlier ladder evaluation unchanged, already 3.0x the tree's error at
-    # uq(1|1), so it is held to 2x its own; the dense H1 is no worse than
-    # before
+def test_chain_hamiltonians_against_extended_precision(fam, nm, L, hbar, terms1, ladder1,
+                                                       dense1, terms2, rng, monkeypatch):
+    # each climb within 2x of the expanded terms' error; stepping back is
+    # H1's earlier ladder evaluation unchanged, already 3.0x the expanded
+    # terms' error at uq(1|1), so it is held to 2x its own; the dense H1 is
+    # no worse than before
     spec = RMatrixSpec(fam, GradedDim(*nm), hbar)
     d = spec.dim.n ** L
     vecs = rng.standard_normal((d, 8)) + 1j * rng.standard_normal((d, 8))
@@ -668,9 +677,9 @@ def test_chain_hamiltonians_against_extended_precision(fam, nm, L, hbar, tree1, 
 
     h1, h2 = hamiltonian_h1(spec, L), hamiltonian_h2(spec, L)
     ref1 = longdouble_reference(h1, vecs)
-    assert error(h1, ref1) <= 2 * tree1
+    assert error(h1, ref1) <= 2 * terms1
     assert rel_max(h1.realize(), longdouble_reference(h1, np.eye(d, dtype=complex))) <= dense1
-    assert error(h2, longdouble_reference(h2, vecs)) <= 2 * tree2
+    assert error(h2, longdouble_reference(h2, vecs)) <= 2 * terms2
     monkeypatch.setattr(gradedcore, "DENSE_SITE_CAP", 0)
     assert error(h1, ref1) <= 2 * ladder1
 
@@ -804,10 +813,10 @@ def assert_frames_change_no_bit(op, rng):
 @pytest.mark.parametrize("fam", list(RFamily))
 @pytest.mark.parametrize("nm", [(1, 1), (2, 0), (2, 1), (1, 2), (0, 2)])
 def test_leg_frames_change_no_bit(fam, nm, rng):
-    # a frame is a graded isomorphism with an exact +-1 sign, so climbing a
-    # ladder in it gives the same bits as at its own sites, for H1 and both
-    # kinds of H2 ladder; at n = 3, L = 8 is above the dense cap and steps
-    # back
+    # a frame is a plain transpose that maps each plan to its mirror to the
+    # bit, so climbing a ladder in it gives the same bits as at its own
+    # sites, for H1 and both kinds of H2 ladder; at n = 3, L = 8 is above
+    # the dense cap and steps back
     spec = RMatrixSpec(fam, GradedDim(*nm), 0.3051)
     for L in range(2, 9):
         assert_frames_change_no_bit(hamiltonian_h1(spec, L), rng)
@@ -822,26 +831,28 @@ def test_leg_frames_change_no_bit_on_the_step_back_climb(rng):
     assert_frames_change_no_bit(hamiltonian_h2(spec, L), rng)
 
 
-@pytest.mark.parametrize("nm", [(1, 1), (2, 1), (1, 2), (0, 2)])
-def test_reversal_sign_matches_the_dense_graded_reversal(nm):
-    # reversing legs 1..p is a product of adjacent graded swaps in bubble
-    # order; the frame's signed transposition of the identity columns is
-    # its matrix, and its sign is (-1)^(m(m-1)/2) for m odd labels
-    dim = GradedDim(*nm)
-    swap = graded_permutation(dim)
-    for p in range(1, 5):
-        d = dim.n ** p
-        dense = np.eye(d, dtype=complex)
-        for top in range(p, 1, -1):
-            for s in range(1, top):
-                dense = embed_realized(swap, (s, s + 1), p) @ dense
-        sign = gradedcore._reversal_sign(tuple(dim.parities), p)
-        got = np.empty((d, d), dtype=complex)
-        gradedcore._reverse_legs(np.eye(d, dtype=complex), sign, got)
-        assert np.array_equal(got, dense), p
-        odd = np.sum(dim.parities[np.indices((dim.n,) * p).reshape(p, -1)], axis=0)
-        assert np.array_equal(sign.ravel(), np.where(odd * (odd - 1) // 2 % 2, -1.0, 1.0))
-        assert np.any(sign < 0) or p != 2  # two odd legs swap with a sign
+@pytest.mark.parametrize("dim", DIMS)
+def test_plain_leg_reversal_maps_each_plan_to_its_mirror(dim, rng):
+    # a flip-form factor keeps the number of odd labels on legs 1..p, so the
+    # frame needs no Koszul sign: reversing, applying the plan at p + 1 - s
+    # and reversing back is the plan at s, to the bit, odd flips included
+    n = dim.n
+    for p in range(2, 6):
+        for L in (p, p + 1):
+            d = n ** L
+            state = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+            block = rng.standard_normal((d, 3)) + 1j * rng.standard_normal((d, 3))
+            for sites in itertools.permutations(range(1, p + 1), 2):
+                fac = random_colour_factor(dim, rng)
+                here = _FactorPlan(dim, sites, fac)
+                mirror = _FactorPlan(dim, (p + 1 - sites[0], p + 1 - sites[1]), fac)
+                for vecs in (state, block):
+                    framed, image, back, want = (np.empty_like(vecs) for _ in range(4))
+                    gradedcore._reverse_legs(vecs, n, p, framed)
+                    mirror.apply_into(framed, image, np.empty_like(vecs))
+                    gradedcore._reverse_legs(image, n, p, back)
+                    here.apply_into(vecs, want, np.empty_like(vecs))
+                    assert np.array_equal(back, want), (p, L, sites, vecs.ndim)
 
 
 def test_h1_ladders_share_their_plans_across_pivots():

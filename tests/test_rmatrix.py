@@ -87,6 +87,13 @@ def test_spec_rejects_integer_hbar():
         RMatrixSpec(RFamily.UQ_GLNM, GradedDim(1, 1), 1.0)
 
 
+@pytest.mark.parametrize("hbar", [float("inf"), float("nan"), complex(0.3, float("inf")),
+                                  complex(float("nan"), 0.1)])
+def test_spec_rejects_non_finite_hbar(hbar):
+    with pytest.raises(PoleError, match="not finite"):
+        RMatrixSpec(RFamily.UQ_GLNM, GradedDim(1, 1), hbar)
+
+
 def test_build_r_scalar_case_is_phi():
     spec = spec_of(RFamily.UQ_GLNM, (1, 0))
     z = 0.37 + 0.21j
