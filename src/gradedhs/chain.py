@@ -471,20 +471,18 @@ _FAMILY_TAGS = {RFamily.UQ_GLNM: 0, RFamily.ZN_GRADED: 1}
 
 def save_operator_binary(op: ChainOperator, spec: RMatrixSpec, path) -> None:
     """Dump the realized matrix: 8-byte magic, uint32 n, L, family tag,
-    float64 hbar (re, im), then row-major interleaved re/im float64."""
-    mat = op.realize()
+    float64 hbar (re, im), then the row-major little-endian complex128
+    entries, which are interleaved re/im float64."""
     with open(path, "wb") as fh:
         fh.write(_BINARY_HEADER.pack(_BINARY_MAGIC, op.dim.n, op.length,
                                      _FAMILY_TAGS[spec.family], spec.hbar.real, spec.hbar.imag))
-        inter = np.empty(mat.size * 2, dtype="<f8")
-        inter[0::2] = mat.real.ravel()
-        inter[1::2] = mat.imag.ravel()
-        fh.write(inter.tobytes())
+        op.realize().astype("<c16", copy=False).tofile(fh)
 
 
 def load_operator_binary(path) -> tuple[np.ndarray, dict]:
-    """Read a matrix dump; returns (matrix, header dict).  A file that is
-    not exactly a header and 16 d^2 payload bytes raises ``ValueError``."""
+    """Read a matrix dump; returns (matrix, header dict), the matrix a
+    writable copy of the payload's bits.  A file that is not exactly a
+    header and 16 d^2 payload bytes raises ``ValueError``."""
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:8] != _BINARY_MAGIC:
@@ -501,7 +499,6 @@ def load_operator_binary(path) -> tuple[np.ndarray, dict]:
             f"operator dump payload is {size} bytes, expected 16 d^2 = {expected} "
             f"for n = {n}, L = {length}"
         )
-    raw = np.frombuffer(data, dtype="<f8", offset=_BINARY_HEADER.size)
-    mat = (raw[0::2] + 1j * raw[1::2]).reshape(d, d)
+    mat = np.frombuffer(data, dtype="<c16", offset=_BINARY_HEADER.size).reshape(d, d).copy()
     header = {"n": n, "length": length, "family_tag": tag, "hbar": complex(hre, him)}
     return mat, header

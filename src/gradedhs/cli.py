@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import argparse
 import cmath
-import hashlib
-import json
 import math
 import os
 import sys
@@ -25,6 +23,7 @@ import numpy as np
 from . import __version__
 from .gradedcore import DENSE_SITE_CAP, GradedDim, commutator_norm
 from .qmrops import (
+    _LATTICE_MARGIN,
     FactorStore,
     SiteConfig,
     commutator_eval,
@@ -34,7 +33,8 @@ from .qmrops import (
 )
 from .rmatrix import PoleError, RFamily, RMatrixSpec
 from . import chain as chain_mod
-from .verify import DEFAULT_DIMS, DEFAULT_HBAR, DEFAULT_TOLERANCES, run_battery
+from .verify import (DEFAULT_DIMS, DEFAULT_HBAR, DEFAULT_TOLERANCES, config_digest,
+                     report_json, run_battery)
 
 
 class ConfigError(ValueError):
@@ -79,9 +79,7 @@ class RunConfig:
         return cls(**doc)
 
     def config_hash(self) -> str:
-        return hashlib.sha256(
-            json.dumps(self.to_dict(), sort_keys=True).encode()
-        ).hexdigest()[:16]
+        return config_digest(self.to_dict())
 
 
 #: the default gradings of ``chain``: (1|0) has a one-dimensional chain space
@@ -158,10 +156,28 @@ def _families(cfg: RunConfig) -> list[RFamily]:
 
 
 def _out_dir(cfg: RunConfig) -> Path:
-    base = cfg.out or os.environ.get("GRADEDHS_OUTDIR", ".")
-    path = Path(base)
-    path.mkdir(parents=True, exist_ok=True)
+    """The output directory, made if missing; each command resolves it
+    before any computation, so an unusable path costs no work."""
+    path = Path(cfg.out or os.environ.get("GRADEDHS_OUTDIR", "."))
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"output directory {str(path)!r} is unusable: {exc.strerror}") from exc
     return path
+
+
+def _write_report(cfg: RunConfig, out: Path, rows: list) -> None:
+    """Write the rows with the configuration, its hash and the version."""
+    doc = {
+        "command": cfg.command,
+        "config": cfg.to_dict(),
+        "config_hash": cfg.config_hash(),
+        "version": __version__,
+        "results": rows,
+    }
+    path = out / f"{cfg.command}_report.json"
+    path.write_text(report_json(doc), encoding="utf-8")
+    print(f"# report written to {path}")
 
 
 def _specs(cfg: RunConfig) -> list[RMatrixSpec]:
@@ -182,10 +198,10 @@ def _specs(cfg: RunConfig) -> list[RMatrixSpec]:
 
 def cmd_verify(cfg: RunConfig) -> int:
     specs = _specs(cfg)
+    path = _out_dir(cfg) / "verify_report.json"
     report = run_battery(
         specs, seed=cfg.seed, samples=cfg.samples, tolerances=cfg.tolerances
     )
-    path = _out_dir(cfg) / "verify_report.json"
     report.save(path)
     for res in report.results:
         print(
@@ -237,6 +253,13 @@ def _draw_case(cfg: RunConfig, spec: RMatrixSpec, pairs: list, rng) -> tuple:
 
 def _ops_plan(cfg: RunConfig) -> tuple[tuple, list]:
     """Orders of the four-block identities and order pairs of the commutators."""
+    # the probes have integer frequencies: an integer shift leaves them as
+    # they are, and every commutator would pass without checking anything
+    if abs(cfg.eta - round(cfg.eta.real)) <= _LATTICE_MARGIN:
+        raise ConfigError(
+            f"--eta {cfg.eta:g} is within {_LATTICE_MARGIN:g} of an integer, where the "
+            f"shifts leave the integer-frequency probes unchanged; give a non-integer --eta"
+        )
     orders = cfg.orders or tuple(range(1, cfg.length))
     bad = [k for k in orders if not 1 <= k <= cfg.length]
     if bad:
@@ -294,6 +317,7 @@ def _ops_rows(cfg: RunConfig, spec: RMatrixSpec, site: SiteConfig, identities, p
 def cmd_ops(cfg: RunConfig) -> int:
     specs = _specs(cfg)
     identities, pairs = _ops_plan(cfg)
+    out = _out_dir(cfg)
     rng = np.random.default_rng(cfg.seed)
     rows = []
     for spec in specs:
@@ -302,24 +326,14 @@ def cmd_ops(cfg: RunConfig) -> int:
             rows += _ops_rows(cfg, spec, site, identities, pairs, probes)
         except ValueError as exc:  # PoleError included
             raise ConfigError(f"{spec}: {exc}") from exc
-    ok = all(row["verdict"] == "pass" for row in rows)
-    doc = {
-        "command": "ops",
-        "config": cfg.to_dict(),
-        "config_hash": cfg.config_hash(),
-        "version": __version__,
-        "results": rows,
-    }
-    path = _out_dir(cfg) / "ops_report.json"
-    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
     for row in rows:
         label = f"k={row['k']}" + (f",l={row['l']}" if "l" in row else "")
         print(
             f"{row['verdict'].upper():5s} {row['check']:12s} {row['spec']} {label} "
             f"residual={row['residual']:.3e}"
         )
-    print(f"# report written to {path}")
-    return 0 if ok else 1
+    _write_report(cfg, out, rows)
+    return 0 if all(row["verdict"] == "pass" for row in rows) else 1
 
 
 #: smallest distance of hbar * L from the integers that ``chain`` accepts;
@@ -406,16 +420,7 @@ def cmd_chain(cfg: RunConfig) -> int:
             f"{verdict.upper():5s} chain {row['spec']} L={cfg.length} "
             f"[H1,H2]={comm:.3e}"
         )
-    doc = {
-        "command": "chain",
-        "config": cfg.to_dict(),
-        "config_hash": cfg.config_hash(),
-        "version": __version__,
-        "results": rows,
-    }
-    path = out / "chain_report.json"
-    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-    print(f"# report written to {path}")
+    _write_report(cfg, out, rows)
     return 0 if ok else 1
 
 

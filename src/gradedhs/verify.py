@@ -39,7 +39,7 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import combinations, permutations
 from typing import Callable
 
@@ -95,6 +95,16 @@ DEFAULT_TOLERANCES = {
 DEFAULT_DIMS = ((1, 0), (2, 0), (0, 2), (1, 1), (2, 1), (1, 2), (2, 2))
 
 DEFAULT_HBAR = 0.23 + 0.11j
+
+
+def report_json(doc) -> str:
+    """Every report's serialized form: sorted keys, indent 2, final newline."""
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def config_digest(cfg) -> str:
+    """Every report's config hash: 16 hex digits of SHA-256 of sorted JSON."""
+    return hashlib.sha256(json.dumps(cfg, sort_keys=True).encode()).hexdigest()[:16]
 
 
 @dataclass(frozen=True)
@@ -567,20 +577,9 @@ class CheckResult:
     note: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "family": self.family,
-            "N": self.n_even,
-            "M": self.n_odd,
-            "samples": self.samples,
-            "tolerance": self.tolerance,
-            "max_residual": self.max_residual,
-            "mean_residual": self.mean_residual,
-            "worst_point": self.worst_point,
-            "resamples": self.resamples,
-            "verdict": self.verdict,
-            "note": self.note,
-        }
+        doc = asdict(self)
+        doc["N"], doc["M"] = doc.pop("n_even"), doc.pop("n_odd")
+        return doc
 
 
 @dataclass
@@ -607,7 +606,7 @@ class VerificationReport:
             "version": self.version,
             "results": [r.to_dict() for r in self.results],
         }
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        return report_json(doc)
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -775,25 +774,20 @@ def run_battery(
                     )
                 )
 
-    cfg = {
-        "seed": seed,
-        "samples": samples,
-        "specs": [str(s) for s in specs],
-        "tolerances": tol,
-    }
-    digest = hashlib.sha256(json.dumps(cfg, sort_keys=True).encode()).hexdigest()[:16]
+    names = [str(s) for s in specs]
     from . import __version__
 
-    report = VerificationReport(
+    return VerificationReport(
         seed=seed,
         samples=samples,
-        specs=[str(s) for s in specs],
+        specs=names,
         results=results,
-        config_hash=digest,
+        config_hash=config_digest(
+            {"seed": seed, "samples": samples, "specs": names, "tolerances": tol}
+        ),
         version=__version__,
         wall_time=time.perf_counter() - start,
     )
-    return report
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import itertools
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -650,6 +651,33 @@ def test_binary_load_checks_the_size(tmp_path):
         with pytest.raises(ValueError, match=message):
             load_operator_binary(path)
 
+
+
+@pytest.mark.parametrize("nm", [(1, 1), (2, 1)])
+def test_binary_dump_payload_is_interleaved_re_im_float64(nm, tmp_path):
+    spec = spec_of(RFamily.UQ_GLNM, nm)
+    h1 = hamiltonian_h1(spec, 3)
+    path = tmp_path / "h1.bin"
+    save_operator_binary(h1, spec, path)
+    mat = h1.realize()
+    inter = np.empty(2 * mat.size, dtype="<f8")
+    inter[0::2], inter[1::2] = mat.real.ravel(), mat.imag.ravel()
+    assert path.read_bytes()[36:] == inter.tobytes()
+
+
+def test_binary_load_keeps_signed_zeros_in_a_writable_array(tmp_path):
+    # re + 1j * im once turned a real part of -0.0 into +0.0
+    entries = [(-0.0, 1.0), (0.0, -0.0), (-0.0, -0.0), (1.5, -2.0)]
+    path = tmp_path / "zeros.bin"
+    path.write_bytes(
+        struct.pack("<8sIIIdd", b"GHSCHOP1", 2, 1, 0, 0.3, 0.0)
+        + struct.pack("<8d", *itertools.chain.from_iterable(entries))
+    )
+    mat, _ = load_operator_binary(path)
+    assert mat.flags.writeable
+    flat = mat.ravel()
+    assert np.signbit(flat.real).tolist() == [math.copysign(1, re) < 0 for re, _ in entries]
+    assert np.signbit(flat.imag).tolist() == [math.copysign(1, im) < 0 for _, im in entries]
 
 def test_frozen_chain_higher_orders():
     spec = spec_of(RFamily.ZN_GRADED, (1, 1))

@@ -17,7 +17,7 @@ from gradedhs.cli import (
     _spread_etas,
     main,
 )
-from gradedhs.verify import mutated_r_builder
+from gradedhs.verify import config_digest, mutated_r_builder
 
 
 def run_cli(args, tmp_path, monkeypatch):
@@ -398,3 +398,54 @@ def test_readme_examples_run(tmp_path, monkeypatch):
     for idx, args in enumerate(commands):
         out = tmp_path / str(idx)
         assert run_cli(args + ["--out", str(out)], tmp_path, monkeypatch) == 0, args
+
+
+def compute_nothing(*args, **kwargs):
+    raise AssertionError("computed before resolving the output directory")
+
+
+SMALL_RUNS = {
+    "verify": ["verify", "--nm", "1,1", "--samples", "1"],
+    "ops": ["ops", "--nm", "1,1", "--L", "3"],
+    "chain": ["chain", "--nm", "1,1", "--L", "3"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(SMALL_RUNS))
+@pytest.mark.parametrize("where", ["out at a file", "out under a file", "env at a file"])
+def test_unusable_output_directory_is_a_usage_error_before_any_work(
+    command, where, tmp_path, monkeypatch, capsys
+):
+    # these once ran the whole command and then died with FileExistsError
+    # or NotADirectoryError tracebacks (exit 1)
+    for name in ("run_battery", "f_identity_residual", "commutator_eval"):
+        monkeypatch.setattr(cli, name, compute_nothing)
+    monkeypatch.setattr(cli.chain_mod, "hamiltonian_h1", compute_nothing)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory")
+    args = list(SMALL_RUNS[command])
+    if where == "env at a file":
+        monkeypatch.setenv("GRADEDHS_OUTDIR", str(blocker))
+    else:
+        args += ["--out", str(blocker if where == "out at a file" else blocker / "sub")]
+    assert run_cli(args, tmp_path, monkeypatch) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and str(blocker) in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("eta", ["0", "1", "2+0j", "-1", "1e-9"])
+def test_integer_eta_is_a_usage_error(eta, tmp_path, monkeypatch, capsys):
+    # an integer shift leaves the integer-frequency probes unchanged, so
+    # every commutator once passed without checking anything
+    code = run_cli(["ops", "--nm", "1,1", "--L", "3", f"--eta={eta}"], tmp_path, monkeypatch)
+    assert code == 2
+    assert "--eta" in capsys.readouterr().err
+    assert not (tmp_path / "ops_report.json").exists()
+
+
+def test_report_config_hash_is_the_digest_of_its_config(tmp_path, monkeypatch):
+    for args in (SMALL_RUNS["ops"] + ["--k", "1,2"], SMALL_RUNS["chain"]):
+        assert run_cli(args, tmp_path, monkeypatch) == 0
+        doc = json.loads((tmp_path / f"{args[0]}_report.json").read_text(encoding="utf-8"))
+        assert doc["config_hash"] == config_digest(doc["config"])
