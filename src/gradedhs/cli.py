@@ -17,6 +17,7 @@ import os
 import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -155,14 +156,24 @@ def _families(cfg: RunConfig) -> list[RFamily]:
     raise ConfigError(f"unknown family {cfg.family!r}")
 
 
-def _out_dir(cfg: RunConfig) -> Path:
-    """The output directory, made if missing; each command resolves it
-    before any computation, so an unusable path costs no work."""
+def _report_name(cfg: RunConfig) -> str:
+    return f"{cfg.command}_report.json"
+
+
+def _out_dir(cfg: RunConfig, files: Sequence[str] = ()) -> Path:
+    """The output directory, made if missing, in which the report and
+    ``files`` can be written: none of them may exist as anything but a
+    regular file.  Each command resolves it before any computation, so an
+    unusable path costs no work."""
     path = Path(cfg.out or os.environ.get("GRADEDHS_OUTDIR", "."))
     try:
         path.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"output directory {str(path)!r} is unusable: {exc.strerror}") from exc
+    for name in (_report_name(cfg), *files):
+        target = path / name
+        if target.exists() and not target.is_file():
+            raise ConfigError(f"output path {str(target)!r} exists and is not a regular file")
     return path
 
 
@@ -175,7 +186,7 @@ def _write_report(cfg: RunConfig, out: Path, rows: list) -> None:
         "version": __version__,
         "results": rows,
     }
-    path = out / f"{cfg.command}_report.json"
+    path = out / _report_name(cfg)
     path.write_text(report_json(doc), encoding="utf-8")
     print(f"# report written to {path}")
 
@@ -198,7 +209,7 @@ def _specs(cfg: RunConfig) -> list[RMatrixSpec]:
 
 def cmd_verify(cfg: RunConfig) -> int:
     specs = _specs(cfg)
-    path = _out_dir(cfg) / "verify_report.json"
+    path = _out_dir(cfg) / _report_name(cfg)
     report = run_battery(
         specs, seed=cfg.seed, samples=cfg.samples, tolerances=cfg.tolerances
     )
@@ -351,6 +362,18 @@ def _check_chain_poles(hbar: complex, length: int) -> None:
         )
 
 
+def _chain_files(cfg: RunConfig, spec: RMatrixSpec) -> dict:
+    """The files ``chain`` writes for one spec besides the report, by the
+    report row key that names each."""
+    tag = f"{spec.family.value}_{spec.dim.n_even}_{spec.dim.n_odd}_L{cfg.length}"
+    files = {}
+    if cfg.with_spectrum:
+        files.update({f"spectrum_{name}": f"spectrum_{name}_{tag}.csv" for name in ("h1", "h2")})
+    if cfg.dump_matrix:
+        files["h1_dump"] = f"h1_{tag}.bin"
+    return files
+
+
 def cmd_chain(cfg: RunConfig) -> int:
     if cfg.family == "all":
         raise ConfigError("the chain command needs a single --family (uq or zn)")
@@ -377,10 +400,11 @@ def cmd_chain(cfg: RunConfig) -> int:
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
     _check_chain_poles(cfg.hbar, cfg.length)
-    out = _out_dir(cfg)
+    files = [_chain_files(cfg, spec) for spec in specs]
+    out = _out_dir(cfg, [name for names in files for name in names.values()])
     rows = []
     ok = True
-    for spec, target in zip(specs, targets):
+    for spec, target, names in zip(specs, targets, files):
         h1 = chain_mod.hamiltonian_h1(spec, cfg.length)
         h2 = chain_mod.hamiltonian_h2(spec, cfg.length)
         comm = commutator_norm(h1, h2)
@@ -396,11 +420,10 @@ def cmd_chain(cfg: RunConfig) -> int:
             "verdict": verdict,
             "dropped_h1_constant": [dropped.real, dropped.imag],
         }
-        tag = f"{spec.family.value}_{spec.dim.n_even}_{spec.dim.n_odd}"
         if cfg.with_spectrum:
             for name, op in (("h1", h1), ("h2", h2)):
                 result = chain_mod.spectrum(op)
-                csv_path = out / f"spectrum_{name}_{tag}_L{cfg.length}.csv"
+                csv_path = out / names[f"spectrum_{name}"]
                 chain_mod.spectrum_to_csv(result, csv_path)
                 row[f"spectrum_{name}"] = str(csv_path)
         if target is not None:
@@ -412,7 +435,7 @@ def cmd_chain(cfg: RunConfig) -> int:
             row["limit_verdict"] = "pass" if dev <= 1e-5 else "fail"
             ok &= row["limit_verdict"] == "pass"
         if cfg.dump_matrix:
-            bin_path = out / f"h1_{tag}_L{cfg.length}.bin"
+            bin_path = out / names["h1_dump"]
             chain_mod.save_operator_binary(h1, spec, bin_path)
             row["h1_dump"] = str(bin_path)
         rows.append(row)

@@ -45,14 +45,21 @@ largest site, where the factor next to the pivot at distance delta sits
 at (1, delta + 1): the ladders share those plans, and the factors applied
 most get the longest trailing strides.  The reversal is a plain
 transpose: its Koszul sign would depend only on the number of odd labels
-on legs 1..p, which a flip-form factor keeps.  Such factors
-conserve colour content, so the dense form is the realized matrix kept
-as one block per content sector; the full matrix is assembled from the
-blocks afresh on each call.  The blocks are built on first use, up to
-n^L = DENSE_SITE_CAP, by running the same evaluation over a probe that
-holds the k-th state of every content sector in its column k, so no d x
-d factor matrix is formed and the probe has only as many columns as the
-largest sector has states: H1 and H2 of uq(1|1) at L = 10 (d = 1024)
+on legs 1..p, which a flip-form factor keeps.  Such factors conserve
+colour content.  So :func:`apply` runs on the content sectors that hold
+a state's nonzero amplitudes alone when they fill at most half the space
+(a polarized state, a few magnons, one filling): it gathers the sector's
+amplitudes, restricts each plan to three index maps over the sector's
+states, out = diag[dcode] v + swap[scode] v[partner] with the weights
+gathered from the plan, and each frame to a permutation of the sector,
+and gives the same bits as the strided route over all n^L amplitudes,
+which serves every other state.  The dense form is the realized matrix
+kept as one block per content sector; the full matrix is assembled from
+the blocks afresh on each call.  The blocks are built on first use, up
+to n^L = DENSE_SITE_CAP, by running the same evaluation over a probe
+that holds the k-th state of every content sector in its column k, so no
+d x d factor matrix is formed and the probe has only as many columns as
+the largest sector has states: H1 and H2 of uq(1|1) at L = 10 (d = 1024)
 take about 2 s together on one core.  The placement routines
 (:func:`embed_local`, :func:`embed_realized`) and :func:`super_multiply`
 take any two-leg operator.
@@ -602,7 +609,7 @@ class _FactorPlan:
     site, and a batch of states, fold into the trailing axis.
     """
 
-    __slots__ = ("shape", "diag", "swap")
+    __slots__ = ("sites", "shape", "diag", "swap")
 
     def __init__(self, dim: GradedDim, sites: tuple[int, int], op: LocalOperator):
         i, j = sites
@@ -610,6 +617,7 @@ class _FactorPlan:
             op = _swap_legs(op)
             i, j = j, i
         n = dim.n
+        self.sites = (i, j)
         # the trailing axis holds the legs after j and a batch of states, if any
         self.shape = (n ** (i - 1), n, n ** (j - i - 1), n, -1)
         nmid = self.shape[2]
@@ -718,6 +726,17 @@ def _reverse_legs(src: np.ndarray, n: int, p: int, dst: np.ndarray) -> None:
     np.copyto(dst.reshape(shape), src.reshape(shape).transpose(rev))
 
 
+def _page_buffer(like: np.ndarray) -> np.ndarray:
+    """An empty C-contiguous array shaped as ``like`` that starts on a 4 KiB
+    page.  The working states of one evaluation then share one offset
+    modulo 4 KiB; heap blocks allocated back to back sit 16 bytes apart
+    instead, which made a strided factor at L = 18 cost 7.2 ns per
+    amplitude against 5.8 ns on page-aligned buffers."""
+    raw = np.empty(like.size + 4096 // like.itemsize, dtype=like.dtype)
+    start = (-raw.ctypes.data % 4096) // like.itemsize
+    return raw[start:start + like.size].reshape(like.shape)
+
+
 def _climb(plans: tuple, vec: np.ndarray, stored: bool, pool: list,
            tmp: np.ndarray) -> np.ndarray:
     """One ladder applied to ``vec``, returned in a buffer of ``pool`` that
@@ -736,7 +755,7 @@ def _climb(plans: tuple, vec: np.ndarray, stored: bool, pool: list,
     steps, rungs, backs, weights = plans
 
     def applied(plan: _FactorPlan, src: np.ndarray, release: bool) -> np.ndarray:
-        dst = pool.pop() if pool else np.empty_like(vec)
+        dst = pool.pop() if pool else _page_buffer(vec)
         plan.apply_into(src, dst, tmp)
         if release and src is not vec:
             pool.append(src)
@@ -768,7 +787,8 @@ def _climb(plans: tuple, vec: np.ndarray, stored: bool, pool: list,
     return acc
 
 
-def _accumulate(op: ChainOperator, vec: np.ndarray, total: np.ndarray) -> None:
+def _accumulate(op: ChainOperator, vec: np.ndarray, total: np.ndarray,
+                sector: _Sector | None = None) -> None:
     """Add ``op`` applied to ``vec`` (a state or a (d, B) block of states)
     into ``total``, which may be a view such as a column slice: term by
     term, or ladder by ladder if ``op`` has pivot ladders.  A ladder climbs
@@ -776,36 +796,193 @@ def _accumulate(op: ChainOperator, vec: np.ndarray, total: np.ndarray) -> None:
     transposed copy and the ladder's image leaves it by another, so the
     result is the same to the bit.  It climbs with stored descent up to
     ``DENSE_SITE_CAP`` states and with step-backs above it (constant memory
-    for large states)."""
-    tmp = np.empty_like(vec, order="C")
+    for large states).  With a ``sector``, ``vec`` and ``total`` hold the
+    amplitudes of that content sector's states only, and the same loop runs
+    on the sector's restriction of every plan and of every frame move; the
+    climb is chosen from n^L all the same, so both routes give the same
+    bits."""
+    if sector is None:
+        parts = _plans_of(op)
+        move = lambda src, p, dst: _reverse_legs(src, op.dim.n, p, dst)
+    else:
+        parts, move = sector.restrict(_plans_of(op), op.ladders is not None), sector.reverse_legs
+    tmp = _page_buffer(vec)
     if op.ladders is None:
-        bufs = [np.empty_like(vec), np.empty_like(vec), tmp]
-        for coeff, plans in _plans_of(op):
+        bufs = [_page_buffer(vec), _page_buffer(vec), tmp]
+        for coeff, plans in parts:
             total += np.multiply(_apply_plans(plans, vec, bufs), coeff, out=tmp)
         return
     pool: list = []
-    framed = np.empty_like(vec, order="C")
-    for p, plans in _plans_of(op):
-        _reverse_legs(vec, op.dim.n, p, framed)
+    framed = _page_buffer(vec)
+    for p, plans in parts:
+        move(vec, p, framed)
         acc = _climb(plans, framed, op.hilbert_dim <= DENSE_SITE_CAP, pool, tmp)
-        _reverse_legs(acc, op.dim.n, p, tmp)  # tmp is contiguous, total need not be
+        move(acc, p, tmp)  # tmp is contiguous, total need not be
         total += tmp
         pool.append(acc)
+
+
+# -- content sectors --------------------------------------------------------
+
+#: largest share of the n^L states that the content sectors holding a
+#: state's nonzero amplitudes may fill for :func:`apply` to run sector by
+#: sector.  For uq(1|1) H1 at L = 16 on one core, a factor costs 5.7-6.5
+#: ns per sector amplitude (three gathers, two products, one sum) against
+#: 5.0-5.7 ns per amplitude strided, so the sector route stops paying
+#: between 80 and 90 % of the space; half leaves a margin for hosts where
+#: gathers cost more.
+_SECTOR_SHARE = 0.5
+
+#: content sectors whose index maps are kept (see :func:`_sector`)
+_SECTOR_CACHE = 32
+
+
+@lru_cache(maxsize=8)
+def _content_key(n: int, length: int) -> np.ndarray:
+    """Small-int content code of every flat basis index: the counts of
+    colours 0 .. n-2 as the digits, colour 0 first, of a number in base
+    L + 1 (colour n - 1 holds the rest).  Ordering by code is ordering by
+    content."""
+    radix = length + 1
+    key = np.zeros(n ** length, dtype=np.min_scalar_type(radix ** (n - 1) - 1))
+    digit = np.array([radix ** (n - 2 - c) for c in range(n - 1)] + [0], dtype=key.dtype)
+    for leg in range(length):
+        key.reshape(n ** leg, n, -1)[...] += digit[:, None]
+    key.flags.writeable = False
+    return key
+
+
+def _sector_size(n: int, length: int, code: int) -> int:
+    """Number of states of the content with code ``code``, a multinomial."""
+    size, left = math.factorial(length), length
+    for _ in range(n - 1):
+        code, count = divmod(code, length + 1)
+        size //= math.factorial(count)
+        left -= count
+    return size // math.factorial(left)
 
 
 @lru_cache(maxsize=None)
 def _content_sectors(n: int, length: int) -> tuple[np.ndarray, ...]:
     """Flat basis indices of each colour-content sector, ascending within a
     sector; the sectors are ordered by their content."""
-    lab = _leg_labels(n, length)
-    key = np.zeros(n ** length, dtype=np.int64)
-    for colour in range(n):
-        key = key * (length + 1) + np.count_nonzero(lab == colour, axis=0)
+    key = _content_key(n, length)
     order = np.argsort(key, kind="stable")
     sectors = np.split(order, np.flatnonzero(np.diff(key[order])) + 1)
     for idx in sectors:
         idx.flags.writeable = False
     return tuple(sectors)
+
+
+def _narrow(index: np.ndarray) -> np.ndarray:
+    """``index`` in the smallest unsigned type that holds it: np.take casts
+    any index type to intp, so a narrow map is as fast as an int32 one."""
+    return index.astype(np.min_scalar_type(index.max()))
+
+
+class _Sector:
+    """One colour-content sector of an L-site chain: its ``states``, the
+    ascending flat basis indices, with the maps that run factor plans and
+    leg frames on the amplitudes gathered at those states.  Each map is a
+    narrow index array over the states (see :func:`_narrow`), built on
+    first use and kept."""
+
+    __slots__ = ("n", "length", "states", "_codes", "_reversals")
+
+    def __init__(self, n: int, length: int, code: int):
+        self.n, self.length = n, length
+        self.states = np.flatnonzero(_content_key(n, length) == code)
+        self._codes: dict = {}
+        self._reversals: dict = {}
+
+    def codes(self, i: int, j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """For a plan at sites i < j and each state, with labels a at i, c at
+        j and the legs between them m: the flat place of its weights in the
+        plan's diag (a, c) and swap (a, m, c), and the place in the sector
+        of its partner, the state with a and c exchanged."""
+        if (i, j) not in self._codes:
+            n, x = self.n, self.states
+            si, sj, nmid = n ** (self.length - i), n ** (self.length - j), n ** (j - i - 1)
+            a, c, mid = x // si % n, x // sj % n, x // (sj * n) % nmid
+            partner = np.searchsorted(x, x + (c - a) * (si - sj))
+            self._codes[i, j] = tuple(
+                _narrow(arr) for arr in (a * n + c, (a * nmid + mid) * n + c, partner))
+        return self._codes[i, j]
+
+    def reverse_legs(self, src: np.ndarray, p: int, dst: np.ndarray) -> None:
+        """:func:`_reverse_legs` on sector amplitudes: the reversal of legs
+        1..p keeps every content, so it permutes the sector."""
+        if p not in self._reversals:
+            tail = self.n ** (self.length - p)
+            head, rest = np.divmod(self.states, tail)
+            rev = np.zeros_like(head)
+            for _ in range(p):
+                head, digit = np.divmod(head, self.n)
+                rev = rev * self.n + digit
+            self._reversals[p] = _narrow(np.searchsorted(self.states, rev * tail + rest))
+        np.take(src, self._reversals[p], out=dst, mode="clip")
+
+    def restrict(self, parts: tuple, ladders: bool) -> tuple:
+        """:func:`_plans_of` parts with each plan restricted to the sector;
+        the restrictions share one weight buffer."""
+        weights = np.empty(len(self.states), dtype=complex)
+        made: dict = {}
+
+        def plan(full):
+            if full is None:  # a rung of weight 0
+                return None
+            if id(full) not in made:
+                made[id(full)] = _SectorPlan(full, self.codes(*full.sites), weights)
+            return made[id(full)]
+
+        if not ladders:
+            return tuple((coeff, tuple(map(plan, plans))) for coeff, plans in parts)
+        return tuple((p, (*(tuple(map(plan, kind)) for kind in plans[:3]), plans[3]))
+                     for p, plans in parts)
+
+
+@lru_cache(maxsize=_SECTOR_CACHE)
+def _sector(n: int, length: int, code: int) -> _Sector:
+    return _Sector(n, length, code)
+
+
+class _SectorPlan:
+    """A factor plan restricted to one content sector, applied as
+    out = diag[dcode] v + swap[scode] v[partner] on sector amplitudes.  The
+    weights are gathered from the plan's own arrays on each application, so
+    every Koszul and mid-leg sign still comes from :class:`_FactorPlan`, and
+    each amplitude gets the same products and sums as on the strided route."""
+
+    __slots__ = ("diag", "swap", "codes", "weights")
+
+    def __init__(self, plan: _FactorPlan, codes: tuple, weights: np.ndarray):
+        self.diag = np.ascontiguousarray(plan.diag).ravel()
+        self.swap = None if plan.swap is None else plan.swap.ravel()
+        self.codes, self.weights = codes, weights
+
+    def apply_into(self, vec: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
+        dcode, scode, partner = self.codes
+        # mode="clip" spares numpy a buffered copy of ``out``; every code is in range
+        np.multiply(vec, np.take(self.diag, dcode, out=self.weights, mode="clip"), out=out)
+        if self.swap is not None:
+            np.take(vec, partner, out=tmp, mode="clip")
+            tmp *= np.take(self.swap, scode, out=self.weights, mode="clip")
+            out += tmp
+
+
+def _occupied_sectors(n: int, length: int, amplitudes: np.ndarray) -> list | None:
+    """The content sectors that hold the nonzero ``amplitudes``, or None if
+    they fill more than ``_SECTOR_SHARE`` of the n^L states.  One pass over
+    the amplitudes; the sizes come from multinomials, so no sector is
+    enumerated unless it is occupied."""
+    limit = _SECTOR_SHARE * amplitudes.size
+    nonzero = amplitudes != 0
+    if np.count_nonzero(nonzero) > limit:
+        return None
+    codes = [int(c) for c in np.unique(_content_key(n, length)[nonzero])]
+    if sum(_sector_size(n, length, c) for c in codes) > limit:
+        return None
+    return [_sector(n, length, c) for c in codes]
 
 
 def _realize_blocks(op: ChainOperator) -> tuple:
@@ -842,11 +1019,22 @@ def _realize_blocks(op: ChainOperator) -> tuple:
 def apply(op: ChainOperator, state: ChainState) -> ChainState:
     """Apply a chain operator to a state matrix-free, one embedded two-site
     factor at a time, ladder by ladder or term by term (see
-    :func:`_accumulate`)."""
+    :func:`_accumulate`).  If the content sectors that hold the state's
+    nonzero amplitudes fill at most ``_SECTOR_SHARE`` of the space, it runs
+    on each of them alone, with the same bits as the strided route over
+    all n^L amplitudes, which serves every other state."""
     if op.dim != state.dim or op.length != state.length:
         raise ValueError("operator and state dimensions do not match")
-    total = np.zeros_like(state.amplitudes)
-    _accumulate(op, state.amplitudes, total)
+    amp = state.amplitudes
+    total = np.zeros_like(amp)
+    sectors = _occupied_sectors(op.dim.n, op.length, amp)
+    if sectors is None:
+        _accumulate(op, amp, total)
+    else:
+        for sector in sectors:
+            part = np.zeros(len(sector.states), dtype=complex)
+            _accumulate(op, np.take(amp, sector.states), part, sector)
+            total[sector.states] = part
     return ChainState(op.dim, op.length, total)
 
 

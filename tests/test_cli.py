@@ -434,6 +434,30 @@ def test_unusable_output_directory_is_a_usage_error_before_any_work(
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command, extra, blocked", [
+    ("verify", [], "verify_report.json"),
+    ("ops", [], "ops_report.json"),
+    ("chain", [], "chain_report.json"),
+    ("chain", ["--spectrum"], "spectrum_h2_uq_1_1_L3.csv"),
+    ("chain", ["--dump-matrix"], "h1_uq_1_1_L3.bin"),
+])
+def test_output_path_that_is_not_a_file_is_a_usage_error_before_any_work(
+    command, extra, blocked, tmp_path, monkeypatch, capsys
+):
+    # an output path taken by a directory once cost the whole run, which
+    # then died with an IsADirectoryError traceback (exit 1)
+    for name in ("run_battery", "f_identity_residual", "commutator_eval"):
+        monkeypatch.setattr(cli, name, compute_nothing)
+    monkeypatch.setattr(cli.chain_mod, "hamiltonian_h1", compute_nothing)
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    args = SMALL_RUNS[command] + extra + ["--out", str(out)]
+    assert run_cli(args, tmp_path, monkeypatch) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and str(out / blocked) in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("eta", ["0", "1", "2+0j", "-1", "1e-9"])
 def test_integer_eta_is_a_usage_error(eta, tmp_path, monkeypatch, capsys):
     # an integer shift leaves the integer-frequency probes unchanged, so

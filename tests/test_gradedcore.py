@@ -894,6 +894,135 @@ def test_accumulate_adds_into_a_strided_total(ladders, rng):
         assert not np.any(wide)
 
 
+# ---------------------------------------------------------------------------
+# the sector route of apply
+# ---------------------------------------------------------------------------
+
+
+def strided_image(op, amplitudes):
+    """``op`` applied on the strided route over all n^L amplitudes."""
+    total = np.zeros_like(amplitudes)
+    gradedcore._accumulate(op, amplitudes, total)
+    return total
+
+
+def sector_route_states(dim, L, rng):
+    """States that ``apply`` takes on the sector route: one random sector
+    filled, two random sectors filled, each polarized state, and zero."""
+    n, d = dim.n, dim.n ** L
+    key = gradedcore._content_key(n, L)
+    codes, sizes = np.unique(key, return_counts=True)
+    pairs = [(a, b) for a, b in itertools.combinations(range(len(codes)), 2)
+             if sizes[a] + sizes[b] <= d / 2]
+    states = []
+    for chosen in ([rng.integers(len(codes))], pairs[rng.integers(len(pairs))]):
+        inside = np.isin(key, codes[list(chosen)])
+        v = np.zeros(d, complex)
+        v[inside] = rng.standard_normal(inside.sum()) + 1j * rng.standard_normal(inside.sum())
+        states.append(v)
+    for colour in range(n):
+        v = np.zeros(d, complex)
+        v[colour * (d - 1) // (n - 1)] = 0.8 - 0.6j  # every leg of one colour
+        states.append(v)
+    states.append(np.zeros(d, complex))
+    for v in states:
+        assert gradedcore._occupied_sectors(n, L, v) is not None
+    return states
+
+
+def assert_sector_route_matches_strided(op, states):
+    for v in states:
+        got = apply(op, ChainState(op.dim, op.length, v)).amplitudes
+        assert got.tobytes() == strided_image(op, v).tobytes(), (op.length, np.flatnonzero(v)[:3])
+        if not np.any(v):
+            assert got.tobytes() == bytes(got.nbytes)  # exact +0.0 everywhere
+
+
+@pytest.mark.parametrize("fam", list(RFamily))
+@pytest.mark.parametrize("nm", [(1, 1), (2, 0), (2, 1), (1, 2), (0, 2)])
+def test_sector_route_matches_strided_route_to_the_byte(fam, nm, rng, monkeypatch):
+    # every amplitude gets the same products and sums on both routes: the
+    # ladders of H1 and H2 in their frames, a term-form operator at its own
+    # sites (embed with its legs exchanged, a limit target, htilde_k), on
+    # the stored climb and, with the cap patched to 0, the step-back climb;
+    # at n = 3, L = 8 is above the cap and steps back anyway
+    spec = RMatrixSpec(fam, GradedDim(*nm), 0.3051)
+    for L in range(2, 9):
+        ops = (hamiltonian_h1(spec, L), hamiltonian_h2(spec, L),
+               embed(random_colour_factor(spec.dim, rng), (L, 1), L),
+               haldane_shastry_target(spec.dim, L), htilde_k(spec, L, 2))
+        states = sector_route_states(spec.dim, L, rng)
+        for cap in (gradedcore.DENSE_SITE_CAP, 0):
+            monkeypatch.setattr(gradedcore, "DENSE_SITE_CAP", cap)
+            for op in ops:
+                assert_sector_route_matches_strided(op, states)
+
+
+def test_sector_route_matches_strided_route_on_the_step_back_climb(rng):
+    spec = RMatrixSpec(RFamily.UQ_GLNM, GradedDim(1, 1), 0.3051)
+    L = 13
+    assert 2 ** L > gradedcore.DENSE_SITE_CAP
+    two_magnons = np.zeros(2 ** L, complex)
+    for i, j in itertools.combinations(range(L), 2):  # odd labels at legs i and j
+        two_magnons[(1 << (L - 1 - i)) | (1 << (L - 1 - j))] = complex(*rng.standard_normal(2))
+    for op in (hamiltonian_h1(spec, L), hamiltonian_h2(spec, L)):
+        assert_sector_route_matches_strided(op, [two_magnons])
+
+
+def test_full_states_and_dense_builds_take_the_strided_route(rng, monkeypatch):
+    spec = RMatrixSpec(RFamily.ZN_GRADED, GradedDim(2, 1), 0.3051)
+    L = 5
+    h1 = hamiltonian_h1(spec, L)
+    d = spec.dim.n ** L
+    key = gradedcore._content_key(spec.dim.n, L)
+    codes, sizes = np.unique(key, return_counts=True)
+    # one amplitude in each of the largest sectors: few nonzeros, but their
+    # sectors fill more than half the space
+    spread = np.zeros(d, complex)
+    filled = 0
+    for code, size in sorted(zip(codes, sizes), key=lambda cs: -cs[1]):
+        spread[np.flatnonzero(key == code)[0]] = 1.0
+        filled += size
+        if filled > d / 2:
+            break
+    assert np.count_nonzero(spread) <= d / 2
+    full = random_state(spec.dim, L, rng).amplitudes
+
+    def refuse(*args):
+        raise AssertionError("took the sector route")
+
+    monkeypatch.setattr(gradedcore._Sector, "restrict", refuse)
+    for v in (full, spread):
+        got = apply(h1, ChainState(spec.dim, L, v)).amplitudes
+        assert got.tobytes() == strided_image(h1, v).tobytes()
+    assert len(h1.blocks()) == len(codes)
+    with pytest.raises(AssertionError, match="sector route"):
+        apply(h1, ChainState(spec.dim, L, np.eye(d)[0]))
+
+
+def test_sector_maps_stay_within_their_cache_bound(rng):
+    # (2|1) at L = 8 has 45 content sectors, more than the cache keeps
+    spec = RMatrixSpec(RFamily.UQ_GLNM, GradedDim(2, 1), 0.3051)
+    L = 8
+    h1 = hamiltonian_h1(spec, L)
+    key = gradedcore._content_key(spec.dim.n, L)
+    codes = np.unique(key)
+    bound = gradedcore._sector.cache_info().maxsize
+    assert bound == gradedcore._SECTOR_CACHE and len(codes) > bound
+    gradedcore._sector.cache_clear()
+    for code in codes:
+        v = np.where(key == code, 1.0 + 0.5j, 0.0)
+        apply(h1, ChainState(spec.dim, L, v))
+        assert gradedcore._sector.cache_info().currsize <= bound
+    assert gradedcore._sector.cache_info().currsize == bound
+    # within a sector, one map per frame and one per site pair the frames use
+    for code in codes[-bound:]:
+        sector = gradedcore._sector(spec.dim.n, L, int(code))
+        assert set(sector._reversals) <= set(range(2, L + 1))
+        assert set(sector._codes) <= {(1, k) for k in range(2, L + 1)}
+    assert gradedcore._content_key.cache_info().maxsize is not None
+
+
 def test_pivot_ladder_rejects_malformed_ladders():
     spec = RMatrixSpec(RFamily.UQ_GLNM, GradedDim(1, 1), 0.3)
     rb = build_r_normalized(spec, 0.25)
