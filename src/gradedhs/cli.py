@@ -271,10 +271,12 @@ def _ops_plan(cfg: RunConfig) -> tuple[tuple, list]:
             f"--eta {cfg.eta:g} is within {_LATTICE_MARGIN:g} of an integer, where the "
             f"shifts leave the integer-frequency probes unchanged; give a non-integer --eta"
         )
+    # order L checks nothing: D_L is a pure total shift, whose four-block
+    # products are empty and which commutes with every D_k for any R
     orders = cfg.orders or tuple(range(1, cfg.length))
-    bad = [k for k in orders if not 1 <= k <= cfg.length]
+    bad = [k for k in orders if not 1 <= k < cfg.length]
     if bad:
-        raise ConfigError(f"operator orders {bad} out of range 1..{cfg.length}")
+        raise ConfigError(f"operator orders {bad} out of range 1..{cfg.length - 1}")
     if len(set(orders)) != len(orders):
         raise ConfigError(f"--k repeats an operator order: {list(orders)}")
     identities = orders if cfg.check in ("f-identity", "all") else ()
@@ -427,7 +429,7 @@ def cmd_chain(cfg: RunConfig) -> int:
                 chain_mod.spectrum_to_csv(result, csv_path)
                 row[f"spectrum_{name}"] = str(csv_path)
         if target is not None:
-            # the limit and the target share H1's (cached) sector index arrays
+            # the limit's blocks and the target's are over the same sectors, in content order
             limit = chain_mod.nonrelativistic_limit_h1(spec, cfg.length)
             dev = max(float(np.max(np.abs(lim - tgt)))
                       for (_, lim), (_, tgt) in zip(limit, target.blocks(), strict=True))

@@ -46,23 +46,25 @@ at (1, delta + 1): the ladders share those plans, and the factors applied
 most get the longest trailing strides.  The reversal is a plain
 transpose: its Koszul sign would depend only on the number of odd labels
 on legs 1..p, which a flip-form factor keeps.  Such factors conserve
-colour content.  So :func:`apply` runs on the content sectors that hold
-a state's nonzero amplitudes alone when they fill at most half the space
-(a polarized state, a few magnons, one filling): it gathers the sector's
-amplitudes, restricts each plan to three index maps over the sector's
-states, out = diag[dcode] v + swap[scode] v[partner] with the weights
-gathered from the plan, and each frame to a permutation of the sector,
-and gives the same bits as the strided route over all n^L amplitudes,
-which serves every other state.  The dense form is the realized matrix
-kept as one block per content sector; the full matrix is assembled from
-the blocks afresh on each call.  The blocks are built on first use, up
-to n^L = DENSE_SITE_CAP, by running the same evaluation over a probe
-that holds the k-th state of every content sector in its column k, so no
-d x d factor matrix is formed and the probe has only as many columns as
-the largest sector has states: H1 and H2 of uq(1|1) at L = 10 (d = 1024)
-take about 2 s together on one core.  The placement routines
-(:func:`embed_local`, :func:`embed_realized`) and :func:`super_multiply`
-take any two-leg operator.
+colour content, and one layer, :class:`_Sector`, holds what a content
+sector needs: its states and the index maps over them.  :func:`apply`
+runs on the content sectors that hold a state's nonzero amplitudes alone
+when they fill at most half the space (a polarized state, a few magnons,
+one filling): it gathers the sector's amplitudes and runs the same plans
+through the same loops, each plan applied by the sector as
+out = diag[dcode] v + swap[scode] v[partner] with the weights gathered
+from the plan, and each frame as a permutation of the sector, and gives
+the same bits as the strided route over all n^L amplitudes, which serves
+every other state.  The dense form is the realized matrix kept as one
+block per content sector, over that sector's states; the full matrix is
+assembled from the blocks afresh on each call.  The blocks are built on
+first use, up to n^L = DENSE_SITE_CAP, by running the strided evaluation
+over a probe that holds the k-th state of every content sector in its
+column k, so no d x d factor matrix is formed and the probe has only as
+many columns as the largest sector has states: H1 and H2 of uq(1|1) at
+L = 10 (d = 1024) take about 1.4 s together on one core.  The placement
+routines (:func:`embed_local`, :func:`embed_realized`) and
+:func:`super_multiply` take any two-leg operator.
 """
 
 from __future__ import annotations
@@ -441,8 +443,10 @@ class ChainOperator:
         """The realized matrix as ``(indices, block)`` per sector: ``block``
         is its restriction to the ascending flat basis ``indices``, and every
         entry between two sectors is zero.  Every factor conserves colour
-        content, so there is one sector per content, and the ``indices``
-        arrays are shared by every operator of the same n and L."""
+        content, so there is one sector per content, ordered by content.
+        The ``indices`` are the read-only states of the sector's
+        :class:`_Sector`, so operators of the same n and L share them while
+        the sector cache keeps that sector."""
         if self._blocks is None:
             self._blocks = _realize_blocks(self)
         return self._blocks
@@ -653,13 +657,14 @@ class _FactorPlan:
             out += tmp
 
 
-def _apply_plans(plans: Sequence[_FactorPlan], vec: np.ndarray, bufs: list) -> np.ndarray:
-    """The plans applied to ``vec`` in order; the result lives in ``bufs[0]``
-    or ``bufs[1]`` (or is ``vec`` itself when there are no plans), and
-    ``bufs[2]`` is scratch."""
+def _apply_plans(plans: Sequence[_FactorPlan], vec: np.ndarray, bufs: list,
+                 apply_into=_FactorPlan.apply_into) -> np.ndarray:
+    """The plans applied to ``vec`` in order by ``apply_into(plan, vec, out,
+    tmp)``; the result lives in ``bufs[0]`` or ``bufs[1]`` (or is ``vec``
+    itself when there are no plans), and ``bufs[2]`` is scratch."""
     for slot, plan in enumerate(plans):
         out = bufs[slot % 2]
-        plan.apply_into(vec, out, bufs[2])
+        apply_into(plan, vec, out, bufs[2])
         vec = out
     return vec
 
@@ -738,9 +743,9 @@ def _page_buffer(like: np.ndarray) -> np.ndarray:
 
 
 def _climb(plans: tuple, vec: np.ndarray, stored: bool, pool: list,
-           tmp: np.ndarray) -> np.ndarray:
-    """One ladder applied to ``vec``, returned in a buffer of ``pool`` that
-    the caller gives back.
+           tmp: np.ndarray, apply_into=_FactorPlan.apply_into) -> np.ndarray:
+    """One ladder applied to ``vec`` by ``apply_into(plan, vec, out, tmp)``,
+    returned in a buffer of ``pool`` that the caller gives back.
 
     One descent w_t = g_t w_{t-1} from w_0 = vec, then the climb
     acc <- s_t (c_t F_t w_{t-1} + acc) for t = T .. 1, skipping the rung of
@@ -756,7 +761,7 @@ def _climb(plans: tuple, vec: np.ndarray, stored: bool, pool: list,
 
     def applied(plan: _FactorPlan, src: np.ndarray, release: bool) -> np.ndarray:
         dst = pool.pop() if pool else _page_buffer(vec)
-        plan.apply_into(src, dst, tmp)
+        apply_into(plan, src, dst, tmp)
         if release and src is not vec:
             pool.append(src)
         return dst
@@ -796,27 +801,30 @@ def _accumulate(op: ChainOperator, vec: np.ndarray, total: np.ndarray,
     transposed copy and the ladder's image leaves it by another, so the
     result is the same to the bit.  It climbs with stored descent up to
     ``DENSE_SITE_CAP`` states and with step-backs above it (constant memory
-    for large states).  With a ``sector``, ``vec`` and ``total`` hold the
-    amplitudes of that content sector's states only, and the same loop runs
-    on the sector's restriction of every plan and of every frame move; the
-    climb is chosen from n^L all the same, so both routes give the same
-    bits."""
+    for large states).  The route fixes two things once, the factor
+    application and the frame move, and the loop over :func:`_plans_of`'s
+    parts is the same for both: strided, :meth:`_FactorPlan.apply_into` and
+    :func:`_reverse_legs` over all n^L amplitudes; with a ``sector``,
+    ``vec`` and ``total`` hold that content sector's amplitudes only, and
+    the sector applies each plan and permutes each frame itself (see
+    :meth:`_Sector.application`).  The climb is chosen from n^L on both,
+    so both routes give the same bits."""
     if sector is None:
-        parts = _plans_of(op)
+        apply_into = _FactorPlan.apply_into
         move = lambda src, p, dst: _reverse_legs(src, op.dim.n, p, dst)
     else:
-        parts, move = sector.restrict(_plans_of(op), op.ladders is not None), sector.reverse_legs
+        apply_into, move = sector.application(), sector.reverse_legs
     tmp = _page_buffer(vec)
     if op.ladders is None:
         bufs = [_page_buffer(vec), _page_buffer(vec), tmp]
-        for coeff, plans in parts:
-            total += np.multiply(_apply_plans(plans, vec, bufs), coeff, out=tmp)
+        for coeff, plans in _plans_of(op):
+            total += np.multiply(_apply_plans(plans, vec, bufs, apply_into), coeff, out=tmp)
         return
     pool: list = []
     framed = _page_buffer(vec)
-    for p, plans in parts:
+    for p, plans in _plans_of(op):
         move(vec, p, framed)
-        acc = _climb(plans, framed, op.hilbert_dim <= DENSE_SITE_CAP, pool, tmp)
+        acc = _climb(plans, framed, op.hilbert_dim <= DENSE_SITE_CAP, pool, tmp, apply_into)
         move(acc, p, tmp)  # tmp is contiguous, total need not be
         total += tmp
         pool.append(acc)
@@ -862,18 +870,6 @@ def _sector_size(n: int, length: int, code: int) -> int:
     return size // math.factorial(left)
 
 
-@lru_cache(maxsize=None)
-def _content_sectors(n: int, length: int) -> tuple[np.ndarray, ...]:
-    """Flat basis indices of each colour-content sector, ascending within a
-    sector; the sectors are ordered by their content."""
-    key = _content_key(n, length)
-    order = np.argsort(key, kind="stable")
-    sectors = np.split(order, np.flatnonzero(np.diff(key[order])) + 1)
-    for idx in sectors:
-        idx.flags.writeable = False
-    return tuple(sectors)
-
-
 def _narrow(index: np.ndarray) -> np.ndarray:
     """``index`` in the smallest unsigned type that holds it: np.take casts
     any index type to intp, so a narrow map is as fast as an int32 one."""
@@ -882,16 +878,17 @@ def _narrow(index: np.ndarray) -> np.ndarray:
 
 class _Sector:
     """One colour-content sector of an L-site chain: its ``states``, the
-    ascending flat basis indices, with the maps that run factor plans and
-    leg frames on the amplitudes gathered at those states.  Each map is a
-    narrow index array over the states (see :func:`_narrow`), built on
-    first use and kept."""
+    ascending flat basis indices (read-only), with the maps that run factor
+    plans and leg frames on the amplitudes gathered at those states.  Each
+    map is a narrow index array over the states (see :func:`_narrow`),
+    built on first use and kept."""
 
     __slots__ = ("n", "length", "states", "_codes", "_reversals")
 
     def __init__(self, n: int, length: int, code: int):
         self.n, self.length = n, length
         self.states = np.flatnonzero(_content_key(n, length) == code)
+        self.states.flags.writeable = False
         self._codes: dict = {}
         self._reversals: dict = {}
 
@@ -922,52 +919,38 @@ class _Sector:
             self._reversals[p] = _narrow(np.searchsorted(self.states, rev * tail + rest))
         np.take(src, self._reversals[p], out=dst, mode="clip")
 
-    def restrict(self, parts: tuple, ladders: bool) -> tuple:
-        """:func:`_plans_of` parts with each plan restricted to the sector;
-        the restrictions share one weight buffer."""
+    def application(self):
+        """The sector's ``apply_into(plan, vec, out, tmp)`` for one
+        evaluation: a :class:`_FactorPlan` applied to sector amplitudes as
+        out = diag[dcode] v + swap[scode] v[partner].  The weights are
+        gathered from the plan's own arrays, so every Koszul and mid-leg sign
+        still comes from the plan, and each amplitude gets the same products
+        and sums as on the strided route.  Each plan's maps and flat weights
+        are looked up once per evaluation, and all its applications gather
+        into one weight buffer."""
         weights = np.empty(len(self.states), dtype=complex)
-        made: dict = {}
+        resolved: dict = {}
 
-        def plan(full):
-            if full is None:  # a rung of weight 0
-                return None
-            if id(full) not in made:
-                made[id(full)] = _SectorPlan(full, self.codes(*full.sites), weights)
-            return made[id(full)]
+        def apply_into(plan: _FactorPlan, vec: np.ndarray, out: np.ndarray,
+                       tmp: np.ndarray) -> None:
+            if plan not in resolved:
+                swap = None if plan.swap is None else plan.swap.ravel()
+                resolved[plan] = (np.ascontiguousarray(plan.diag).ravel(), swap,
+                                  *self.codes(*plan.sites))
+            diag, swap, dcode, scode, partner = resolved[plan]
+            # mode="clip" spares numpy a buffered copy of ``out``; every code is in range
+            np.multiply(vec, np.take(diag, dcode, out=weights, mode="clip"), out=out)
+            if swap is not None:
+                np.take(vec, partner, out=tmp, mode="clip")
+                tmp *= np.take(swap, scode, out=weights, mode="clip")
+                out += tmp
 
-        if not ladders:
-            return tuple((coeff, tuple(map(plan, plans))) for coeff, plans in parts)
-        return tuple((p, (*(tuple(map(plan, kind)) for kind in plans[:3]), plans[3]))
-                     for p, plans in parts)
+        return apply_into
 
 
 @lru_cache(maxsize=_SECTOR_CACHE)
 def _sector(n: int, length: int, code: int) -> _Sector:
     return _Sector(n, length, code)
-
-
-class _SectorPlan:
-    """A factor plan restricted to one content sector, applied as
-    out = diag[dcode] v + swap[scode] v[partner] on sector amplitudes.  The
-    weights are gathered from the plan's own arrays on each application, so
-    every Koszul and mid-leg sign still comes from :class:`_FactorPlan`, and
-    each amplitude gets the same products and sums as on the strided route."""
-
-    __slots__ = ("diag", "swap", "codes", "weights")
-
-    def __init__(self, plan: _FactorPlan, codes: tuple, weights: np.ndarray):
-        self.diag = np.ascontiguousarray(plan.diag).ravel()
-        self.swap = None if plan.swap is None else plan.swap.ravel()
-        self.codes, self.weights = codes, weights
-
-    def apply_into(self, vec: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> None:
-        dcode, scode, partner = self.codes
-        # mode="clip" spares numpy a buffered copy of ``out``; every code is in range
-        np.multiply(vec, np.take(self.diag, dcode, out=self.weights, mode="clip"), out=out)
-        if self.swap is not None:
-            np.take(vec, partner, out=tmp, mode="clip")
-            tmp *= np.take(self.swap, scode, out=self.weights, mode="clip")
-            out += tmp
 
 
 def _occupied_sectors(n: int, length: int, amplitudes: np.ndarray) -> list | None:
@@ -979,28 +962,33 @@ def _occupied_sectors(n: int, length: int, amplitudes: np.ndarray) -> list | Non
     nonzero = amplitudes != 0
     if np.count_nonzero(nonzero) > limit:
         return None
-    codes = [int(c) for c in np.unique(_content_key(n, length)[nonzero])]
+    codes = [int(c) for c in np.flatnonzero(np.bincount(_content_key(n, length)[nonzero]))]
     if sum(_sector_size(n, length, c) for c in codes) > limit:
         return None
     return [_sector(n, length, c) for c in codes]
 
 
 def _realize_blocks(op: ChainOperator) -> tuple:
-    """Realized content-sector blocks of a chain operator.
+    """Realized content-sector blocks of a chain operator, ordered by
+    content, each over its :class:`_Sector`'s ``states``.
 
     Every factor plan conserves colour content, so the operator does not
     mix content sectors.  Column k of the probe is the k-th state of every
     sector at once, so the probe is d x s_max, and in its image the rows of
     sector S at columns k < |S| are that sector's block.  The evaluation
     runs over blocks of probe columns (at most ``_DENSE_BLOCK_AMPS``
-    amplitudes each).
+    amplitudes each) on the strided route: for H1 and H2 of uq(1|1) at
+    L = 7 and uq(2|1) at L = 5, one pass over the probe took a third to a
+    fifth of the time of one identity probe per sector on the sector route.
     """
     d = op.hilbert_dim
     if d > DENSE_SITE_CAP:
         raise ValueError(
             f"dense form of a {d}-dimensional chain operator exceeds the cap {DENSE_SITE_CAP}"
         )
-    sectors = _content_sectors(op.dim.n, op.length)
+    n, length = op.dim.n, op.length
+    codes = np.flatnonzero(np.bincount(_content_key(n, length)))
+    sectors = [_sector(n, length, int(code)).states for code in codes]
     pos = np.empty(d, dtype=np.int64)  # place of each state within its sector
     for idx in sectors:
         pos[idx] = np.arange(len(idx))

@@ -301,10 +301,18 @@ def test_ops_draws_positions_valid_for_every_shift(nm, length, seed, tmp_path, m
     assert doc["results"] and all(r["verdict"] == "pass" for r in doc["results"])
 
 
-def test_ops_rejects_order_beyond_length(tmp_path, monkeypatch):
+def test_ops_rejects_order_beyond_length(tmp_path, monkeypatch, capsys):
     assert run_cli(["ops", "--L", "3", "--k", "5"], tmp_path, monkeypatch) == 2
     assert run_cli(["ops", "--L", "3", "--k", "0,1"], tmp_path, monkeypatch) == 2
-    assert not (tmp_path / "ops_report.json").exists()
+    # order L checks nothing: its four-block products are empty, so the
+    # f-identity defect is 0 by construction, and D_L, a total shift,
+    # commutes with any D_k
+    for k in ("3", "1,3"):
+        for check in ("f-identity", "commute", "all"):
+            args = ["ops", "--L", "3", "--k", k, "--check", check, "--nm", "2,1"]
+            assert run_cli(args, tmp_path, monkeypatch) == 2
+            assert "orders [3] out of range 1..2" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_ops_without_rows_is_config_error(tmp_path, monkeypatch):
