@@ -34,8 +34,8 @@ from .qmrops import (
 )
 from .rmatrix import PoleError, RFamily, RMatrixSpec
 from . import chain as chain_mod
-from .verify import (DEFAULT_DIMS, DEFAULT_HBAR, DEFAULT_TOLERANCES, config_digest,
-                     report_json, run_battery)
+from .report import config_digest, report_json
+from .verify import DEFAULT_DIMS, DEFAULT_HBAR, DEFAULT_TOLERANCES, run_battery
 
 
 class ConfigError(ValueError):

@@ -444,9 +444,8 @@ class ChainOperator:
         is its restriction to the ascending flat basis ``indices``, and every
         entry between two sectors is zero.  Every factor conserves colour
         content, so there is one sector per content, ordered by content.
-        The ``indices`` are the read-only states of the sector's
-        :class:`_Sector`, so operators of the same n and L share them while
-        the sector cache keeps that sector."""
+        The ``indices`` are the read-only states of a :class:`_Sector`
+        made for this build, outside the sector cache."""
         if self._blocks is None:
             self._blocks = _realize_blocks(self)
         return self._blocks
@@ -987,8 +986,11 @@ def _realize_blocks(op: ChainOperator) -> tuple:
             f"dense form of a {d}-dimensional chain operator exceeds the cap {DENSE_SITE_CAP}"
         )
     n, length = op.dim.n, op.length
+    # fresh sectors, not ``_sector``'s: only their states are used here, and
+    # a build of more sectors than the cache keeps would evict the ones
+    # ``apply`` built maps for
     codes = np.flatnonzero(np.bincount(_content_key(n, length)))
-    sectors = [_sector(n, length, int(code)).states for code in codes]
+    sectors = [_Sector(n, length, int(code)).states for code in codes]
     pos = np.empty(d, dtype=np.int64)  # place of each state within its sector
     for idx in sectors:
         pos[idx] = np.arange(len(idx))

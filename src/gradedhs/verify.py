@@ -6,40 +6,52 @@ the product of the norms of the operator factors entering the identity
 (plus a 1e-300 floor).  Spectral parameters are drawn as x + iy with
 x ~ U(0, 1), y ~ U(0.1, 0.5); draws whose derived arguments come within
 1e-3 of the integer pole lattice are rejected and redrawn (at most 100
-times, counted in the report).
+times, counted in the report; see :mod:`gradedhs.sampling`).  Rows and
+reports are written by :mod:`gradedhs.report`.
 
 Three-leg identities default to tolerance 1e-10, two-leg and scalar ones
 to 1e-12.
 
 Stacked evaluation
 ------------------
-A check takes one point or 1-D arrays of points.  The battery draws all of
-a check's accepted points first, in the order a point-by-point run draws
-them, and then evaluates stacks: the R-matrices of all points come from
-one vectorised builder (:func:`build_r_stack`), three-leg factors are
-placed as realized matrices by one cached gather, and products are
-batched ``@``.  Every per-sample number is rounded exactly as a one-point
-evaluation rounds it, so reports do not depend on the stacking.  A custom
-``r_builder`` keeps its ``(spec, z) -> LocalOperator`` contract; its
-outputs are stacked point by point.
+A check takes one point or 1-D arrays of points, and each battery row
+works on whole arrays:
 
-Stacks are evaluated in chunks so that no stacked array holds more than
-``_STACK_AMPS`` = 2^14 amplitudes (4 samples per chunk at (2|2) on three
-legs, all 100 at (1|1)).  The bound is set by memory: QYBE at 100 points
-of (2|2) raised peak RSS by 0.1 MB in chunks of 4 samples, 1.6 MB in
-chunks of 8, 4.6 MB in chunks of 16 and 36 MB unchunked, against a
-battery peak of about 43 MB that may grow by 5 % at most.  Larger chunks
-gained no speed measurable on a shared core.
+- Draws.  A row's candidates come from blocks of ``rng.uniform`` draws,
+  which give the doubles of point-by-point draws in the same order, and
+  are screened by array predicates.  The first ``samples`` accepted
+  candidates are kept, so the points, the resample counts and the
+  100-resample error are those of drawing one point after another.
+- R-matrices.  A check builds all the R stacks it needs for a block of
+  points with one vectorised :func:`build_r_stack` call over their
+  concatenated (hbar, z) arguments.  A custom ``r_builder`` keeps its
+  ``(spec, z) -> LocalOperator`` contract; its outputs are stacked point
+  by point.
+- Products and norms.  Three-leg factors are placed as realized matrices
+  by one cached gather, products are batched ``@``, and the Frobenius
+  norms of a stack come from one batched product of its real and
+  imaginary views.
+
+Every per-sample number is rounded exactly as a one-point evaluation
+rounds it, so reports do not depend on the stacking.
+
+No stacked array holds more than ``_STACK_AMPS`` = 2^14 amplitudes: a
+block's R stacks together (10 points of the six-R AYBE row at (2|2), all
+100 at (1|1)), and each chunk of three-leg placements and products (4
+samples at (2|2), all 100 at (1|1)).  The bound is set by memory.  QYBE
+at 100 points of (2|2) raised peak RSS by 0.1 MB in chunks of 4 samples,
+1.6 MB in chunks of 8, 4.6 MB in chunks of 16 and 36 MB unchunked,
+against a battery peak of about 40 MB.  R blocks of 2^15 amplitudes, beside
+the product chunks, raised the peak of ``gradedhs verify`` by 0.3 MB and
+saved 15 ms of its 0.3 s battery.
 """
 
 from __future__ import annotations
 
 import functools
-import hashlib
-import json
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
 from itertools import combinations, permutations
 from typing import Callable
 
@@ -68,10 +80,13 @@ from .rmatrix import (
     scalar_kernels,
     twist_matrix,
 )
+from .report import CheckResult, VerificationReport, _result, config_digest
+from .sampling import _aybe_args_ok, _draw_accepted, _off_lattice, _uniform_points
 
 _FLOOR = 1e-300
 
-#: largest number of amplitudes in one stacked array (see the module notes)
+#: largest number of amplitudes in one stacked array: a block of R stacks,
+#: or a chunk of placed or multiplied matrices (see the module notes)
 _STACK_AMPS = 1 << 14
 
 DEFAULT_TOLERANCES = {
@@ -97,27 +112,18 @@ DEFAULT_DIMS = ((1, 0), (2, 0), (0, 2), (1, 1), (2, 1), (1, 2), (2, 2))
 DEFAULT_HBAR = 0.23 + 0.11j
 
 
-def report_json(doc) -> str:
-    """Every report's serialized form: sorted keys, indent 2, final newline."""
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-
-
-def config_digest(cfg) -> str:
-    """Every report's config hash: 16 hex digits of SHA-256 of sorted JSON."""
-    return hashlib.sha256(json.dumps(cfg, sort_keys=True).encode()).hexdigest()[:16]
-
-
 @dataclass(frozen=True)
 class IdentityCheck:
     """One row of the battery's plan: an identity sampled for one spec.
 
     ``residual(spec, *points)`` takes ``n_args`` equal-length arrays of
     points and returns their residuals (or, for a group of relations that
-    share draws, a dict of named residual arrays).  ``accept`` screens one
-    drawn point; ``seed`` seeds the check's random stream (an int or a
-    sequence of ints).  A row reports its first maximum and running mean;
-    with ``last_max`` (the scalar relations) its last maximum and numpy's
-    mean.
+    share draws, a dict of named residual arrays).  ``accept`` screens
+    drawn candidates: it takes ``n_args`` arrays and returns a boolean per
+    candidate (or one for all).  ``seed`` seeds the check's random stream
+    (an int or a sequence of ints).  A row reports its first maximum and
+    running mean; with ``last_max`` (the scalar relations) its last maximum
+    and numpy's mean.
     """
 
     name: str
@@ -150,57 +156,77 @@ def _rel(diff, *operand_norms):
 
 
 def _norms(stack: np.ndarray) -> np.ndarray:
-    """Frobenius norm of each matrix of a stack, rounded as LocalOperator.norm."""
-    return np.array([np.linalg.norm(m) for m in stack])
+    """Frobenius norm of each matrix of a stack, rounded as ``np.linalg.norm``
+    rounds it: the dot products of the strided real and imaginary views,
+    taken for all matrices by one batched product."""
+    flat = stack.reshape(len(stack), -1)
+    re, im = flat.real, flat.imag
+    return np.sqrt((re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None])[:, 0, 0])
 
 
 def _point_arrays(*points) -> list[np.ndarray]:
     return np.broadcast_arrays(*(np.atleast_1d(np.asarray(p, dtype=complex)) for p in points))
 
 
-def _chunks(spec: RMatrixSpec, legs: int, arrays):
-    """Slices of equal-length point arrays whose ``legs``-leg stacks hold at
-    most ``_STACK_AMPS`` amplitudes."""
+def _slices(total: int, step: int):
+    for k in range(0, total, step):
+        yield slice(k, k + step)
+
+
+def _join(parts: list):
+    """Per-slice results joined along the points (column by column for tuples)."""
+    if isinstance(parts[0], tuple):
+        return tuple(np.concatenate(col) for col in zip(*parts))
+    return np.concatenate(parts)
+
+
+def _chunked(spec: RMatrixSpec, legs: int, fn, *stacks):
+    """``fn`` over slices of equal-length stacks whose ``legs``-leg matrices
+    hold at most ``_STACK_AMPS`` amplitudes per stack, joined."""
     step = max(1, _STACK_AMPS // spec.dim.n ** (2 * legs))
-    for k in range(0, len(arrays[0]), step):
-        yield [a[k:k + step] for a in arrays]
+    return _join([fn(*(s[k] for s in stacks)) for k in _slices(len(stacks[0]), step)])
 
 
-def _stacked(legs: int):
+def _stacked(r_per_point: int):
     """Let a check written for stacks take one point or 1-D arrays of points.
 
-    Points are evaluated in :func:`_chunks`; a point gives floats back,
-    arrays give arrays (elementwise for a check returning a tuple).
+    The check gets the points in blocks whose ``r_per_point`` R-matrices
+    per point hold at most ``_STACK_AMPS`` amplitudes; a point gives
+    floats back, arrays give arrays (elementwise for a check returning a
+    tuple).
     """
 
     def wrap(check):
         @functools.wraps(check)
         def run(spec, *points, **kwargs):
             arrays = _point_arrays(*points)
-            parts = [check(spec, *chunk, **kwargs) for chunk in _chunks(spec, legs, arrays)]
-            single = all(np.ndim(p) == 0 for p in points)
-            if isinstance(parts[0], tuple):
-                out = tuple(np.concatenate(col) for col in zip(*parts))
-                return tuple(o[0] for o in out) if single else out
-            out = np.concatenate(parts)
-            return float(out[0]) if single else out
+            step = max(1, _STACK_AMPS // (r_per_point * spec.dim.n ** 4))
+            out = _join([check(spec, *(a[k] for a in arrays), **kwargs)
+                         for k in _slices(len(arrays[0]), step)])
+            if not all(np.ndim(p) == 0 for p in points):
+                return out
+            return tuple(o[0] for o in out) if isinstance(out, tuple) else float(out[0])
 
         return run
 
     return wrap
 
 
-def _r(builder, spec: RMatrixSpec, z, hbar=None) -> np.ndarray:
-    """Coefficient arrays (S, n^2, n^2) of R at the points z (deformation
-    hbar, default the spec's)."""
-    hbar = spec.hbar if hbar is None else hbar
+def _r(builder, spec: RMatrixSpec, zs, hbars=None) -> list[np.ndarray]:
+    """Coefficient stacks (S, n^2, n^2) of R at each of the equal-length
+    point arrays ``zs``, with deformations ``hbars`` (numbers or arrays,
+    default the spec's), all from one :func:`build_r_stack` call."""
+    hbars = [spec.hbar] * len(zs) if hbars is None else hbars
+    z = np.concatenate(zs)
+    hbar = np.concatenate([np.broadcast_to(h, np.shape(x)) for h, x in zip(hbars, zs)])
     if builder is build_r:
-        return build_r_stack(spec.family, spec.dim, hbar, z)
-    z, hbar = np.broadcast_arrays(z, hbar)
-    return np.stack([
-        builder(RMatrixSpec(spec.family, spec.dim, complex(h)), complex(x)).entries
-        for x, h in zip(z, hbar)
-    ])
+        stack = build_r_stack(spec.family, spec.dim, hbar, z)
+    else:
+        stack = np.stack([
+            builder(RMatrixSpec(spec.family, spec.dim, complex(h)), complex(x)).entries
+            for x, h in zip(z, hbar)
+        ])
+    return np.split(stack, len(zs))
 
 
 def _subtract_on_diagonal(stack: np.ndarray, values, rows=slice(None)) -> np.ndarray:
@@ -216,15 +242,23 @@ def _subtract_on_diagonal(stack: np.ndarray, values, rows=slice(None)) -> np.nda
 # ---------------------------------------------------------------------------
 
 
-@_stacked(legs=3)
+@_stacked(r_per_point=3)
 def check_qybe(spec: RMatrixSpec, u, v, builder=build_r):
     """Residual of R12(u) R13(u+v) R23(v) = R23(v) R13(u+v) R12(u)."""
-    r12 = _embed_realized_stack(_r(builder, spec, u), spec.dim, (1, 2), 3)
-    r13 = _embed_realized_stack(_r(builder, spec, u + v), spec.dim, (1, 3), 3)
-    r23 = _embed_realized_stack(_r(builder, spec, v), spec.dim, (2, 3), 3)
-    defect = r12 @ r13 @ r23
-    defect -= r23 @ r13 @ r12
-    return _rel(_norms(defect), _norms(r12), _norms(r13), _norms(r23))
+
+    def residual(a, b, c):
+        r12 = _embed_realized_stack(a, spec.dim, (1, 2), 3)
+        r13 = _embed_realized_stack(b, spec.dim, (1, 3), 3)
+        r23 = _embed_realized_stack(c, spec.dim, (2, 3), 3)
+        scales = _norms(r12), _norms(r13), _norms(r23)
+        left = r12 @ r13
+        defect = left @ r23
+        # the second product reuses the buffers of the first and of r23
+        np.matmul(r23, r13, out=left)
+        defect -= np.matmul(left, r12, out=r23)
+        return _rel(_norms(defect), *scales)
+
+    return _chunked(spec, 3, residual, *_r(builder, spec, [u, u + v, v]))
 
 
 def _gtilde_defect(x: complex, y: complex) -> complex:
@@ -266,21 +300,29 @@ def expected_aybe_defect(spec: RMatrixSpec, x: complex, y: complex) -> LocalOper
     return LocalOperator(spec.dim, 3, D)
 
 
-def _aybe_defect(spec, x, y, z1, z2, z3, builder):
-    """Realized AYBE defects of one chunk of points and the operand scales
-    |a| |b| of their first products."""
+#: legs of the six R factors of the AYBE defect, in the order of its products
+_AYBE_SITES = ((1, 2), (2, 3), (1, 3), (1, 2), (2, 3), (1, 3))
+
+
+def _aybe_r(spec, x, y, z1, z2, z3, builder) -> list[np.ndarray]:
+    """The six R stacks of the AYBE defect, in the order of its products."""
     z12, z23, z13 = z1 - z2, z2 - z3, z1 - z3
+    return _r(builder, spec, [z12, z23, z13, z12, z23, z13], [x, y, y, x - y, y - x, x])
 
-    def emb(h, z, sites):
-        return _embed_realized_stack(_r(builder, spec, z, h), spec.dim, sites, 3)
 
-    a = emb(x, z12, (1, 2))
-    b = emb(y, z23, (2, 3))
+def _aybe_defect(spec, rs):
+    """Realized AYBE defects of one chunk of the six R stacks and the
+    operand scales |a| |b| of their first products."""
+
+    def emb(k):
+        return _embed_realized_stack(rs[k], spec.dim, _AYBE_SITES[k], 3)
+
+    a, b = emb(0), emb(1)
     scale = _norms(a) * _norms(b)  # |a| |b|, the operand norms in _rel order
     defect = a @ b
     del a, b  # each stacked array is as large as the budget allows
-    defect -= emb(y, z13, (1, 3)) @ emb(x - y, z12, (1, 2))
-    defect -= emb(y - x, z23, (2, 3)) @ emb(x, z13, (1, 3))
+    defect -= emb(2) @ emb(3)
+    defect -= emb(4) @ emb(5)
     return defect, scale
 
 
@@ -291,17 +333,38 @@ def _aybe_residual(spec, x, y, defect, scale):
     return _rel(_norms(_subtract_on_diagonal(defect, pref, rows)), scale)
 
 
-@_stacked(legs=3)
+@_stacked(r_per_point=6)
 def _aybe(spec, x, y, z1, z2, z3, builder=build_r):
     """AYBE residuals alone: the battery's row, which keeps no defect."""
-    return _aybe_residual(spec, x, y, *_aybe_defect(spec, x, y, z1, z2, z3, builder))
+
+    def residual(x, y, *rs):
+        return _aybe_residual(spec, x, y, *_aybe_defect(spec, rs))
+
+    return _chunked(spec, 3, residual, x, y, *_aybe_r(spec, x, y, z1, z2, z3, builder))
 
 
-@_stacked(legs=3)
+@_stacked(r_per_point=6)
 def _aybe_with_defect(spec, x, y, z1, z2, z3, builder=build_r):
-    defect, scale = _aybe_defect(spec, x, y, z1, z2, z3, builder)
-    coefficients = sigma_mask(spec.dim, 3) * defect
-    return _aybe_residual(spec, x, y, defect, scale), coefficients
+    def residual(x, y, *rs):
+        defect, scale = _aybe_defect(spec, rs)
+        coefficients = sigma_mask(spec.dim, 3) * defect
+        return _aybe_residual(spec, x, y, defect, scale), coefficients
+
+    return _chunked(spec, 3, residual, x, y, *_aybe_r(spec, x, y, z1, z2, z3, builder))
+
+
+def _aybe_defects(spec, x, y, z1, z2, z3, builder=build_r):
+    """Realized AYBE defects of arrays of points, one matrix per point (views
+    of the product chunks), and their operand scales |a| |b|.  The defects
+    of all points are held at once, so each chunk builds its own R stacks."""
+    points = _point_arrays(x, y, z1, z2, z3)
+    n = spec.dim.n
+    defects, scales = [], []
+    for k in _slices(len(points[0]), max(1, _STACK_AMPS // max(n ** 6, 6 * n ** 4))):
+        defect, scale = _aybe_defect(spec, _aybe_r(spec, *(p[k] for p in points), builder))
+        defects.extend(defect)
+        scales.append(scale)
+    return defects, np.concatenate(scales)
 
 
 def check_aybe(spec: RMatrixSpec, x, y, z1, z2, z3, builder=build_r):
@@ -331,63 +394,66 @@ def check_aybe_z_independence(
     inflate the raw defect noise.  A NaN difference counts as infinite.
     Fewer than two accepted triples compare nothing and raise
     ``ValueError``.  For arrays of (x, y), each point draws its own triples
-    in turn.
+    in turn: one draw holds all their triples, in that order.
     """
-    if np.ndim(x):
-        return np.array([
-            check_aybe_z_independence(spec, xx, yy, rng, triples, builder) for xx, yy in zip(x, y)
-        ])
-    zs = []
-    for _ in range(triples):
-        z = tuple(_draw_point(rng) for _ in range(3))
-        if _aybe_args_ok(spec, x, y, *z):
-            zs.append(z)
-    if len(zs) < 2:
-        raise ValueError(
-            f"{len(zs)} of {triples} random triples accepted: no pair to compare"
-        )
-    points = [np.full(len(zs), x), np.full(len(zs), y), *(np.array(col) for col in zip(*zs))]
-    defects, scales = [], []
-    for chunk in _chunks(spec, 3, points):
-        defect, scale = _aybe_defect(spec, *chunk, builder)
-        defects.extend(defect)
-        scales.extend((scale + 1.0).tolist())
+    single = np.ndim(x) == 0
+    x, y = _point_arrays(x, y)
+    spreads = []
+    for xx, yy, zs in zip(x, y, _uniform_points(rng, (len(x), triples, 3))):
+        zs = zs[_aybe_args_ok(spec, xx, yy, *zs.T)]
+        if len(zs) < 2:
+            raise ValueError(
+                f"{len(zs)} of {triples} random triples accepted: no pair to compare"
+            )
+        full = [np.full(len(zs), xx), np.full(len(zs), yy)]
+        defects, scales = _aybe_defects(spec, *full, *zs.T, builder=builder)
+        spreads.append(_spread(defects, (scales + 1.0).tolist()))
+    return spreads[0] if single else np.array(spreads)
+
+
+def _spread(defects, scales: list[float]) -> float:
+    """Largest ||D_i - D_j|| / max(s_i, s_j) over the pairs i < j of the
+    defects D with scales s; a NaN difference counts as infinite.  One pair
+    at a time, so no temporary is larger than one defect."""
     best = 0.0
-    for i, j in combinations(range(len(zs)), 2):
+    for i, j in combinations(range(len(defects)), 2):
         diff = np.linalg.norm(defects[i] - defects[j]) / max(scales[i], scales[j])
         best = max(best, math.inf if math.isnan(diff) else float(diff))
     return best
 
 
-@_stacked(legs=2)
+@_stacked(r_per_point=2)
 def check_unitarity(spec: RMatrixSpec, z, builder=build_r):
     """Residual of R12(z) R21(-z) = (pi^2/sin^2(pi h) - pi^2/sin^2(pi z)) Id."""
-    r12 = _embed_realized_stack(_r(builder, spec, z), spec.dim, (1, 2), 2)
-    r21 = _embed_realized_stack(_r(builder, spec, -z), spec.dim, (2, 1), 2)
+    plus, minus = _r(builder, spec, [z, -z])
+    r12 = _embed_realized_stack(plus, spec.dim, (1, 2), 2)
+    r21 = _embed_realized_stack(minus, spec.dim, (2, 1), 2)
     target = _cmul(phi(spec.hbar, z), phi(spec.hbar, -z))
     return _rel(_norms(_subtract_on_diagonal(r12 @ r21, target)), _norms(r12), _norms(r21))
 
 
-@_stacked(legs=2)
+@_stacked(r_per_point=2)
 def check_normalized_unitarity(spec: RMatrixSpec, z, builder=build_r):
     """Residual of Rbar12(z) Rbar21(-z) = Id."""
     h = spec.hbar
-    rbar12 = _r(builder, spec, z) / phi(h, z)[:, None, None]
-    rbar21 = _r(builder, spec, -z) / phi(h, -z)[:, None, None]
+    plus, minus = _r(builder, spec, [z, -z])
+    rbar12 = plus / phi(h, z)[:, None, None]
+    rbar21 = minus / phi(h, -z)[:, None, None]
     r12 = _embed_realized_stack(rbar12, spec.dim, (1, 2), 2)
     r21 = _embed_realized_stack(rbar21, spec.dim, (2, 1), 2)
     return _rel(_norms(_subtract_on_diagonal(r12 @ r21, 1.0)), _norms(r12), _norms(r21))
 
 
-@_stacked(legs=2)
+@_stacked(r_per_point=2)
 def check_skew(spec: RMatrixSpec, z, builder=build_r):
     """Residual of R^{-h}_12(-z) = -P R^{h}_12(z) P (skew-symmetry)."""
-    lhs = _embed_realized_stack(_r(builder, spec, -z, -spec.hbar), spec.dim, (1, 2), 2)
-    rhs = _embed_realized_stack(_r(builder, spec, z), spec.dim, (2, 1), 2)
+    minus, plus = _r(builder, spec, [-z, z], [-spec.hbar, spec.hbar])
+    lhs = _embed_realized_stack(minus, spec.dim, (1, 2), 2)
+    rhs = _embed_realized_stack(plus, spec.dim, (2, 1), 2)
     return _rel(_norms(lhs + rhs), _norms(rhs))
 
 
-@_stacked(legs=2)
+@_stacked(r_per_point=2)
 def check_twist(spec_zn: RMatrixSpec, u, v, builder=build_r):
     """Residual of the diagonal twist/gauge relation between the families.
 
@@ -398,8 +464,10 @@ def check_twist(spec_zn: RMatrixSpec, u, v, builder=build_r):
     dim, h = spec_zn.dim, spec_zn.hbar
     n = dim.n
     spec_uq = RMatrixSpec(RFamily.UQ_GLNM, dim, h)
-    lhs = _embed_realized_stack(_r(builder, spec_zn, u - v), dim, (1, 2), 2)
-    ruq = _embed_realized_stack(_r(builder, spec_uq, u - v), dim, (1, 2), 2)
+    lhs, ruq = (
+        _embed_realized_stack(_r(builder, sp, [u - v])[0], dim, (1, 2), 2)
+        for sp in (spec_zn, spec_uq)
+    )
     # gauges per sample; the diagonal factors are multiplied as matrices,
     # which rounds as the one-point products do
     gu = np.array([np.diag(gauge_matrix(dim, complex(p))) for p in u])
@@ -414,11 +482,12 @@ def check_twist(spec_zn: RMatrixSpec, u, v, builder=build_r):
     return _rel(_norms(lhs - rhs), _norms(ruq))
 
 
-@_stacked(legs=2)
+@_stacked(r_per_point=2)
 def check_periodicity(spec: RMatrixSpec, z, builder=build_r):
     """Shift z -> z + 1: plain periodicity (uq) or Q-conjugated (zn)."""
-    shifted = _embed_realized_stack(_r(builder, spec, z + 1), spec.dim, (1, 2), 2)
-    base = _embed_realized_stack(_r(builder, spec, z), spec.dim, (1, 2), 2)
+    shifted, base = (
+        _embed_realized_stack(r, spec.dim, (1, 2), 2) for r in _r(builder, spec, [z + 1, z])
+    )
     if spec.family is RFamily.ZN_GRADED:
         n = spec.dim.n
         q = np.diag(periodicity_matrix(spec.dim))
@@ -435,10 +504,10 @@ def check_residue(spec: RMatrixSpec) -> float:
     return float(_rel((res - perm).norm(), perm.norm()))
 
 
-@_stacked(legs=2)
+@_stacked(r_per_point=1)
 def check_kernel_reconstruction(spec: RMatrixSpec, z, builder=build_r):
     """Residual of the kernel-assembled R against the direct construction."""
-    direct = _r(builder, spec, z)
+    [direct] = _r(builder, spec, [z])
     rebuilt = scalar_kernels(spec).rebuild(z)
     return _rel(_norms(direct - rebuilt), _norms(direct))
 
@@ -515,106 +584,8 @@ def check_scalar_relations(spec: RMatrixSpec, x, y, z, w) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# sampling
-# ---------------------------------------------------------------------------
-
-_POLE_MARGIN = 1e-3
-_MAX_RESAMPLES = 100
-
-
-def _draw_point(rng: np.random.Generator) -> complex:
-    return complex(rng.uniform(0.0, 1.0), rng.uniform(0.1, 0.5))
-
-
-def _off_lattice(values) -> bool:
-    for v in values:
-        if abs(v - round(v.real)) < _POLE_MARGIN:
-            return False
-    return True
-
-
-def _aybe_args_ok(spec, x, y, z1, z2, z3) -> bool:
-    z12, z23, z13 = z1 - z2, z2 - z3, z1 - z3
-    hs = [x, y, x - y, y - x]
-    args = [z12, z23, z13]
-    return _off_lattice(hs + args + [h + z for h in hs for z in args])
-
-
-class _Sampler:
-    """Rejection sampler with a bounded, counted resample budget."""
-
-    def __init__(self, rng: np.random.Generator):
-        self.rng = rng
-        self.resamples = 0
-
-    def draw(self, n_args: int, accept) -> tuple[complex, ...]:
-        for _ in range(_MAX_RESAMPLES + 1):
-            args = tuple(_draw_point(self.rng) for _ in range(n_args))
-            if accept(*args):
-                return args
-            self.resamples += 1
-        raise RuntimeError(f"exceeded {_MAX_RESAMPLES} pole-rejection resamples")
-
-
-# ---------------------------------------------------------------------------
 # battery
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class CheckResult:
-    check: str
-    family: str
-    n_even: int
-    n_odd: int
-    samples: int
-    tolerance: float
-    max_residual: float
-    mean_residual: float
-    worst_point: dict
-    resamples: int
-    verdict: str
-    note: str = ""
-
-    def to_dict(self) -> dict:
-        doc = asdict(self)
-        doc["N"], doc["M"] = doc.pop("n_even"), doc.pop("n_odd")
-        return doc
-
-
-@dataclass
-class VerificationReport:
-    seed: int
-    samples: int
-    specs: list[str]
-    results: list[CheckResult]
-    config_hash: str
-    version: str
-    wall_time: float = field(default=0.0, compare=False)
-
-    def passed(self) -> bool:
-        return all(r.verdict == "pass" for r in self.results)
-
-    def to_json(self) -> str:
-        # wall time stays out of the serialized form so equal seeds give
-        # byte-identical reports
-        doc = {
-            "seed": self.seed,
-            "samples": self.samples,
-            "specs": self.specs,
-            "config_hash": self.config_hash,
-            "version": self.version,
-            "results": [r.to_dict() for r in self.results],
-        }
-        return report_json(doc)
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_json())
-
-
-def _cpx(v: complex) -> list[float]:
-    return [float(np.real(v)), float(np.imag(v))]
 
 
 def default_specs(
@@ -627,51 +598,82 @@ def default_specs(
     ]
 
 
-def _result(
-    check: IdentityCheck, name: str, residuals, points, resamples: int, tol: float
-) -> CheckResult:
-    """Report row of one named residual array over the drawn points.
-
-    Any non-finite residual fails the row: it reports infinity as maximum
-    and mean, and the first non-finite sample as its worst point.
-    """
-    res = np.asarray(residuals, dtype=float)
-    bad = np.flatnonzero(~np.isfinite(res))
-    if bad.size:
-        k, worst, mean = int(bad[0]), math.inf, math.inf
-    elif check.last_max:
-        k = len(res) - 1 - int(np.argmax(res[::-1]))
-        worst, mean = float(res[k]), float(np.mean(res))
-    else:
-        k = int(np.argmax(res))
-        worst, mean = float(res[k]), float(np.add.accumulate(res)[-1]) / len(res)
-    spec = check.spec
-    return CheckResult(
-        check=name,
-        family=spec.family.value,
-        n_even=spec.dim.n_even,
-        n_odd=spec.dim.n_odd,
-        samples=check.samples,
-        tolerance=tol,
-        max_residual=worst,
-        mean_residual=mean,
-        worst_point={f"arg{i}": _cpx(v) for i, v in enumerate(points[k])},
-        resamples=resamples,
-        verdict="pass" if worst <= tol else "fail",
-    )
-
-
 def _run_check(check: IdentityCheck, tolerances: dict[str, float]) -> list[CheckResult]:
     """Draw every accepted point of one plan row, then evaluate them stacked."""
-    sampler = _Sampler(np.random.default_rng(check.seed))
-    points = [sampler.draw(check.n_args, check.accept) for _ in range(check.samples)]
-    residuals = check.residual(check.spec, *(np.array(col) for col in zip(*points)))
+    points, resamples = _draw_accepted(
+        np.random.default_rng(check.seed), check.samples, check.n_args, check.accept
+    )
+    residuals = check.residual(check.spec, *points)
     if not isinstance(residuals, dict):
         residuals = {check.name: np.atleast_1d(residuals)}
     return [
-        _result(check, name, res, points, sampler.resamples, tolerances[name])
+        _result(check, name, res, points, resamples, tolerances[name])
         for name, res in residuals.items()
     ]
+
+
+def _battery_plan(
+    spec: RMatrixSpec, sidx: int, seed: int, samples: int, tol: dict, r_builder
+) -> list[IdentityCheck]:
+    """The battery's rows for the ``sidx``-th spec: each check with its
+    draws' argument count, predicate and random stream."""
+
+    def with_builder(check):
+        return functools.partial(check, builder=r_builder)
+
+    h = spec.hbar
+    two_leg_ok = lambda z: _off_lattice([z, z + 1, h, z + h, z + 1 + h, -z, -z + h])
+    qybe_ok = lambda u, v: _off_lattice([u, v, u + v, u + h, v + h, u + v + h])
+    aybe_ok = lambda x, y, z1, z2, z3: _aybe_args_ok(spec, x, y, z1, z2, z3)
+    scalar_ok = lambda x, y, z, w: _off_lattice(
+        [x, y, z, w, x - y, y - x, x + y, z + w, x / 2, y / 2, (x - y) / 2]
+    )
+    # (name, residual, argument count, accept, samples); a row's place in
+    # the list keys its random stream
+    rows = [
+        ("qybe", with_builder(check_qybe), 2, qybe_ok, samples),
+        ("aybe", with_builder(_aybe), 5, aybe_ok, samples),
+        ("unitarity", with_builder(check_unitarity), 1, two_leg_ok, samples),
+        (
+            "normalized_unitarity",
+            with_builder(check_normalized_unitarity), 1, two_leg_ok, samples,
+        ),
+        ("skew_symmetry", with_builder(check_skew), 1, two_leg_ok, samples),
+        ("periodicity", with_builder(check_periodicity), 1, two_leg_ok, samples),
+        (
+            "kernel_reconstruction",
+            with_builder(check_kernel_reconstruction), 1, two_leg_ok, samples,
+        ),
+        ("residue", check_residue, 0, lambda: True, 1),
+    ]
+    if spec.family is RFamily.ZN_GRADED:
+        rows.append((
+            "twist",
+            with_builder(check_twist),
+            2,
+            lambda u, v: _off_lattice([u - v, u - v + h]),
+            samples,
+        ))
+    if spec.family is RFamily.UQ_GLNM:
+        rows.append((
+            "aybe_z_independence",
+            lambda sp, x, y: check_aybe_z_independence(
+                sp, x, y, np.random.default_rng([seed, sidx, 999]), builder=r_builder
+            ),
+            2,
+            lambda x, y: _off_lattice([x, y, x - y, x / 2, y / 2, (x - y) / 2]),
+            1,
+        ))
+    plan = [
+        IdentityCheck(name, spec, nsamp, (seed, sidx, cidx), tol[name], fn, n_args, accept)
+        for cidx, (name, fn, n_args, accept, nsamp) in enumerate(rows)
+    ]
+    # the scalar relations produce several named residuals per draw
+    plan.append(IdentityCheck(
+        "scalar_relations", spec, samples, (seed, sidx, 900), tol["scalar_a11"],
+        check_scalar_relations, 4, scalar_ok, last_max=True,
+    ))
+    return plan
 
 
 def run_battery(
@@ -694,66 +696,10 @@ def run_battery(
     tol = dict(DEFAULT_TOLERANCES)
     tol.update(tolerances or {})
 
-    def with_builder(check):
-        return functools.partial(check, builder=r_builder)
-
     start = time.perf_counter()
     results: list[CheckResult] = []
     for sidx, spec in enumerate(specs):
-        h = spec.hbar
-        two_leg_ok = lambda z: _off_lattice([z, z + 1, h, z + h, z + 1 + h, -z, -z + h])
-        qybe_ok = lambda u, v: _off_lattice([u, v, u + v, u + h, v + h, u + v + h])
-        aybe_ok = lambda x, y, z1, z2, z3: _aybe_args_ok(spec, x, y, z1, z2, z3)
-        scalar_ok = lambda x, y, z, w: _off_lattice(
-            [x, y, z, w, x - y, y - x, x + y, z + w, x / 2, y / 2, (x - y) / 2]
-        )
-        # (name, residual, argument count, accept, samples); a row's place
-        # in the list keys its random stream
-        rows = [
-            ("qybe", with_builder(check_qybe), 2, qybe_ok, samples),
-            ("aybe", with_builder(_aybe), 5, aybe_ok, samples),
-            ("unitarity", with_builder(check_unitarity), 1, two_leg_ok, samples),
-            (
-                "normalized_unitarity",
-                with_builder(check_normalized_unitarity), 1, two_leg_ok, samples,
-            ),
-            ("skew_symmetry", with_builder(check_skew), 1, two_leg_ok, samples),
-            ("periodicity", with_builder(check_periodicity), 1, two_leg_ok, samples),
-            (
-                "kernel_reconstruction",
-                with_builder(check_kernel_reconstruction), 1, two_leg_ok, samples,
-            ),
-            ("residue", check_residue, 0, lambda: True, 1),
-        ]
-        if spec.family is RFamily.ZN_GRADED:
-            rows.append((
-                "twist",
-                with_builder(check_twist),
-                2,
-                lambda u, v: _off_lattice([u - v, u - v + h]),
-                samples,
-            ))
-        if spec.family is RFamily.UQ_GLNM:
-            rows.append((
-                "aybe_z_independence",
-                lambda sp, x, y: check_aybe_z_independence(
-                    sp, x, y, np.random.default_rng([seed, sidx, 999]), builder=r_builder
-                ),
-                2,
-                lambda x, y: _off_lattice([x, y, x - y, x / 2, y / 2, (x - y) / 2]),
-                1,
-            ))
-        plan = [
-            IdentityCheck(name, spec, nsamp, (seed, sidx, cidx), tol[name], fn, n_args, accept)
-            for cidx, (name, fn, n_args, accept, nsamp) in enumerate(rows)
-        ]
-        # the scalar relations produce several named residuals per draw
-        plan.append(IdentityCheck(
-            "scalar_relations", spec, samples, (seed, sidx, 900), tol["scalar_a11"],
-            check_scalar_relations, 4, scalar_ok, last_max=True,
-        ))
-
-        for check in plan:
+        for check in _battery_plan(spec, sidx, seed, samples, tol, r_builder):
             try:
                 results.extend(_run_check(check, tol))
             except Exception as exc:  # battery must not abort

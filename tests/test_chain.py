@@ -376,7 +376,7 @@ def test_c_factorized_h1_matches(nm):
 def limit_deviation(limit, target):
     """Largest entry of |limit - target|, block by block over shared sectors."""
     pairs = list(zip(limit, target.blocks(), strict=True))
-    assert all(ia is ib for (ia, _), (ib, _) in pairs)
+    assert all(np.array_equal(ia, ib) for (ia, _), (ib, _) in pairs)
     return max(float(np.max(np.abs(a - b))) for (_, a), (_, b) in pairs)
 
 

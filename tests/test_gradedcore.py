@@ -1026,6 +1026,20 @@ def test_sector_maps_stay_within_their_cache_bound(rng):
     assert gradedcore._content_key.cache_info().maxsize is not None
 
 
+def test_dense_build_keeps_the_cached_sectors():
+    # (2|1) at L = 7 has 36 content sectors, more than the cache keeps
+    spec = RMatrixSpec(RFamily.UQ_GLNM, GradedDim(2, 1), 0.3051)
+    L = 7
+    h1 = hamiltonian_h1(spec, L)
+    key = gradedcore._content_key(spec.dim.n, L)
+    code = int(key[-1])
+    apply(h1, ChainState(spec.dim, L, np.where(key == code, 1.0, 0.0)))
+    sector = gradedcore._sector(spec.dim.n, L, code)
+    assert sector._codes  # the apply built its maps
+    assert len(h1.blocks()) == 36 > gradedcore._SECTOR_CACHE
+    assert gradedcore._sector(spec.dim.n, L, code) is sector
+
+
 def test_pivot_ladder_rejects_malformed_ladders():
     spec = RMatrixSpec(RFamily.UQ_GLNM, GradedDim(1, 1), 0.3)
     rb = build_r_normalized(spec, 0.25)

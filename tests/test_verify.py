@@ -1,5 +1,6 @@
 import json
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -28,11 +29,19 @@ from gradedhs import (
     scalar_kernels,
 )
 from gradedhs import verify as verify_module
-from gradedhs.verify import (
+from gradedhs.sampling import (
+    _MAX_RESAMPLES,
     _aybe_args_ok,
+    _draw_accepted,
     _off_lattice,
+    _uniform_points,
+)
+from gradedhs.verify import (
+    _aybe_defects,
+    _battery_plan,
+    _norms,
     _run_check,
-    _Sampler,
+    _spread,
     expected_aybe_defect,
 )
 
@@ -316,9 +325,7 @@ def two_leg_ok(spec):
 
 def accepted(rng, n_args, accept, size):
     """Equal-length arrays of accepted points, drawn as the battery draws."""
-    sampler = _Sampler(rng)
-    points = [sampler.draw(n_args, accept) for _ in range(size)]
-    return [np.array(col) for col in zip(*points)]
+    return _draw_accepted(rng, size, n_args, accept)[0]
 
 
 def sampled_checks(spec):
@@ -416,23 +423,212 @@ def test_stacked_checks_across_chunk_boundaries(nm, budget, monkeypatch):
 
 
 def test_stacked_arrays_stay_within_the_amplitude_budget(monkeypatch):
-    sizes = []
-    place = verify_module._embed_realized_stack
+    sizes, r_sizes = [], []
+    place, build = verify_module._embed_realized_stack, verify_module.build_r_stack
 
     def spy(entries, dim, sites, legs):
         out = place(entries, dim, sites, legs)
         sizes.append(out.size)
         return out
 
+    def build_spy(*args):
+        out = build(*args)
+        r_sizes.append(out.size)
+        return out
+
     monkeypatch.setattr(verify_module, "_embed_realized_stack", spy)
+    monkeypatch.setattr(verify_module, "build_r_stack", build_spy)
     spec = spec_of(RFamily.UQ_GLNM, (2, 2))
     rng = np.random.default_rng(2)
     u, v = (np.array([draw(rng) for _ in range(10)]) for _ in range(2))
     check_qybe(spec, u, v)
     assert max(sizes) == 4 * 64 * 64 <= 2 ** 14  # four samples per chunk at (2|2)
+    assert r_sizes == [10 * 3 * 256]  # one R build for all ten points
     sizes.clear()
+    r_sizes.clear()
     check_qybe(spec_of(RFamily.UQ_GLNM, (1, 1)), np.resize(u, 100), np.resize(v, 100))
     assert max(sizes) == 100 * 8 * 8  # all of them at (1|1)
+    assert r_sizes == [100 * 3 * 16]
+    # 100 points of every check at (2|2): R blocks and embedded stacks of
+    # at most 2^14 amplitudes
+    for fam in RFamily:
+        spec = spec_of(fam, (2, 2))
+        for check, n_args, accept in sampled_checks(spec):
+            sizes.clear()
+            r_sizes.clear()
+            check(spec, *accepted(rng, n_args, accept, 100))
+            assert max(r_sizes) <= 2 ** 14 and max(sizes, default=0) <= 2 ** 14, check.__name__
+        r_sizes.clear()
+        check_aybe(spec, *accepted(rng, 5, aybe_ok(spec), 100))
+        # ten points of six R-matrices of 256 amplitudes per block
+        assert r_sizes == [10 * 6 * 256] * 10
+        assert max(sizes) <= 2 ** 14
+    # z-independence at (1|1): six R-matrices of 16 amplitudes per triple,
+    # so 400 triples take three R blocks of at most 170 triples
+    sizes.clear()
+    r_sizes.clear()
+    spec = spec_of(RFamily.UQ_GLNM, (1, 1))
+    check_aybe_z_independence(spec, 0.31 + 0.22j, 0.52 + 0.14j, rng, triples=400)
+    assert len(r_sizes) == 3 and max(r_sizes) == 170 * 6 * 16 <= 2 ** 14
+    assert max(sizes) <= 2 ** 14
+
+
+def test_default_battery_builds_r_once_per_block(monkeypatch):
+    build = verify_module.build_r_stack
+    counted = []
+
+    def counting(*args):
+        out = build(*args)
+        counted.append(out.size)
+        return out
+
+    monkeypatch.setattr(verify_module, "build_r_stack", counting)
+    assert run_battery(seed=5).passed()
+    # one call per row and block of points, two for twist (one per family):
+    # 8 calls per uq and 9 per zn spec at n <= 2; 12 and 13 at n = 3; at
+    # (2|2), blocks of 21 (QYBE), 10 (AYBE) and 32 (two-leg) points and
+    # z-independence chunks of 4 triples give 38 and 41
+    assert len(counted) == 197 and max(counted) <= 2 ** 14
+
+
+def test_batched_norms_equal_linalg_norm_bit_for_bit():
+    rng = np.random.default_rng(31)
+    for scale in (1.0, 1e100, 1e-100):
+        for n in range(1, 5):
+            for legs in (2, 3):
+                d = n ** legs
+                for size in (1, 2, 5, 100):
+                    shape = (size, d, d)
+                    stack = (rng.normal(size=shape) + 1j * rng.normal(size=shape)) * scale
+                    want = np.array([np.linalg.norm(m) for m in stack])
+                    assert _norms(stack).tobytes() == want.tobytes(), (scale, n, legs, size)
+
+
+# ---------------------------------------------------------------------------
+# block sampling against drawing one point at a time
+# ---------------------------------------------------------------------------
+
+
+def draw_point(rng):
+    """One spectral point drawn on its own: two scalar uniform draws."""
+    return complex(rng.uniform(0.0, 1.0), rng.uniform(0.1, 0.5))
+
+
+def sequential_draw(rng, samples, n_args, accept):
+    """Reference sampler: one candidate after another, each point redrawn
+    at most _MAX_RESAMPLES times; the accepted columns and the count of
+    rejected candidates."""
+    points, resamples = [], 0
+    for _ in range(samples):
+        for _ in range(_MAX_RESAMPLES + 1):
+            args = tuple(draw_point(rng) for _ in range(n_args))
+            if accept(*args):
+                points.append(args)
+                break
+            resamples += 1
+        else:
+            raise RuntimeError(f"exceeded {_MAX_RESAMPLES} pole-rejection resamples")
+    return [np.array([p[i] for p in points]) for i in range(n_args)], resamples
+
+
+def assert_same_draws(seed, samples, n_args, accept):
+    want, want_resamples = sequential_draw(np.random.default_rng(seed), samples, n_args, accept)
+    got, resamples = _draw_accepted(np.random.default_rng(seed), samples, n_args, accept)
+    assert resamples == want_resamples
+    assert len(got) == n_args
+    for col, ref in zip(got, want):
+        assert col.tobytes() == ref.tobytes()
+    return resamples
+
+
+def off_lattice_reference(values):
+    """The pole screen as written for one point, in Python arithmetic."""
+    return all(not abs(v - round(v.real)) < 1e-3 for v in values)
+
+
+def test_uniform_points_are_the_scalar_draws():
+    rng = np.random.default_rng(17)
+    want = np.array([draw_point(rng) for _ in range(3 * 4 * 5)])
+    got = _uniform_points(np.random.default_rng(17), (3, 4, 5))
+    assert got.shape == (3, 4, 5) and got.ravel().tobytes() == want.tobytes()
+
+
+def test_array_pole_screen_matches_the_scalar_one():
+    # values within a few margins of the lattice, on both sides
+    rng = np.random.default_rng(19)
+    near = rng.integers(-2, 3, 4000) + rng.uniform(-3e-3, 3e-3, (4000, 2)) @ [1.0, 1j]
+    far = near + 0.25
+    for pair in ((near, far), (far, near), (near, near)):
+        got = _off_lattice(pair)
+        assert 0 < np.count_nonzero(got) < len(near)
+        assert got.tolist() == [off_lattice_reference(v) for v in zip(*pair)]
+
+
+@pytest.mark.parametrize("spec", default_specs(hbar=HBAR), ids=str)
+def test_block_sampler_draws_each_battery_row_as_point_by_point(spec):
+    # every row's predicate, the residue row's zero arguments included
+    plan = _battery_plan(spec, 3, 5, 30, dict(verify_module.DEFAULT_TOLERANCES), build_r)
+    assert {c.n_args for c in plan} >= {0, 1, 2, 4, 5}
+    for check in plan:
+        assert_same_draws(check.seed, check.samples, check.n_args, check.accept)
+    [residue] = [c for c in plan if c.name == "residue"]
+    assert _draw_accepted(np.random.default_rng(1), 1, 0, residue.accept) == ([], 0)
+
+
+@pytest.mark.parametrize("n_args", [1, 2, 5])
+def test_block_sampler_counts_rejections_across_blocks(n_args):
+    # rejection rates of about 70 and 40 %: many blocks, many resamples
+    assert assert_same_draws(4, 60, n_args, lambda *a: a[0].real < 0.3) > 60
+    assert assert_same_draws(4, 60, n_args, lambda *a: a[0].real < a[-1].imag + 0.3) > 20
+
+
+@pytest.mark.parametrize("n_args", [1, 2, 5])
+def test_block_sampler_resample_budget(n_args):
+    seed = 23
+    rng = np.random.default_rng(seed)
+    stream = [tuple(draw_point(rng) for _ in range(n_args)) for _ in range(400)]
+
+    def only(*indices):
+        """Accept just the candidates at these places of the stream."""
+        firsts = np.array([stream[k][0] for k in indices])
+        return lambda *args: np.isin(args[0], firsts)
+
+    # exactly 100 rejections before each of three points passes
+    assert assert_same_draws(seed, 3, n_args, only(100, 201, 302)) == 300
+    # a 101st rejection in a row, before the first point or after one, fails
+    for indices in ((101,), (0, 102)):
+        for sampler in (sequential_draw, _draw_accepted):
+            with pytest.raises(RuntimeError, match="exceeded 100 pole-rejection resamples"):
+                sampler(np.random.default_rng(seed), len(indices), n_args, only(*indices))
+
+
+@pytest.mark.parametrize("nm", [(2, 1), (2, 2)])  # one chunk of defects, and two
+def test_z_independence_draws_each_points_triples_in_turn(nm):
+    spec = spec_of(RFamily.UQ_GLNM, nm)
+    x = np.array([0.31 + 0.22j, 0.12 + 0.41j, 0.64 + 0.18j])
+    y = np.array([0.52 + 0.14j, 0.77 + 0.3j, 0.05 + 0.47j])
+    rng = np.random.default_rng(9)
+    got = check_aybe_z_independence(spec, x, y, rng, triples=7)
+    ref_rng = np.random.default_rng(9)
+    want = []
+    for xx, yy in zip(x, y):
+        # the reference of one point: its triples drawn one by one, its
+        # pairs compared one by one
+        zs = [tuple(draw_point(ref_rng) for _ in range(3)) for _ in range(7)]
+        zs = [z for z in zs if _aybe_args_ok(spec, xx, yy, *z)]
+        cols = [np.full(len(zs), xx), np.full(len(zs), yy), *(np.array(c) for c in zip(*zs))]
+        defects, scales = _aybe_defects(spec, *cols)
+        scales = (scales + 1.0).tolist()
+        best = 0.0
+        for i, j in combinations(range(len(zs)), 2):
+            diff = np.linalg.norm(defects[i] - defects[j]) / max(scales[i], scales[j])
+            best = max(best, math.inf if math.isnan(diff) else float(diff))
+        want.append(best)
+    assert got.tobytes() == np.array(want).tobytes()
+    assert rng.uniform() == ref_rng.uniform()  # and consumed the same draws
+    defects = np.zeros((3, 2, 2), dtype=complex)
+    defects[1, 0, 0] = np.nan
+    assert _spread(defects, np.ones(3)) == math.inf
 
 
 def test_tie_rules_on_crafted_residuals():
