@@ -258,7 +258,7 @@ def htilde_k(spec: RMatrixSpec, length: int, k: int) -> ChainOperator:
     fac = _EquilibriumFactors(spec, length)
     terms = []
     for term in DifferenceOperator(k, length).subset_terms():
-        pref = _phi_prefactor(spec.hbar, fac.x, term.subset)
+        pref = _phi_prefactor(spec.hbar, fac.x, term.phi_pairs)
         left = tuple((sites, fac.rb(*sites)) for sites in term.left_sites)
         for dpos in range(len(term.right_sites)):
             right = tuple((sites, (fac.fb if q == dpos else fac.rb)(*sites))

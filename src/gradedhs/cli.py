@@ -24,7 +24,6 @@ import numpy as np
 from . import __version__
 from .gradedcore import DENSE_SITE_CAP, GradedDim, commutator_norm
 from .qmrops import (
-    _LATTICE_MARGIN,
     FactorStore,
     SiteConfig,
     commutator_eval,
@@ -32,7 +31,7 @@ from .qmrops import (
     f_identity_residual,
     random_test_function,
 )
-from .rmatrix import PoleError, RFamily, RMatrixSpec
+from .rmatrix import _LATTICE_MARGIN, PoleError, RFamily, RMatrixSpec, _dist_to_int
 from . import chain as chain_mod
 from .report import config_digest, report_json
 from .verify import DEFAULT_DIMS, DEFAULT_HBAR, DEFAULT_TOLERANCES, run_battery
@@ -266,7 +265,7 @@ def _ops_plan(cfg: RunConfig) -> tuple[tuple, list]:
     """Orders of the four-block identities and order pairs of the commutators."""
     # the probes have integer frequencies: an integer shift leaves them as
     # they are, and every commutator would pass without checking anything
-    if abs(cfg.eta - round(cfg.eta.real)) <= _LATTICE_MARGIN:
+    if not _dist_to_int(cfg.eta) > _LATTICE_MARGIN:
         raise ConfigError(
             f"--eta {cfg.eta:g} is within {_LATTICE_MARGIN:g} of an integer, where the "
             f"shifts leave the integer-frequency probes unchanged; give a non-integer --eta"
@@ -356,8 +355,7 @@ HBAR_L_MARGIN = 1e-6
 
 def _check_chain_poles(hbar: complex, length: int) -> None:
     scaled = hbar * length
-    gap = abs(scaled - round(scaled.real))
-    if gap < HBAR_L_MARGIN:
+    if not _dist_to_int(scaled) >= HBAR_L_MARGIN:
         raise ConfigError(
             f"hbar * L = {scaled:g} is within {HBAR_L_MARGIN:g} of an integer: some "
             f"x_i - x_j + hbar of the L = {length} equilibrium sits on a pole"

@@ -54,10 +54,10 @@ import numpy as np
 from .gradedcore import (GradedDim, LocalOperator, _apply_plans, _check_flip_form, _FactorPlan,
                          sigma_mask)
 from .gradedcore import embed_realized  # noqa: F401  (perfbench/tracing.py wraps this name)
-from .rmatrix import RMatrixSpec, build_r, build_r_normalized, phi
+from .rmatrix import (_LATTICE_MARGIN, PoleError, RMatrixSpec, _dist_to_int, build_r,
+                      build_r_normalized, phi)
 
 _FLOOR = 1e-300
-_LATTICE_MARGIN = 1e-3
 
 
 @dataclass(frozen=True)
@@ -77,20 +77,17 @@ class SiteConfig:
 
     def validate_shifts(self, depth: int) -> None:
         """Require all pairwise differences, eta-shifted up to ``depth``
-        times and optionally hbar-shifted, to stay off the integer lattice."""
-        bad = []
-        for i in range(self.length):
-            for j in range(self.length):
-                if i == j:
-                    continue
-                base = self.z[i] - self.z[j]
-                for m in range(-depth, depth + 1):
-                    for s in (0, 1):
-                        v = base + m * self.eta + s * self.hbar
-                        if abs(v - round(v.real)) <= _LATTICE_MARGIN:
-                            bad.append((i + 1, j + 1, m, s))
+        times and optionally hbar-shifted, to be finite and stay off the
+        integer lattice; PoleError names the first three (i, j, m, s)."""
+        z = np.array(self.z)
+        i, j = np.nonzero(~np.eye(self.length, dtype=bool))  # pairs i != j, row-major
+        m, s = np.arange(-depth, depth + 1), np.arange(2)
+        with np.errstate(invalid="ignore"):  # inf * 0 reads as a NaN gap
+            v = (z[i] - z[j])[:, None, None] + (m * self.eta)[:, None] + s * self.hbar
+        bad = [(int(i[p]) + 1, int(j[p]) + 1, int(m[q]), int(s[r]))
+               for p, q, r in np.argwhere(~(_dist_to_int(v) > _LATTICE_MARGIN))[:3]]
         if bad:
-            raise ValueError(f"site differences too close to the pole lattice: {bad[:3]}")
+            raise PoleError(f"site differences too close to the pole lattice: {bad}")
 
     def shifted(self, subset: Sequence[int]) -> np.ndarray:
         """Positions with z_i -> z_i - eta for the 1-based sites in subset."""
@@ -183,25 +180,21 @@ def _check_order(k: int, length: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _phi_prefactor(hbar: complex, z: np.ndarray, subset: tuple[int, ...]) -> complex:
-    L = len(z)
+def _phi_prefactor(hbar: complex, z: np.ndarray, phi_pairs) -> complex:
+    """Product of phi(z_j - z_i) over the (outside j, inside i) pairs."""
     pref = 1.0 + 0.0j
-    inside = set(subset)
-    for i in subset:
-        for j in range(1, L + 1):
-            if j not in inside:
-                pref *= phi(hbar, z[j - 1] - z[i - 1])
+    for j, i in phi_pairs:
+        pref *= phi(hbar, z[j - 1] - z[i - 1])
     return pref
 
 
 def _scalar_d_value(k: int, hbar: complex, eta: complex, f, z: np.ndarray):
-    L = len(z)
     vals = []
-    for subset in combinations(range(1, L + 1), k):
+    for term in DifferenceOperator(k, len(z)).subset_terms():
         zs = z.copy()
-        for i in subset:
+        for i in term.subset:
             zs[i - 1] -= eta
-        vals.append(_phi_prefactor(hbar, z, subset) * f(zs))
+        vals.append(_phi_prefactor(hbar, z, term.phi_pairs) * f(zs))
     return _tree_sum(vals)
 
 
@@ -329,9 +322,19 @@ class FactorStore:
                          for (i, j) in reversed(term.right_sites)]
                 plans += [self.plan(j, i, z[j - 1] - z[i - 1])
                           for (j, i) in reversed(term.left_sites)]
-                recipe.append((_phi_prefactor(self.spec.hbar, z, term.subset), zs, plans))
+                recipe.append((_phi_prefactor(self.spec.hbar, z, term.phi_pairs), zs, plans))
             self._recipes[key] = recipe
         return recipe
+
+
+def _store_for(spec: RMatrixSpec, cfg: SiteConfig, store: FactorStore | None,
+               any_eta: bool = False) -> FactorStore:
+    """A new store for (spec, cfg), or ``store`` once it is checked to hold
+    their factors (at any eta, with ``any_eta``)."""
+    if store is None:
+        return FactorStore(spec, cfg)
+    store.check(spec, cfg, any_eta)
+    return store
 
 
 class ProbeBlock:
@@ -395,10 +398,7 @@ def commutator_eval(
     evaluations share ``store``; without one, a store is made for this call.
     """
     probes = ProbeBlock([f] if isinstance(f, TestFunction) else f)
-    if store is None:
-        store = FactorStore(spec, cfg)
-    else:
-        store.check(spec, cfg)
+    store = _store_for(spec, cfg, store)
     cfg.validate_shifts(2)
     z0 = np.array(cfg.z, dtype=complex)
 
@@ -470,12 +470,8 @@ def _f_identity_assembled(
     Each product is the store's unnormalized-R plans applied, rightmost
     factor first, to the identity columns.
     """
-    _check_spec_cfg(spec, cfg)
+    store = _store_for(spec, cfg, store, any_eta=True)
     _check_order(k, cfg.length)
-    if store is None:
-        store = FactorStore(spec, cfg)
-    else:
-        store.check(spec, cfg, any_eta=True)
     L = cfg.length
     z = np.array(cfg.z, dtype=complex)
     eta = cfg.eta
@@ -532,8 +528,7 @@ def f_identity_eta_spread(
     A NaN residual counts as infinite.  All etas share ``store``, or one
     store made for this call.
     """
-    if store is None:
-        store = FactorStore(spec, cfg)
+    store = _store_for(spec, cfg, store, any_eta=True)
     worst = 0.0
     for eta in etas:
         res = f_identity_residual(spec, replace(cfg, eta=eta), k, store=store)

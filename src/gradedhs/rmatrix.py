@@ -68,32 +68,48 @@ class RMatrixSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "family", RFamily(self.family))
         object.__setattr__(self, "hbar", complex(self.hbar))
-        if not cmath.isfinite(self.hbar):
+        gap = _dist_to_int(self.hbar)
+        if math.isnan(gap):
             raise PoleError(f"hbar={self.hbar} is not finite")
-        if _dist_to_int(self.hbar) <= POLE_EPS:
+        if not gap > POLE_EPS:
             raise PoleError(f"hbar={self.hbar} is congruent to 0 mod 1")
 
     def __str__(self) -> str:
         return f"{self.family.value}{self.dim}"
 
 
-def _dist_to_int(z: complex) -> float:
+#: distance from the integers below which the battery's draws, the
+#: ``ops`` site positions and its ``--eta`` count as on the pole lattice
+_LATTICE_MARGIN = 1e-3
+
+
+def _dist_to_int(z):
+    """Distance of z from the nearest integer, elementwise for an array;
+    NaN where z is not finite.  A number stays in plain Python."""
+    if isinstance(z, np.ndarray):
+        with np.errstate(invalid="ignore"):
+            gap = np.hypot(z.real - np.round(z.real), z.imag)
+        return np.where(np.isfinite(z), gap, np.nan)
     z = complex(z)
-    return abs(z - round(z.real))
+    return abs(z - round(z.real)) if cmath.isfinite(z) else math.nan
 
 
-def _require_off_lattice(name: str, z, eps: float = POLE_EPS) -> None:
-    """Raise PoleError if z, or any point of an array z, is within eps of an
-    integer; for an array the message names the first such point."""
+def _require_off_lattice(name: str, z) -> None:
+    """Raise PoleError if z, or any point of an array z, is within POLE_EPS
+    of an integer or not finite; for an array the message names the first
+    such point."""
     if isinstance(z, np.ndarray):
         if z.size > 1:
-            near = np.hypot(z.real - np.round(z.real), z.imag) <= eps
+            near = ~(_dist_to_int(z) > POLE_EPS)
             if not near.any():
                 return
             z = z.ravel()[np.argmax(near.ravel())]
         z = complex(z.item())
-    if _dist_to_int(z) <= eps:
-        raise PoleError(f"{name}={z} is within {eps} of an integer")
+    gap = _dist_to_int(z)
+    if math.isnan(gap):
+        raise PoleError(f"{name}={z} is not finite")
+    if not gap > POLE_EPS:
+        raise PoleError(f"{name}={z} is within {POLE_EPS} of an integer")
 
 
 # Complex products, quotients and moduli on arrays, rounded as Python's

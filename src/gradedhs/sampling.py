@@ -2,18 +2,16 @@
 
 Points are x + iy with x ~ U(0, 1), y ~ U(0.1, 0.5).  A row's candidates
 come in blocks of ``rng.uniform`` draws and are screened as arrays; a
-candidate whose derived arguments come within ``_POLE_MARGIN`` of the
-integer pole lattice is rejected, at most ``_MAX_RESAMPLES`` times in a
-row.
+candidate whose derived arguments are not finite or come within
+``_LATTICE_MARGIN`` of the integer pole lattice is rejected, at most
+``_MAX_RESAMPLES`` times in a row.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .rmatrix import _cabs
-
-_POLE_MARGIN = 1e-3
+from .rmatrix import _LATTICE_MARGIN, _dist_to_int
 
 _MAX_RESAMPLES = 100
 
@@ -26,11 +24,11 @@ def _uniform_points(rng: np.random.Generator, shape: tuple) -> np.ndarray:
 
 
 def _off_lattice(values):
-    """Whether every value keeps ``_POLE_MARGIN`` from the integers,
-    elementwise over arrays of values."""
+    """Whether every value is finite and keeps ``_LATTICE_MARGIN`` from the
+    integers, elementwise over arrays of values."""
     ok = True
     for v in values:
-        ok = ok & ~(_cabs(v - np.round(v.real)) < _POLE_MARGIN)
+        ok = ok & (_dist_to_int(v) >= _LATTICE_MARGIN)
     return ok
 
 

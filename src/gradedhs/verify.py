@@ -36,14 +36,19 @@ Every per-sample number is rounded exactly as a one-point evaluation
 rounds it, so reports do not depend on the stacking.
 
 No stacked array holds more than ``_STACK_AMPS`` = 2^14 amplitudes: a
-block's R stacks together (10 points of the six-R AYBE row at (2|2), all
-100 at (1|1)), and each chunk of three-leg placements and products (4
-samples at (2|2), all 100 at (1|1)).  The bound is set by memory.  QYBE
-at 100 points of (2|2) raised peak RSS by 0.1 MB in chunks of 4 samples,
-1.6 MB in chunks of 8, 4.6 MB in chunks of 16 and 36 MB unchunked,
-against a battery peak of about 40 MB.  R blocks of 2^15 amplitudes, beside
-the product chunks, raised the peak of ``gradedhs verify`` by 0.3 MB and
-saved 15 ms of its 0.3 s battery.
+block's R stacks together (21 points of QYBE at (2|2), all 100 at
+(1|1)), and each chunk of three-leg placements and products (4 samples
+at (2|2), all 100 at (1|1)).  The AYBE rows take their defects from one
+producer, :func:`_aybe_defects`, whose chunks of ``_STACK_AMPS //
+max(n^6, 6 n^4)`` points (4 at (2|2), 22 at n = 3) build their own six R
+stacks.  The bound is set by memory.  QYBE at 100 points of (2|2) raised
+peak RSS by 0.1 MB in chunks of 4 samples, 1.6 MB in chunks of 8, 4.6 MB
+in chunks of 16 and 36 MB unchunked, against a battery peak of about
+40 MB.  R blocks of 2^15 amplitudes, beside the product chunks, raised
+the peak of ``gradedhs verify`` by 0.3 MB and saved 15 ms of its 0.3 s
+battery.  AYBE R stacks built per block of points, not per chunk, also
+raised that peak by 0.3 MB, because the z-independence row holds every
+defect of a point.
 """
 
 from __future__ import annotations
@@ -304,67 +309,39 @@ def expected_aybe_defect(spec: RMatrixSpec, x: complex, y: complex) -> LocalOper
 _AYBE_SITES = ((1, 2), (2, 3), (1, 3), (1, 2), (2, 3), (1, 3))
 
 
-def _aybe_r(spec, x, y, z1, z2, z3, builder) -> list[np.ndarray]:
-    """The six R stacks of the AYBE defect, in the order of its products."""
-    z12, z23, z13 = z1 - z2, z2 - z3, z1 - z3
-    return _r(builder, spec, [z12, z23, z13, z12, z23, z13], [x, y, y, x - y, y - x, x])
-
-
-def _aybe_defect(spec, rs):
-    """Realized AYBE defects of one chunk of the six R stacks and the
-    operand scales |a| |b| of their first products."""
-
-    def emb(k):
-        return _embed_realized_stack(rs[k], spec.dim, _AYBE_SITES[k], 3)
-
-    a, b = emb(0), emb(1)
-    scale = _norms(a) * _norms(b)  # |a| |b|, the operand norms in _rel order
-    defect = a @ b
-    del a, b  # each stacked array is as large as the budget allows
-    defect -= emb(2) @ emb(3)
-    defect -= emb(4) @ emb(5)
-    return defect, scale
-
-
-def _aybe_residual(spec, x, y, defect, scale):
-    """Residuals of realized defects against their closed form, which is
-    subtracted from the defects in place."""
-    rows, pref = _aybe_prefactors(spec, x, y)
-    return _rel(_norms(_subtract_on_diagonal(defect, pref, rows)), scale)
-
-
-@_stacked(r_per_point=6)
-def _aybe(spec, x, y, z1, z2, z3, builder=build_r):
-    """AYBE residuals alone: the battery's row, which keeps no defect."""
-
-    def residual(x, y, *rs):
-        return _aybe_residual(spec, x, y, *_aybe_defect(spec, rs))
-
-    return _chunked(spec, 3, residual, x, y, *_aybe_r(spec, x, y, z1, z2, z3, builder))
-
-
-@_stacked(r_per_point=6)
-def _aybe_with_defect(spec, x, y, z1, z2, z3, builder=build_r):
-    def residual(x, y, *rs):
-        defect, scale = _aybe_defect(spec, rs)
-        coefficients = sigma_mask(spec.dim, 3) * defect
-        return _aybe_residual(spec, x, y, defect, scale), coefficients
-
-    return _chunked(spec, 3, residual, x, y, *_aybe_r(spec, x, y, z1, z2, z3, builder))
-
-
 def _aybe_defects(spec, x, y, z1, z2, z3, builder=build_r):
-    """Realized AYBE defects of arrays of points, one matrix per point (views
-    of the product chunks), and their operand scales |a| |b|.  The defects
-    of all points are held at once, so each chunk builds its own R stacks."""
-    points = _point_arrays(x, y, z1, z2, z3)
+    """Realized AYBE defects of 1-D arrays of points: per chunk of points,
+    its slice, its (S, n^3, n^3) defects and their operand scales |a| |b|.
+    Each chunk builds its own six R stacks (see the module notes)."""
     n = spec.dim.n
-    defects, scales = [], []
-    for k in _slices(len(points[0]), max(1, _STACK_AMPS // max(n ** 6, 6 * n ** 4))):
-        defect, scale = _aybe_defect(spec, _aybe_r(spec, *(p[k] for p in points), builder))
-        defects.extend(defect)
-        scales.append(scale)
-    return defects, np.concatenate(scales)
+    for k in _slices(len(x), max(1, _STACK_AMPS // max(n ** 6, 6 * n ** 4))):
+        xk, yk = x[k], y[k]
+        z12, z23, z13 = z1[k] - z2[k], z2[k] - z3[k], z1[k] - z3[k]
+        rs = _r(builder, spec, [z12, z23, z13, z12, z23, z13], [xk, yk, yk, xk - yk, yk - xk, xk])
+
+        def emb(j):
+            return _embed_realized_stack(rs[j], spec.dim, _AYBE_SITES[j], 3)
+
+        a, b = emb(0), emb(1)
+        scale = _norms(a) * _norms(b)  # |a| |b|, the operand norms in _rel order
+        defect = a @ b
+        del a, b  # each stacked array is as large as the budget allows
+        defect -= emb(2) @ emb(3)
+        defect -= emb(4) @ emb(5)
+        yield k, defect, scale
+
+
+def _aybe(spec, x, y, z1, z2, z3, builder=build_r, coefficients=None):
+    """AYBE residuals of 1-D arrays of points: the battery's row, which
+    keeps no defect.  Given ``coefficients``, each point's signed defect is
+    written there before its closed form is subtracted."""
+    residual = np.empty(len(x))
+    for k, defect, scale in _aybe_defects(spec, x, y, z1, z2, z3, builder):
+        if coefficients is not None:
+            coefficients[k] = sigma_mask(spec.dim, 3) * defect
+        rows, pref = _aybe_prefactors(spec, x[k], y[k])
+        residual[k] = _rel(_norms(_subtract_on_diagonal(defect, pref, rows)), scale)
+    return residual
 
 
 def check_aybe(spec: RMatrixSpec, x, y, z1, z2, z3, builder=build_r):
@@ -378,9 +355,12 @@ def check_aybe(spec: RMatrixSpec, x, y, z1, z2, z3, builder=build_r):
     defect is a LocalOperator, for arrays the (S, d, d) stack of
     coefficient arrays.
     """
-    residual, coefficients = _aybe_with_defect(spec, x, y, z1, z2, z3, builder=builder)
-    if np.ndim(residual) == 0:
-        return float(residual), LocalOperator(spec.dim, 3, coefficients)
+    points = _point_arrays(x, y, z1, z2, z3)
+    d = spec.dim.n ** 3
+    coefficients = np.empty((len(points[0]), d, d), dtype=complex)
+    residual = _aybe(spec, *points, builder=builder, coefficients=coefficients)
+    if all(np.ndim(p) == 0 for p in (x, y, z1, z2, z3)):
+        return float(residual[0]), LocalOperator(spec.dim, 3, coefficients[0])
     return residual, coefficients
 
 
@@ -406,8 +386,11 @@ def check_aybe_z_independence(
                 f"{len(zs)} of {triples} random triples accepted: no pair to compare"
             )
         full = [np.full(len(zs), xx), np.full(len(zs), yy)]
-        defects, scales = _aybe_defects(spec, *full, *zs.T, builder=builder)
-        spreads.append(_spread(defects, (scales + 1.0).tolist()))
+        defects, scales = [], []
+        for _, defect, scale in _aybe_defects(spec, *full, *zs.T, builder):
+            defects.extend(defect)
+            scales.extend((scale + 1.0).tolist())
+        spreads.append(_spread(defects, scales))
     return spreads[0] if single else np.array(spreads)
 
 

@@ -1,6 +1,7 @@
 import json
 import re
 import shlex
+from itertools import permutations
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ from gradedhs.cli import (
     _build_parser,
     _config_from_args,
     _draw_case,
+    _draw_positions,
     _ops_plan,
     _specs,
     _spread_etas,
@@ -390,6 +392,33 @@ def test_ops_draws_valid_positions_for_benchmark_seeds():
                 site.validate_shifts(2)
                 for eta in _spread_etas(cfg.eta):
                     SiteConfig(length, site.z, eta, cfg.hbar)
+
+
+def test_ops_positions_follow_the_loop_rule_for_benchmark_seeds():
+    # the positions each benchmark ops case draws first, against the rule
+    # SiteConfig applied tuple by tuple: every shifted difference keeps
+    # 1e-3 from the integers
+    eta, hbar = RunConfig("ops").eta, RunConfig("ops").hbar
+
+    def loop_ok(z, eta, depth):
+        return all(
+            abs(v - round(v.real)) > 1e-3
+            for i, j in permutations(range(len(z)), 2)
+            for m in range(-depth, depth + 1)
+            for v in (z[i] - z[j] + m * eta, z[i] - z[j] + m * eta + hbar)
+        )
+
+    for seed in range(400):
+        for length, prog_seed in zip((5, 4), _benchmark_ops_seeds(seed)):
+            rng, ref_rng = np.random.default_rng(prog_seed), np.random.default_rng(prog_seed)
+            site = _draw_positions(length, eta, hbar, rng)
+            while True:
+                z = tuple(complex(ref_rng.uniform(0, 1), ref_rng.uniform(0.1, 0.4))
+                          for _ in range(length))
+                if loop_ok(z, eta, 2) and all(loop_ok(z, e, 1) for e in _spread_etas(eta)):
+                    break
+            assert site.z == z
+            assert rng.uniform() == ref_rng.uniform()
 
 
 def test_readme_examples_run(tmp_path, monkeypatch):

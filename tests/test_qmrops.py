@@ -9,6 +9,7 @@ from gradedhs import (
     FactorStore,
     GradedDim,
     LocalOperator,
+    PoleError,
     ProbeBlock,
     RFamily,
     RMatrixSpec,
@@ -61,6 +62,57 @@ def draw_cfg(length, rng, eta=ETA, hbar=HBAR):
 def test_site_config_rejects_lattice_collision():
     with pytest.raises(ValueError):
         SiteConfig(2, (0.2 + 0.2j, 0.2 + 0.2j + ETA), ETA, HBAR)
+
+
+def loop_lattice_collisions(cfg, depth):
+    """Every (i, j, m, s) whose shifted difference sits within 1e-3 of an
+    integer, tuple by tuple in loop order."""
+    bad = []
+    for i in range(cfg.length):
+        for j in range(cfg.length):
+            for m in range(-depth, depth + 1):
+                for s in (0, 1):
+                    v = cfg.z[i] - cfg.z[j] + m * cfg.eta + s * cfg.hbar
+                    if i != j and abs(v - round(v.real)) <= 1e-3:
+                        bad.append((i + 1, j + 1, m, s))
+    return bad
+
+
+def unchecked_cfg(z, eta):
+    """A SiteConfig whose constructor has not checked it."""
+    cfg = object.__new__(SiteConfig)
+    for name, value in (("length", len(z)), ("z", tuple(complex(v) for v in z)),
+                        ("eta", complex(eta)), ("hbar", HBAR)):
+        object.__setattr__(cfg, name, value)
+    return cfg
+
+
+def test_site_config_names_the_first_three_collisions_in_loop_order():
+    for z, eta in [
+        ((0.2 + 0.2j, 0.2 + 0.2j + ETA, 0.2 + 0.2j, 0.7 + 0.3j), ETA),
+        ((0.1 + 0.1j, 0.6 + 0.1j, 1.1 + 0.1j, 0.35 + 0.2j), 0.5),
+        ((0.1 + 0.1j, 0.1 + 0.1j + 2 * ETA, 0.5 + 0.3j, 0.8 + 0.2j), ETA),  # at depth 2 only
+        (Z4, ETA),  # none
+    ]:
+        cfg = unchecked_cfg(z, eta)
+        for depth in (1, 2):
+            want = loop_lattice_collisions(cfg, depth)
+            if not want:
+                cfg.validate_shifts(depth)
+                continue
+            with pytest.raises(PoleError) as err:
+                cfg.validate_shifts(depth)
+            assert str(err.value) == f"site differences too close to the pole lattice: {want[:3]}"
+
+
+@pytest.mark.parametrize("bad", [complex("inf"), complex("nan"), 0.3 + complex(0, float("inf"))],
+                         ids=["inf", "nan", "inf_imag"])
+def test_site_config_refuses_non_finite_input(bad):
+    for z, eta, hbar in [((Z3[0], bad, Z3[2]), ETA, HBAR), (Z3, bad, HBAR)]:
+        with pytest.raises(PoleError, match="pole lattice"):
+            SiteConfig(3, z, eta, hbar)
+    with pytest.raises(PoleError):
+        SiteConfig(3, Z3, ETA, bad)
 
 
 def test_test_function_shift_closure(rng):

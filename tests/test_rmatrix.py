@@ -154,6 +154,33 @@ def test_build_r_pole_guards():
         build_r_normalized(spec, 1.0 - HBAR)
 
 
+NON_FINITE = [complex("inf"), complex("nan"), 0.3 + complex(0, float("inf"))]
+
+
+@pytest.mark.parametrize("bad", NON_FINITE, ids=["inf", "nan", "inf_imag"])
+def test_non_finite_points_raise_pole_error(bad):
+    ok = 0.31 + 0.2j
+    kernels = scalar_kernels(spec_of(RFamily.ZN_GRADED, (2, 1)))
+    calls = {
+        "build_r": lambda: build_r(spec_of(RFamily.UQ_GLNM, (1, 1)), bad),
+        "build_r_stack z": lambda: build_r_stack(RFamily.UQ_GLNM, GradedDim(2, 1), HBAR,
+                                                 np.array([ok, bad, ok])),
+        "build_r_stack hbar": lambda: build_r_stack(RFamily.ZN_GRADED, GradedDim(2, 1),
+                                                    np.array([HBAR, HBAR, bad]), ok),
+        "phi z": lambda: phi(0.3, bad),
+        "phi hbar": lambda: phi(bad, 0.3),
+        "phi array": lambda: phi(HBAR, np.array([ok, bad])),
+        "f": lambda: kernels.f(1, bad, HBAR),
+        "f array": lambda: kernels.f(2, np.array([bad, ok]), HBAR),
+        "g_flip": lambda: kernels.g_flip(1, 2, bad),
+        "g_flip array": lambda: kernels.g_flip(3, 1, np.array([ok, ok, bad])),
+    }
+    for name, call in calls.items():
+        with pytest.raises(PoleError, match="not finite"):
+            call()
+            pytest.fail(name)
+
+
 # ---------------------------------------------------------------------------
 # normalized matrix and its closed forms
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from gradedhs import (
     scalar_kernels,
 )
 from gradedhs import verify as verify_module
+from gradedhs.gradedcore import sigma_mask
 from gradedhs.sampling import (
     _MAX_RESAMPLES,
     _aybe_args_ok,
@@ -460,8 +461,8 @@ def test_stacked_arrays_stay_within_the_amplitude_budget(monkeypatch):
             assert max(r_sizes) <= 2 ** 14 and max(sizes, default=0) <= 2 ** 14, check.__name__
         r_sizes.clear()
         check_aybe(spec, *accepted(rng, 5, aybe_ok(spec), 100))
-        # ten points of six R-matrices of 256 amplitudes per block
-        assert r_sizes == [10 * 6 * 256] * 10
+        # four points of six R-matrices of 256 amplitudes per chunk
+        assert r_sizes == [4 * 6 * 256] * 25
         assert max(sizes) <= 2 ** 14
     # z-independence at (1|1): six R-matrices of 16 amplitudes per triple,
     # so 400 triples take three R blocks of at most 170 triples
@@ -485,10 +486,32 @@ def test_default_battery_builds_r_once_per_block(monkeypatch):
     monkeypatch.setattr(verify_module, "build_r_stack", counting)
     assert run_battery(seed=5).passed()
     # one call per row and block of points, two for twist (one per family):
-    # 8 calls per uq and 9 per zn spec at n <= 2; 12 and 13 at n = 3; at
-    # (2|2), blocks of 21 (QYBE), 10 (AYBE) and 32 (two-leg) points and
-    # z-independence chunks of 4 triples give 38 and 41
-    assert len(counted) == 197 and max(counted) <= 2 ** 14
+    # 8 calls per uq and 9 per zn spec at n <= 2; 13 and 14 at n = 3, with
+    # AYBE chunks of 22 points; at (2|2), blocks of 21 (QYBE) and 32
+    # (two-leg) points and AYBE and z-independence chunks of 4 give 53 and 56
+    assert len(counted) == 231 and max(counted) <= 2 ** 14
+
+
+@pytest.mark.parametrize("split", [False, True])
+@pytest.mark.parametrize("nm", [(2, 1), (2, 2)])
+def test_aybe_rows_take_their_defects_from_one_producer(nm, split, monkeypatch):
+    n = GradedDim(*nm).n
+    if split:
+        monkeypatch.setattr(verify_module, "_STACK_AMPS", 3 * n ** 6)  # chunks of 3 points
+    per_chunk = verify_module._STACK_AMPS // max(n ** 6, 6 * n ** 4)
+    for fam in RFamily:
+        spec = spec_of(fam, nm)
+        pts = accepted(np.random.default_rng(6), 5, aybe_ok(spec), 25)
+        plan = _battery_plan(spec, 0, 7, 25, dict(verify_module.DEFAULT_TOLERANCES), build_r)
+        [row] = [check for check in plan if check.name == "aybe"]
+        res, coefficients = check_aybe(spec, *pts)
+        assert row.residual(spec, *pts).tobytes() == res.tobytes()
+        chunks = list(_aybe_defects(spec, *pts))
+        assert [k for k, _, _ in chunks] == [
+            slice(k, k + per_chunk) for k in range(0, 25, per_chunk)
+        ]
+        defects = np.concatenate([defect for _, defect, _ in chunks])
+        assert (sigma_mask(spec.dim, 3) * defects).tobytes() == coefficients.tobytes()
 
 
 def test_batched_norms_equal_linalg_norm_bit_for_bit():
@@ -617,8 +640,9 @@ def test_z_independence_draws_each_points_triples_in_turn(nm):
         zs = [tuple(draw_point(ref_rng) for _ in range(3)) for _ in range(7)]
         zs = [z for z in zs if _aybe_args_ok(spec, xx, yy, *z)]
         cols = [np.full(len(zs), xx), np.full(len(zs), yy), *(np.array(c) for c in zip(*zs))]
-        defects, scales = _aybe_defects(spec, *cols)
-        scales = (scales + 1.0).tolist()
+        chunks = list(_aybe_defects(spec, *cols))
+        defects = [d for _, stack, _ in chunks for d in stack]
+        scales = (np.concatenate([scale for *_, scale in chunks]) + 1.0).tolist()
         best = 0.0
         for i, j in combinations(range(len(zs)), 2):
             diff = np.linalg.norm(defects[i] - defects[j]) / max(scales[i], scales[j])
