@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from itertools import combinations
 from typing import Sequence
 
@@ -74,6 +75,10 @@ class SiteConfig:
         if len(self.z) != self.length:
             raise ValueError("need one position per site")
         self.validate_shifts(1)
+        # from two sites on, a value that is not finite fails a difference
+        if not np.isfinite(np.array([*self.z, self.eta, self.hbar], dtype=complex)).all():
+            raise PoleError("positions, eta and hbar must be finite to stay off the pole "
+                            f"lattice: z={self.z}, eta={self.eta}, hbar={self.hbar}")
 
     def validate_shifts(self, depth: int) -> None:
         """Require all pairwise differences, eta-shifted up to ``depth``
@@ -89,12 +94,13 @@ class SiteConfig:
         if bad:
             raise PoleError(f"site differences too close to the pole lattice: {bad}")
 
-    def shifted(self, subset: Sequence[int]) -> np.ndarray:
-        """Positions with z_i -> z_i - eta for the 1-based sites in subset."""
-        z = np.array(self.z, dtype=complex)
-        for i in subset:
-            z[i - 1] -= self.eta
-        return z
+
+def _shifted(z: np.ndarray, subset: Sequence[int], eta: complex) -> np.ndarray:
+    """Positions z with z_i -> z_i - eta for the 1-based sites i in subset."""
+    zs = z.copy()
+    for i in subset:
+        zs[i - 1] -= eta
+    return zs
 
 
 @dataclass(frozen=True)
@@ -191,10 +197,7 @@ def _phi_prefactor(hbar: complex, z: np.ndarray, phi_pairs) -> complex:
 def _scalar_d_value(k: int, hbar: complex, eta: complex, f, z: np.ndarray):
     vals = []
     for term in DifferenceOperator(k, len(z)).subset_terms():
-        zs = z.copy()
-        for i in term.subset:
-            zs[i - 1] -= eta
-        vals.append(_phi_prefactor(hbar, z, term.phi_pairs) * f(zs))
+        vals.append(_phi_prefactor(hbar, z, term.phi_pairs) * f(_shifted(z, term.subset, eta)))
     return _tree_sum(vals)
 
 
@@ -243,6 +246,7 @@ class DifferenceOperator:
         if not 1 <= self.order <= self.length:
             raise ValueError(f"order {self.order} out of range 1..{self.length}")
 
+    @lru_cache(maxsize=None)  # one entry per (order, length)
     def subset_terms(self) -> tuple[SubsetTerm, ...]:
         k, L = self.order, self.length
         terms = []
@@ -314,15 +318,13 @@ class FactorStore:
             eta = self.eta
             recipe = []
             for term in DifferenceOperator(k, self.length).subset_terms():
-                zs = z.copy()
-                for i in term.subset:
-                    zs[i - 1] -= eta
                 # factors act on the vector from the right end of the product string
                 plans = [self.plan(i, j, z[i - 1] - eta - z[j - 1])
                          for (i, j) in reversed(term.right_sites)]
                 plans += [self.plan(j, i, z[j - 1] - z[i - 1])
                           for (j, i) in reversed(term.left_sites)]
-                recipe.append((_phi_prefactor(self.spec.hbar, z, term.phi_pairs), zs, plans))
+                recipe.append((_phi_prefactor(self.spec.hbar, z, term.phi_pairs),
+                               _shifted(z, term.subset, eta), plans))
             self._recipes[key] = recipe
         return recipe
 

@@ -270,10 +270,11 @@ def _fl(a: int, c: int, n: int) -> tuple[int, int]:
     return (a - 1) * n + (c - 1), (c - 1) * n + (a - 1)
 
 
-def _check_r_args(spec: RMatrixSpec, z: complex) -> None:
+def _check_r_args(hbar, z) -> None:
+    """The pole checks of R's arguments z, hbar and z + hbar (numbers or arrays)."""
     _require_off_lattice("z", z)
-    _require_off_lattice("hbar", spec.hbar)
-    _require_off_lattice("z+hbar", z + spec.hbar)
+    _require_off_lattice("hbar", hbar)
+    _require_off_lattice("z+hbar", z + hbar)
 
 
 @lru_cache(maxsize=None)  # one entry per (family, grading)
@@ -312,9 +313,7 @@ def _r_entries(family: RFamily, dim: GradedDim, hbar, z) -> np.ndarray:
     complex arithmetic does (the tests keep that formula as
     ``r_entry_reference``).
     """
-    _require_off_lattice("z", z)
-    _require_off_lattice("hbar", hbar)
-    _require_off_lattice("z+hbar", z + hbar)
+    _check_r_args(hbar, z)
     diag, diag_sign, off, mu_d, flip, flip_sign, mu_f = _r_layout(family, dim.n_even, dim.n_odd)
     R = np.zeros(np.shape(z)[:-1] + (dim.n ** 4,), dtype=complex)
     R[..., diag] = math.pi * (diag_sign * cot(math.pi * z) + cot(math.pi * hbar))
@@ -366,7 +365,7 @@ def normalized_closed_form(spec: RMatrixSpec, z: complex) -> LocalOperator:
     the other blocks scale the unnormalized weights by
     sin(pi z) sin(pi hbar) / (pi sin(pi(z + hbar))).
     """
-    _check_r_args(spec, z)
+    _check_r_args(spec.hbar, z)
     n = spec.dim.n
     p = spec.dim.parities
     h = spec.hbar
@@ -393,7 +392,7 @@ def normalized_closed_form(spec: RMatrixSpec, z: complex) -> LocalOperator:
 
 def build_f_derivative(spec: RMatrixSpec, z: complex) -> LocalOperator:
     """Entry-wise analytic z-derivative of the normalized R-matrix."""
-    _check_r_args(spec, z)
+    _check_r_args(spec.hbar, z)
     n = spec.dim.n
     p = spec.dim.parities
     h = spec.hbar
@@ -514,9 +513,16 @@ class TwistData:
     periodicity: np.ndarray
 
 
+def _gauge_phases(n: int, u) -> np.ndarray:
+    """Diagonal e^{2 pi i j u / n}, j = 0 .. n-1, of the site gauge G(u): shape
+    (n,) for a number u, (S, n) for a 1-D array.  Each entry rounds as
+    ``cmath.exp(2j * math.pi * j * u / n)`` does."""
+    turns = _cmul(_cmul(2j * math.pi, np.arange(n)), np.asarray(u, dtype=complex)[..., None])
+    return np.exp(_cdiv(turns, n))
+
+
 def gauge_matrix(dim: GradedDim, u: complex) -> np.ndarray:
-    n = dim.n
-    return np.diag([cmath.exp(2j * math.pi * j * u / n) for j in range(n)])
+    return np.diag(_gauge_phases(dim.n, u))
 
 
 def twist_matrix(dim: GradedDim, hbar: complex) -> LocalOperator:

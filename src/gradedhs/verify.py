@@ -22,7 +22,7 @@ works on whole arrays:
   are screened by array predicates.  The first ``samples`` accepted
   candidates are kept, so the points, the resample counts and the
   100-resample error are those of drawing one point after another.
-- R-matrices.  A check builds all the R stacks it needs for a block of
+- R-matrices.  A check builds all the R stacks it needs for a chunk of
   points with one vectorised :func:`build_r_stack` call over their
   concatenated (hbar, z) arguments.  A custom ``r_builder`` keeps its
   ``(spec, z) -> LocalOperator`` contract; its outputs are stacked point
@@ -35,20 +35,20 @@ works on whole arrays:
 Every per-sample number is rounded exactly as a one-point evaluation
 rounds it, so reports do not depend on the stacking.
 
-No stacked array holds more than ``_STACK_AMPS`` = 2^14 amplitudes: a
-block's R stacks together (21 points of QYBE at (2|2), all 100 at
-(1|1)), and each chunk of three-leg placements and products (4 samples
-at (2|2), all 100 at (1|1)).  The AYBE rows take their defects from one
-producer, :func:`_aybe_defects`, whose chunks of ``_STACK_AMPS //
-max(n^6, 6 n^4)`` points (4 at (2|2), 22 at n = 3) build their own six R
-stacks.  The bound is set by memory.  QYBE at 100 points of (2|2) raised
-peak RSS by 0.1 MB in chunks of 4 samples, 1.6 MB in chunks of 8, 4.6 MB
-in chunks of 16 and 36 MB unchunked, against a battery peak of about
-40 MB.  R blocks of 2^15 amplitudes, beside the product chunks, raised
-the peak of ``gradedhs verify`` by 0.3 MB and saved 15 ms of its 0.3 s
-battery.  AYBE R stacks built per block of points, not per chunk, also
-raised that peak by 0.3 MB, because the z-independence row holds every
-defect of a point.
+One rule, :func:`_chunk_points`, cuts every row into chunks of points
+that build their own R stacks: a row with r R-matrices per point, placed
+on ``legs`` legs, takes ``_STACK_AMPS // max(r n^4, n^(2 legs))`` points
+at a time, so no stacked array holds more than ``_STACK_AMPS`` = 2^14
+amplitudes.  QYBE (r = 3) and the AYBE rows (r = 6, whose defects come
+from one producer, :func:`_aybe_defects`) take 4 points at (2|2) and 22
+at n = 3; the two-leg rows take 32 or 64 at (2|2).  The bound is set by
+memory.  QYBE at 100 points of (2|2) raised peak RSS by 0.1 MB in chunks
+of 4 samples, 1.6 MB in chunks of 8, 4.6 MB in chunks of 16 and 36 MB
+unchunked, against a battery peak of about 40 MB.  R blocks of 2^15
+amplitudes, beside the product chunks, raised the peak of ``gradedhs
+verify`` by 0.3 MB and saved 15 ms of its 0.3 s battery.  AYBE R stacks
+built per block of points, not per chunk, also raised that peak by
+0.3 MB, because the z-independence row holds every defect of a point.
 """
 
 from __future__ import annotations
@@ -76,9 +76,9 @@ from .rmatrix import (
     RMatrixSpec,
     _cabs,
     _cmul,
+    _gauge_phases,
     build_r,
     build_r_stack,
-    gauge_matrix,
     periodicity_matrix,
     phi,
     residue_at_zero,
@@ -90,8 +90,8 @@ from .sampling import _aybe_args_ok, _draw_accepted, _off_lattice, _uniform_poin
 
 _FLOOR = 1e-300
 
-#: largest number of amplitudes in one stacked array: a block of R stacks,
-#: or a chunk of placed or multiplied matrices (see the module notes)
+#: largest number of amplitudes in one stacked array: a chunk's R stacks
+#: together, or a stack of its placed or multiplied matrices
 _STACK_AMPS = 1 << 14
 
 DEFAULT_TOLERANCES = {
@@ -178,39 +178,29 @@ def _slices(total: int, step: int):
         yield slice(k, k + step)
 
 
-def _join(parts: list):
-    """Per-slice results joined along the points (column by column for tuples)."""
-    if isinstance(parts[0], tuple):
-        return tuple(np.concatenate(col) for col in zip(*parts))
-    return np.concatenate(parts)
+def _chunk_points(spec: RMatrixSpec, r_per_point: int, legs: int) -> int:
+    """Points per chunk: their ``r_per_point`` R-matrices per point, taken
+    together, and each stack of their ``legs``-leg placed matrices hold at
+    most ``_STACK_AMPS`` amplitudes."""
+    n = spec.dim.n
+    return max(1, _STACK_AMPS // max(r_per_point * n ** 4, n ** (2 * legs)))
 
 
-def _chunked(spec: RMatrixSpec, legs: int, fn, *stacks):
-    """``fn`` over slices of equal-length stacks whose ``legs``-leg matrices
-    hold at most ``_STACK_AMPS`` amplitudes per stack, joined."""
-    step = max(1, _STACK_AMPS // spec.dim.n ** (2 * legs))
-    return _join([fn(*(s[k] for s in stacks)) for k in _slices(len(stacks[0]), step)])
-
-
-def _stacked(r_per_point: int):
+def _stacked(r_per_point: int, legs: int = 2):
     """Let a check written for stacks take one point or 1-D arrays of points.
 
-    The check gets the points in blocks whose ``r_per_point`` R-matrices
-    per point hold at most ``_STACK_AMPS`` amplitudes; a point gives
-    floats back, arrays give arrays (elementwise for a check returning a
-    tuple).
+    The check gets the points in chunks of :func:`_chunk_points`; a point
+    gives a float back, arrays give an array.
     """
 
     def wrap(check):
         @functools.wraps(check)
         def run(spec, *points, **kwargs):
             arrays = _point_arrays(*points)
-            step = max(1, _STACK_AMPS // (r_per_point * spec.dim.n ** 4))
-            out = _join([check(spec, *(a[k] for a in arrays), **kwargs)
-                         for k in _slices(len(arrays[0]), step)])
-            if not all(np.ndim(p) == 0 for p in points):
-                return out
-            return tuple(o[0] for o in out) if isinstance(out, tuple) else float(out[0])
+            step = _chunk_points(spec, r_per_point, legs)
+            out = np.concatenate([check(spec, *(a[k] for a in arrays), **kwargs)
+                                  for k in _slices(len(arrays[0]), step)])
+            return out if any(np.ndim(p) for p in points) else float(out[0])
 
         return run
 
@@ -247,33 +237,27 @@ def _subtract_on_diagonal(stack: np.ndarray, values, rows=slice(None)) -> np.nda
 # ---------------------------------------------------------------------------
 
 
-@_stacked(r_per_point=3)
+@_stacked(r_per_point=3, legs=3)
 def check_qybe(spec: RMatrixSpec, u, v, builder=build_r):
     """Residual of R12(u) R13(u+v) R23(v) = R23(v) R13(u+v) R12(u)."""
-
-    def residual(a, b, c):
-        r12 = _embed_realized_stack(a, spec.dim, (1, 2), 3)
-        r13 = _embed_realized_stack(b, spec.dim, (1, 3), 3)
-        r23 = _embed_realized_stack(c, spec.dim, (2, 3), 3)
-        scales = _norms(r12), _norms(r13), _norms(r23)
-        left = r12 @ r13
-        defect = left @ r23
-        # the second product reuses the buffers of the first and of r23
-        np.matmul(r23, r13, out=left)
-        defect -= np.matmul(left, r12, out=r23)
-        return _rel(_norms(defect), *scales)
-
-    return _chunked(spec, 3, residual, *_r(builder, spec, [u, u + v, v]))
-
-
-def _gtilde_defect(x: complex, y: complex) -> complex:
-    """pi^2 / (2 cos(pi x/2) cos(pi y/2) cos(pi (x-y)/2)) at one point."""
-    return math.pi ** 2 / (
-        2
-        * np.cos(math.pi * x / 2)
-        * np.cos(math.pi * y / 2)
-        * np.cos(math.pi * (x - y) / 2)
+    r12, r13, r23 = (
+        _embed_realized_stack(r, spec.dim, sites, 3)
+        for r, sites in zip(_r(builder, spec, [u, u + v, v]), ((1, 2), (1, 3), (2, 3)))
     )
+    scales = _norms(r12), _norms(r13), _norms(r23)
+    left = r12 @ r13
+    defect = left @ r23
+    # the second product reuses the buffers of the first and of r23
+    np.matmul(r23, r13, out=left)
+    defect -= np.matmul(left, r12, out=r23)
+    return _rel(_norms(defect), *scales)
+
+
+def _gtilde_defect(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """pi^2 / (2 cos(pi x/2) cos(pi y/2) cos(pi (x-y)/2)) at arrays of points,
+    each rounded as the formula on Python complex numbers rounds it."""
+    a, b, c = (np.cos(_cmul(math.pi, t) / 2) for t in (x, y, x - y))
+    return math.pi ** 2 / _cmul(_cmul(_cmul(2, a), b), c)
 
 
 def _aybe_prefactors(spec: RMatrixSpec, x, y):
@@ -283,7 +267,7 @@ def _aybe_prefactors(spec: RMatrixSpec, x, y):
     if spec.family is not RFamily.UQ_GLNM or n < 3:
         return [], np.zeros(len(x))
     rows = [(a * n + b) * n + c for a, b, c in permutations(range(n), 3)]
-    return rows, np.array([_gtilde_defect(complex(xx), complex(yy)) for xx, yy in zip(x, y)])
+    return rows, _gtilde_defect(x, y)
 
 
 def expected_aybe_defect(spec: RMatrixSpec, x: complex, y: complex) -> LocalOperator:
@@ -299,7 +283,7 @@ def expected_aybe_defect(spec: RMatrixSpec, x: complex, y: complex) -> LocalOper
     in the scalar triple relation (see ``gtilde_defect``).
     """
     n = spec.dim.n
-    rows, pref = _aybe_prefactors(spec, [x], [y])
+    rows, pref = _aybe_prefactors(spec, *_point_arrays(x, y))
     D = np.zeros((n ** 3, n ** 3), dtype=complex)
     D[rows, rows] = pref[0]
     return LocalOperator(spec.dim, 3, D)
@@ -313,8 +297,7 @@ def _aybe_defects(spec, x, y, z1, z2, z3, builder=build_r):
     """Realized AYBE defects of 1-D arrays of points: per chunk of points,
     its slice, its (S, n^3, n^3) defects and their operand scales |a| |b|.
     Each chunk builds its own six R stacks (see the module notes)."""
-    n = spec.dim.n
-    for k in _slices(len(x), max(1, _STACK_AMPS // max(n ** 6, 6 * n ** 4))):
+    for k in _slices(len(x), _chunk_points(spec, 6, 3)):
         xk, yk = x[k], y[k]
         z12, z23, z13 = z1[k] - z2[k], z2[k] - z3[k], z1[k] - z3[k]
         rs = _r(builder, spec, [z12, z23, z13, z12, z23, z13], [xk, yk, yk, xk - yk, yk - xk, xk])
@@ -451,11 +434,9 @@ def check_twist(spec_zn: RMatrixSpec, u, v, builder=build_r):
         _embed_realized_stack(_r(builder, sp, [u - v])[0], dim, (1, 2), 2)
         for sp in (spec_zn, spec_uq)
     )
-    # gauges per sample; the diagonal factors are multiplied as matrices,
-    # which rounds as the one-point products do
-    gu = np.array([np.diag(gauge_matrix(dim, complex(p))) for p in u])
-    gv = np.array([np.diag(gauge_matrix(dim, complex(p))) for p in v])
-    g1, g2 = np.repeat(gu, n, axis=1), np.tile(gv, n)
+    # the diagonal factors are multiplied as matrices, which rounds as the
+    # one-point products do
+    g1, g2 = np.repeat(_gauge_phases(n, u), n, axis=1), np.tile(_gauge_phases(n, v), n)
     f12 = np.diag(twist_matrix(dim, h).entries)
     f21 = f12.reshape(n, n).T.ravel()
     eye = np.eye(n * n)  # times a row of diagonals: one diagonal matrix per sample
@@ -561,7 +542,7 @@ def check_scalar_relations(spec: RMatrixSpec, x, y, z, w) -> dict:
     if spec.family is RFamily.UQ_GLNM:
         gt = k.g_tilde
         lhs = _cmul(gt(x), gt(y)) - _cmul(gt(y), gt(x - y)) - _cmul(gt(y - x), gt(x))
-        rhs = np.array([_gtilde_defect(complex(xx), complex(yy)) for xx, yy in zip(x, y)])
+        rhs = _gtilde_defect(x, y)
         out["gtilde_defect"] = _cabs(lhs - rhs) / (_cabs(rhs) + _FLOOR)
     return {key: float(val[0]) for key, val in out.items()} if single else out
 

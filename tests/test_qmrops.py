@@ -113,6 +113,11 @@ def test_site_config_refuses_non_finite_input(bad):
             SiteConfig(3, z, eta, hbar)
     with pytest.raises(PoleError):
         SiteConfig(3, Z3, ETA, bad)
+    # one site has no difference to test
+    for z, eta, hbar in [((bad,), ETA, HBAR), (Z3[:1], bad, HBAR), (Z3[:1], ETA, bad)]:
+        with pytest.raises(PoleError, match="pole lattice"):
+            SiteConfig(1, z, eta, hbar)
+    assert SiteConfig(1, Z3[:1], ETA, HBAR).z == Z3[:1]
 
 
 def test_test_function_shift_closure(rng):
@@ -240,7 +245,9 @@ def dense_spin_d(spec, k, cfg, f):
         pref = 1.0 + 0.0j
         for (j, i) in term.phi_pairs:
             pref *= phi(spec.hbar, z[j - 1] - z[i - 1])
-        vec = f.value(cfg.shifted(term.subset))
+        zs = z.copy()
+        zs[[i - 1 for i in term.subset]] -= eta
+        vec = f.value(zs)
         for (i, j) in reversed(term.right_sites):
             arg = z[i - 1] - eta - z[j - 1]
             vec = embed_realized(build_r_normalized(spec, arg), (i, j), L) @ vec

@@ -27,6 +27,7 @@ from gradedhs import (
     super_multiply,
     twist_data,
 )
+from gradedhs.rmatrix import _gauge_phases, gauge_matrix
 
 HBAR = 0.23 + 0.11j
 
@@ -314,6 +315,17 @@ def test_gauge_matrix_two_dim():
     u = 0.37 + 0.11j
     td = twist_data(spec_of(RFamily.ZN_GRADED, (1, 1)), u)
     assert np.allclose(td.gauge, np.diag([1.0, cmath.exp(1j * math.pi * u)]), atol=1e-14)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_array_gauges_round_as_cmath(n):
+    # the one-point form the gauge helper replaces, bit for bit
+    rng = np.random.default_rng(n)
+    u = rng.uniform(-2.0, 2.0, 500) + 1j * rng.uniform(-0.5, 0.5, 500)
+    want = np.array([[cmath.exp(2j * math.pi * j * p / n) for j in range(n)] for p in u.tolist()])
+    assert _gauge_phases(n, u).tobytes() == want.tobytes()
+    for p, row in zip(u[:20].tolist(), want):
+        assert np.diag(gauge_matrix(GradedDim(n, 0), p)).tobytes() == row.tobytes()
 
 
 @pytest.mark.parametrize("nm", [(1, 0), (2, 0), (1, 1), (2, 1), (2, 2)])

@@ -40,6 +40,7 @@ from gradedhs.sampling import (
 from gradedhs.verify import (
     _aybe_defects,
     _battery_plan,
+    _gtilde_defect,
     _norms,
     _run_check,
     _spread,
@@ -223,6 +224,18 @@ def test_gtilde_defect_at_rational_point():
         2 * math.cos(math.pi * x / 2) * math.cos(math.pi * y / 2) * math.cos(math.pi * (x - y) / 2)
     )
     assert abs(lhs - rhs) < 1e-12
+
+
+def test_array_gtilde_defect_rounds_as_the_one_point_formula():
+    def one_point(x, y):
+        return math.pi ** 2 / (
+            2 * np.cos(math.pi * x / 2) * np.cos(math.pi * y / 2) * np.cos(math.pi * (x - y) / 2)
+        )
+
+    rng = np.random.default_rng(12)
+    x, y = (rng.uniform(-3.0, 3.0, 2000) + 1j * rng.uniform(-1.0, 1.0, 2000) for _ in range(2))
+    want = np.array([one_point(a, b) for a, b in zip(x.tolist(), y.tolist())])
+    assert _gtilde_defect(x, y).tobytes() == want.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -444,7 +457,7 @@ def test_stacked_arrays_stay_within_the_amplitude_budget(monkeypatch):
     u, v = (np.array([draw(rng) for _ in range(10)]) for _ in range(2))
     check_qybe(spec, u, v)
     assert max(sizes) == 4 * 64 * 64 <= 2 ** 14  # four samples per chunk at (2|2)
-    assert r_sizes == [10 * 3 * 256]  # one R build for all ten points
+    assert r_sizes == [4 * 3 * 256] * 2 + [2 * 3 * 256]  # and one R build per chunk
     sizes.clear()
     r_sizes.clear()
     check_qybe(spec_of(RFamily.UQ_GLNM, (1, 1)), np.resize(u, 100), np.resize(v, 100))
@@ -474,6 +487,13 @@ def test_stacked_arrays_stay_within_the_amplitude_budget(monkeypatch):
     assert max(sizes) <= 2 ** 14
 
 
+def test_report_does_not_depend_on_the_stacking(monkeypatch):
+    want = run_battery(seed=5, samples=12).to_json()
+    for budget in (1, 2 * 4 ** 6):
+        monkeypatch.setattr(verify_module, "_STACK_AMPS", budget)
+        assert run_battery(seed=5, samples=12).to_json() == want, budget
+
+
 def test_default_battery_builds_r_once_per_block(monkeypatch):
     build = verify_module.build_r_stack
     counted = []
@@ -485,11 +505,12 @@ def test_default_battery_builds_r_once_per_block(monkeypatch):
 
     monkeypatch.setattr(verify_module, "build_r_stack", counting)
     assert run_battery(seed=5).passed()
-    # one call per row and block of points, two for twist (one per family):
-    # 8 calls per uq and 9 per zn spec at n <= 2; 13 and 14 at n = 3, with
-    # AYBE chunks of 22 points; at (2|2), blocks of 21 (QYBE) and 32
-    # (two-leg) points and AYBE and z-independence chunks of 4 give 53 and 56
-    assert len(counted) == 231 and max(counted) <= 2 ** 14
+    # one call per row and chunk of points, two for twist (one per family):
+    # 8 calls per uq and 9 per zn spec at n <= 2; 16 and 17 at n = 3, with
+    # QYBE and AYBE chunks of 22 points; at (2|2), QYBE, AYBE and
+    # z-independence chunks of 4 and two-leg chunks of 32 (64 for the
+    # kernel row) give 73 and 76
+    assert len(counted) == 283 and max(counted) <= 2 ** 14
 
 
 @pytest.mark.parametrize("split", [False, True])
