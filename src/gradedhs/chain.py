@@ -286,12 +286,10 @@ def c_factorized_h1(spec: RMatrixSpec, length: int) -> ChainOperator:
     for i in range(2, length + 1):
         for k in range(1, i):
             w = c_prefactor(spec, x[i - 1] - x[k - 1])
-            factors = []
-            for j in range(i - 1, k, -1):
-                factors.append(((j, i), fac.rb(j, i)))
-            factors.append(((k, i), C))
-            for j in range(k + 1, i):
-                factors.append(((i, j), fac.rb(i, j)))
+            left = [(j, i) for j in range(i - 1, k, -1)]
+            right = [(b, a) for (a, b) in reversed(left)]
+            factors = [(s, fac.rb(*s)) for s in left] + [((k, i), C)]
+            factors += [(s, fac.rb(*s)) for s in right]
             terms.append(ProductTerm(w, tuple(factors)))
     return ChainOperator.from_terms(spec.dim, length, terms)
 
@@ -482,7 +480,8 @@ def save_operator_binary(op: ChainOperator, spec: RMatrixSpec, path) -> None:
 def load_operator_binary(path) -> tuple[np.ndarray, dict]:
     """Read a matrix dump; returns (matrix, header dict), the matrix a
     writable copy of the payload's bits.  A file that is not exactly a
-    header and 16 d^2 payload bytes raises ``ValueError``."""
+    header and 16 d^2 payload bytes, or whose header holds n < 1, L < 1 or
+    an unknown family tag, raises ``ValueError``."""
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:8] != _BINARY_MAGIC:
@@ -492,6 +491,10 @@ def load_operator_binary(path) -> tuple[np.ndarray, dict]:
             f"operator dump header is {len(data)} bytes, expected {_BINARY_HEADER.size}"
         )
     _, n, length, tag, hre, him = _BINARY_HEADER.unpack_from(data)
+    if n < 1 or length < 1 or tag not in _FAMILY_TAGS.values():
+        raise ValueError(f"operator dump header n = {n}, L = {length}, family tag {tag} "
+                         f"was never written: need n, L >= 1 and a tag in "
+                         f"{sorted(_FAMILY_TAGS.values())}")
     d = n ** length
     size, expected = len(data) - _BINARY_HEADER.size, 16 * d * d
     if size != expected:

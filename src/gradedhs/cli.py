@@ -329,6 +329,13 @@ def _ops_rows(cfg: RunConfig, spec: RMatrixSpec, site: SiteConfig, identities, p
 def cmd_ops(cfg: RunConfig) -> int:
     specs = _specs(cfg)
     identities, pairs = _ops_plan(cfg)
+    # the four-block products are n^L x n^L arrays, several of them at once
+    for spec in specs if identities else ():
+        if spec.dim.n ** cfg.length > DENSE_SITE_CAP:
+            raise ConfigError(
+                f"{spec}: the f-identity at dimension {spec.dim.n ** cfg.length} exceeds the "
+                f"dense cap {DENSE_SITE_CAP}; use --check commute or a smaller --L"
+            )
     out = _out_dir(cfg)
     rng = np.random.default_rng(cfg.seed)
     rows = []

@@ -21,10 +21,12 @@ related to the matrix of the operator as a linear map by a fixed +-1 mask
 matrix product, which keeps the hot path in BLAS.  When M = 0 every sign
 is +1 and all of this reduces to ordinary linear algebra.
 
-Embedding a two-leg operator at legs (i, j) is an index placement in the
-coefficient basis: entries only move, and the Koszul sign
-(-1)^{|e_ab||e_cd|} appears only when i > j puts its legs in the other
-order (see :func:`_placement`).
+Embedding a two-leg operator at legs (i, j) is an index placement: entries
+only move, and the Koszul sign (-1)^{|e_ab||e_cd|} appears only when
+i > j puts its legs in the other order.  One map places them straight
+into the realized matrix, with the target's sigma mask folded into its
+signs (see :func:`_placement`).  Exchanging the two legs of a factor is a
+signed transpose: the legs' axes exchanged, times that Koszul sign.
 
 States live in (C^(N|M))^{(x) L}.  A chain operator is a sum of products
 of embedded two-site factors, given as factor terms or as pivot ladders
@@ -480,17 +482,29 @@ def _check_factor(op: LocalOperator, sites: tuple[int, int], length: int) -> Non
 # -- embedding --------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _exchange_sign(parities: tuple[int, ...]) -> np.ndarray:
+    """Koszul sign (-1)^{|e_ab||e_cd|} of exchanging the legs of e_ab (x)
+    e_cd, as a flat +-1 vector over the two-leg entries [(a, c), (b, d)]."""
+    p = np.array(parities, dtype=np.int64)
+    a, c, b, d = np.indices((len(p),) * 4).reshape(4, -1)
+    sign = 1.0 - 2.0 * ((p[a] + p[b]) * (p[c] + p[d]) % 2)
+    sign.flags.writeable = False
+    return sign
+
+
 @lru_cache(maxsize=256)  # keyed by (grading, sites, legs): a few dozen keys in use
 def _placement(parities: tuple[int, ...], i: int, j: int, legs: int):
-    """Index map that places a two-leg coefficient array at legs (i, j).
+    """Index map that places a two-leg coefficient array at legs (i, j) as
+    a realized (linear-map) matrix.
 
     Returns ``(dst, src, sign)`` with ``out.ravel()[dst] = X.ravel()[src] * sign``.
     The monomial e_ab (x) e_cd lands as e_ab at leg i and e_cd at leg j, the
     identity on every other leg.  The identity is even, so the only Koszul
-    sign is (-1)^{|e_ab||e_cd|}, paid when i > j puts e_cd first.
+    sign is :func:`_exchange_sign`, paid when i > j puts e_cd first; the
+    target's sigma mask is folded into ``sign``.
     """
-    p = np.array(parities, dtype=np.int64)
-    n = len(p)
+    n = len(parities)
     stride = n ** np.arange(legs - 1, -1, -1)  # flat-index weight of each leg
     spectators = np.delete(stride, [i - 1, j - 1]) @ _leg_labels(n, legs - 2)
     a, c, b, d = np.indices((n,) * 4).reshape(4, -1)  # flat src order [(a, c), (b, d)]
@@ -498,20 +512,10 @@ def _placement(parities: tuple[int, ...], i: int, j: int, legs: int):
     col = (b * stride[i - 1] + d * stride[j - 1])[:, None] + spectators
     dst = (row * n ** legs + col).ravel()
     src = np.repeat(np.arange(n ** 4), spectators.size)
-    odd = (p[a] + p[b]) * (p[c] + p[d]) % 2 if i > j else np.zeros_like(a)
-    sign = np.repeat(1.0 - 2.0 * odd, spectators.size)
+    koszul = np.repeat(_exchange_sign(parities), spectators.size) if i > j else 1.0
+    sign = koszul * _sigma_mask_cached(parities, legs).ravel()[dst]
     for arr in (dst, src, sign):
         arr.flags.writeable = False
-    return dst, src, sign
-
-
-@lru_cache(maxsize=64)  # keyed by (grading, sites, legs), as _placement
-def _realized_placement(parities: tuple[int, ...], i: int, j: int, legs: int):
-    """:func:`_placement` with the sigma mask of the target folded into its
-    sign, so the gather yields the realized (linear-map) matrix."""
-    dst, src, sign = _placement(parities, i, j, legs)
-    sign = sign * _sigma_mask_cached(parities, legs).ravel()[dst]
-    sign.flags.writeable = False
     return dst, src, sign
 
 
@@ -520,32 +524,26 @@ def _embed_realized_stack(
 ) -> np.ndarray:
     """Realized matrices, shape (S, d, d), of a stack (S, n^2, n^2) of
     two-leg coefficient arrays placed at ``sites`` of ``legs`` legs."""
-    dst, src, sign = _realized_placement(tuple(dim.parities), sites[0], sites[1], legs)
+    dst, src, sign = _placement(tuple(dim.parities), sites[0], sites[1], legs)
     d = dim.n ** legs
     out = np.zeros((len(entries), d * d), dtype=complex)
     out[:, dst] = entries.reshape(len(entries), -1)[:, src] * sign
     return out.reshape(-1, d, d)
 
 
-def _embed_dense(op: LocalOperator, sites: tuple[int, int], legs: int) -> np.ndarray:
-    """Coefficient array of a two-leg operator placed at ``sites``."""
-    _check_factor(op, sites, legs)
-    dst, src, sign = _placement(tuple(op.dim.parities), sites[0], sites[1], legs)
-    d = op.dim.n ** legs
-    out = np.zeros(d * d, dtype=complex)
-    out[dst] = op.entries.ravel()[src] * sign
-    return out.reshape(d, d)
-
-
 def _swap_legs(op: LocalOperator) -> LocalOperator:
     """Two-leg operator with its legs exchanged: P . op . P under the graded
-    product (exported as ``rmatrix.r_transposed``)."""
-    return LocalOperator(op.dim, 2, _embed_dense(op, (2, 1), 2))
+    product (exported as ``rmatrix.r_transposed``), the transpose that
+    exchanges the legs times :func:`_exchange_sign`."""
+    n = op.dim.n
+    sign = _exchange_sign(tuple(op.dim.parities)).reshape(n, n, n, n)
+    return LocalOperator(op.dim, 2, (op.entries.reshape(n, n, n, n).transpose(1, 0, 3, 2)
+                                     * sign).reshape(n * n, n * n))
 
 
 def embed_local(op: LocalOperator, sites: tuple[int, int], legs: int) -> LocalOperator:
     """Embed a two-leg operator into a ``legs``-leg LocalOperator."""
-    return LocalOperator(op.dim, legs, _embed_dense(op, sites, legs))
+    return LocalOperator(op.dim, legs, sigma_mask(op.dim, legs) * embed_realized(op, sites, legs))
 
 
 def embed(op: LocalOperator, sites: tuple[int, int], length: int) -> ChainOperator:

@@ -234,9 +234,10 @@ class DifferenceOperator:
 
     Lists, per subset I = (i_1 < ... < i_k), the ordered factor blocks: the
     left block runs slots t = 1..k, each a descending product of
-    Rbar_{j, i_t} over j < i_t outside I; the right block runs slots
-    t = k..1, each an ascending product of Rbar_{i_t, j} over j < i_t
-    outside I, evaluated at shifted first arguments.
+    Rbar_{j, i_t} over j < i_t outside I; the right block is the left one
+    read backwards with each factor's sites exchanged: slots t = k..1, each
+    an ascending product of Rbar_{i_t, j} over j < i_t outside I, evaluated
+    at shifted first arguments.
     """
 
     order: int
@@ -255,18 +256,10 @@ class DifferenceOperator:
             phi_pairs = tuple(
                 (j, i) for i in subset for j in range(1, L + 1) if j not in inside
             )
-            left = []
-            right = []
-            for t, it in enumerate(subset):
-                for j in range(it - 1, 0, -1):
-                    if j not in subset[:t]:
-                        left.append((j, it))
-            for t in range(k - 1, -1, -1):
-                it = subset[t]
-                for j in range(1, it):
-                    if j not in subset[:t]:
-                        right.append((it, j))
-            terms.append(SubsetTerm(subset, phi_pairs, tuple(left), tuple(right)))
+            left = tuple((j, it) for t, it in enumerate(subset)
+                         for j in range(it - 1, 0, -1) if j not in subset[:t])
+            right = tuple((i, j) for (j, i) in reversed(left))
+            terms.append(SubsetTerm(subset, phi_pairs, left, right))
         return tuple(terms)
 
 
@@ -434,34 +427,23 @@ def scalar_commutator_eval(cfg: SiteConfig, k: int, l: int, f) -> float:
 
 def _four_block_sites(subset: tuple[int, ...], L: int) -> tuple[list, list]:
     """Factors of F+ and F- for one index subset, each as (i, j, shifted)
-    for R_ij(z_i - z_j [- eta]) in product order (leftmost first)."""
+    for R_ij(z_i - z_j [- eta]) in product order (leftmost first).  F- is
+    F+ read backwards with each factor's sites exchanged."""
     k = len(subset)
     inside = set(subset)
     plus: list = []
-    minus: list = []
-    # F+ block 1: slots t = k..1; ascending l in (i_t, L], l not in later I
+    # block 1: slots t = k..1; ascending l in (i_t, L], l not in later I
     for t in range(k - 1, -1, -1):
         later = set(subset[t + 1:])
         plus += [(subset[t], l, False) for l in range(subset[t] + 1, L + 1) if l not in later]
-    # F+ block 2: slots t = 1..k; descending j over all sites outside I
+    # block 2: slots t = 1..k; descending j over all sites outside I
     for t in range(k):
         plus += [(j, subset[t], True) for j in range(L, 0, -1) if j not in inside]
-    # F+ block 3: slots t = k..1; ascending m in [1, i_t), m not in earlier I
+    # block 3: slots t = k..1; ascending m in [1, i_t), m not in earlier I
     for t in range(k - 1, -1, -1):
         earlier = set(subset[:t])
         plus += [(subset[t], m, False) for m in range(1, subset[t]) if m not in earlier]
-    # F- block 1: slots t = 1..k; descending m in [1, i_t), m not in earlier I
-    for t in range(k):
-        earlier = set(subset[:t])
-        minus += [(m, subset[t], False) for m in range(subset[t] - 1, 0, -1) if m not in earlier]
-    # F- block 2: slots t = k..1; ascending j over all sites outside I
-    for t in range(k - 1, -1, -1):
-        minus += [(subset[t], j, True) for j in range(1, L + 1) if j not in inside]
-    # F- block 3: slots t = 1..k; descending l in (i_t, L], l not in later I
-    for t in range(k):
-        later = set(subset[t + 1:])
-        minus += [(l, subset[t], False) for l in range(L, subset[t], -1) if l not in later]
-    return plus, minus
+    return plus, [(j, i, s) for (i, j, s) in reversed(plus)]
 
 
 def _f_identity_assembled(
@@ -527,9 +509,12 @@ def f_identity_eta_spread(
 ) -> float:
     """Max residual over several eta values (the defect is eta-independent).
 
-    A NaN residual counts as infinite.  All etas share ``store``, or one
-    store made for this call.
+    A NaN residual counts as infinite, and an empty ``etas`` raises
+    ``ValueError``.  All etas share ``store``, or one store made for this
+    call.
     """
+    if len(etas) == 0:
+        raise ValueError("need at least one eta")
     store = _store_for(spec, cfg, store, any_eta=True)
     worst = 0.0
     for eta in etas:

@@ -651,12 +651,15 @@ def run_battery(
 
     Deterministic for a given seed; per-check failures (including
     unexpected errors) are recorded, never raised.  A ``samples`` count
-    below 1 leaves nothing to check and raises ``ValueError``.
+    below 1, or an empty ``specs`` list, leaves nothing to check and raises
+    ``ValueError``.
     """
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples}")
     if specs is None:
         specs = default_specs()
+    if not specs:
+        raise ValueError("no specs to check")
     tol = dict(DEFAULT_TOLERANCES)
     tol.update(tolerances or {})
 

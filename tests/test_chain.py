@@ -368,6 +368,21 @@ def test_c_factorized_h1_matches(nm):
         assert np.linalg.norm(a - b) / np.linalg.norm(b) < 1e-11
 
 
+def test_c_factorized_h1_right_string_is_the_mirrored_left_one():
+    # the string after C, read off the one before it, is the ascending loop
+    spec = spec_of(RFamily.UQ_GLNM, (1, 1))
+    length = 5
+    C = c_matrix(spec).entries
+    terms = iter(c_factorized_h1(spec, length).terms)
+    for i in range(2, length + 1):
+        for k in range(1, i):
+            want = ([(j, i) for j in range(i - 1, k, -1)] + [(k, i)]
+                    + [(i, j) for j in range(k + 1, i)])
+            factors = next(terms).factors
+            assert [sites for sites, _ in factors] == want
+            assert np.array_equal(factors[i - 1 - k][1].entries, C)
+
+
 # ---------------------------------------------------------------------------
 # limits
 # ---------------------------------------------------------------------------
@@ -678,6 +693,17 @@ def test_binary_load_keeps_signed_zeros_in_a_writable_array(tmp_path):
     flat = mat.ravel()
     assert np.signbit(flat.real).tolist() == [math.copysign(1, re) < 0 for re, _ in entries]
     assert np.signbit(flat.imag).tolist() == [math.copysign(1, im) < 0 for _, im in entries]
+
+
+@pytest.mark.parametrize("n, length, tag", [(0, 3, 0), (2, 0, 0), (2, 1, 9)])
+def test_binary_load_refuses_headers_the_writer_never_writes(n, length, tag, tmp_path):
+    # each once loaded: n = 0 as a (0, 0) matrix, L = 0 as (1, 1), tag 9 as is
+    d = n ** length
+    path = tmp_path / "bad.bin"
+    path.write_bytes(struct.pack("<8sIIIdd", b"GHSCHOP1", n, length, tag, 0.3, 0.0)
+                     + b"\0" * (16 * d * d))
+    with pytest.raises(ValueError, match="never written"):
+        load_operator_binary(path)
 
 def test_frozen_chain_higher_orders():
     spec = spec_of(RFamily.ZN_GRADED, (1, 1))

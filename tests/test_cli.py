@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gradedhs import PoleError, SiteConfig, cli, qmrops
+from gradedhs import DENSE_SITE_CAP, PoleError, SiteConfig, cli, qmrops
 from gradedhs.cli import (
     RunConfig,
     _build_parser,
@@ -324,6 +324,30 @@ def test_ops_without_rows_is_config_error(tmp_path, monkeypatch):
     assert run_cli(["ops", "--nm", "1,1", "--L", "2", "--check", "commute"], tmp_path,
                    monkeypatch) == 2
     assert not (tmp_path / "ops_report.json").exists()
+
+
+@pytest.mark.parametrize("check", ["f-identity", "all"])
+def test_ops_f_identity_above_the_dense_cap_exits_2_before_any_work(
+    check, tmp_path, monkeypatch, capsys
+):
+    # (2|2) at L = 12 once raised MemoryError (exit 1, the failed-identity
+    # code) while allocating its n^L x n^L four-block products
+    for name in ("f_identity_residual", "f_identity_eta_spread", "commutator_eval"):
+        monkeypatch.setattr(cli, name, compute_nothing)
+    args = ["ops", "--family", "uq", "--nm", "2,2", "--L", "12", "--k", "1,2", "--check", check]
+    assert run_cli(args, tmp_path, monkeypatch) == 2
+    err = capsys.readouterr().err
+    assert f"dimension {4 ** 12}" in err and f"dense cap {DENSE_SITE_CAP}" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_ops_commutator_above_the_dense_cap_still_runs(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "commutator_eval", lambda *args, **kwargs: 0.0)
+    args = ["ops", "--family", "uq", "--nm", "2,2", "--L", "7", "--check", "commute",
+            "--samples", "1"]
+    assert 4 ** 7 > DENSE_SITE_CAP
+    assert run_cli(args, tmp_path, monkeypatch) == 0
+    assert (tmp_path / "ops_report.json").exists()
 
 
 def test_ops_pole_error_exits_2(tmp_path, monkeypatch, capsys):

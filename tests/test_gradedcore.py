@@ -322,6 +322,63 @@ def test_placement_matches_kronecker_walk(dim, rng):
                                           sigma_mask(dim, legs) * ref), (legs, i, j)
 
 
+def index_placement_reference(dim, i, j, legs, realized):
+    """The coefficient-basis index map ``(dst, src, sign)`` built leg by leg
+    with the Koszul sign paid in place when i > j, and the target's sigma
+    mask multiplied in afterwards if ``realized``: the placement routes the
+    single realized map replaced."""
+    p, n = dim.parities, dim.n
+    stride = n ** np.arange(legs - 1, -1, -1)
+    spectators = np.delete(stride, [i - 1, j - 1]) @ gradedcore._leg_labels(n, legs - 2)
+    a, c, b, d = np.indices((n,) * 4).reshape(4, -1)
+    row = (a * stride[i - 1] + c * stride[j - 1])[:, None] + spectators
+    col = (b * stride[i - 1] + d * stride[j - 1])[:, None] + spectators
+    dst = (row * n ** legs + col).ravel()
+    src = np.repeat(np.arange(n ** 4), spectators.size)
+    odd = (p[a] + p[b]) * (p[c] + p[d]) % 2 if i > j else np.zeros_like(a)
+    sign = np.repeat(1.0 - 2.0 * odd, spectators.size)
+    if realized:
+        sign = sign * sigma_mask(dim, legs).ravel()[dst]
+    return dst, src, sign
+
+
+def index_placement_gather(op, sites, legs, realized):
+    dst, src, sign = index_placement_reference(op.dim, *sites, legs, realized)
+    d = op.dim.n ** legs
+    out = np.zeros(d * d, dtype=complex)
+    out[dst] = op.entries.ravel()[src] * sign
+    return out.reshape(d, d)
+
+
+def factor_with_exact_zeros(dim, rng):
+    """Random two-leg factor in which about half the real and imaginary
+    parts are +0.0 or -0.0, so a route's signs of zero show in its bytes."""
+    x = random_factor(dim, rng).entries
+    re, im = x.real.copy(), x.imag.copy()
+    for part in (re, im):
+        hit = rng.random(part.shape) < 0.5
+        part[hit] = np.where(rng.random(part.shape) < 0.5, 0.0, -0.0)[hit]
+    return LocalOperator(dim, 2, re + 1j * im)
+
+
+@pytest.mark.parametrize("dim", DIMS)
+def test_leg_exchange_is_the_index_placement_to_the_bit(dim, rng):
+    # the signed transpose gives the bytes of the gathered placement at (2, 1)
+    for _ in range(4):
+        x = factor_with_exact_zeros(dim, rng)
+        ref = index_placement_gather(x, (2, 1), 2, realized=False)
+        assert r_transposed(x).entries.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("dim", DIMS)
+def test_realized_placement_is_the_index_placement_to_the_bit(dim, rng):
+    x = factor_with_exact_zeros(dim, rng)
+    for legs in (2, 3, 4):
+        for i, j in itertools.permutations(range(1, legs + 1), 2):
+            ref = index_placement_gather(x, (i, j), legs, realized=True)
+            assert embed_realized(x, (i, j), legs).tobytes() == ref.tobytes(), (legs, i, j)
+
+
 def test_embed_invalid_sites():
     # every entry point into the placement refuses a non-two-leg operator
     # and invalid or equal sites, including the lazy chain embedding

@@ -451,6 +451,13 @@ def test_f_identity_eta_spread_counts_nan_as_infinite(monkeypatch):
     assert f_identity_eta_spread(spec, cfg, 1, [bad_eta, ETA]) == math.inf
 
 
+def test_f_identity_eta_spread_rejects_an_empty_eta_list():
+    # an empty list once read as a spread of 0.0, a pass with nothing checked
+    spec = RMatrixSpec(RFamily.UQ_GLNM, GradedDim(1, 1), HBAR)
+    with pytest.raises(ValueError, match="at least one eta"):
+        f_identity_eta_spread(spec, cfg_of(Z3), 1, [])
+
+
 def test_f_identity_bounded_near_eta_pole():
     # eta circling z_1 - z_2 + m: every evaluation stays numerically zero
     spec = RMatrixSpec(RFamily.ZN_GRADED, GradedDim(1, 1), HBAR)
@@ -613,6 +620,40 @@ def test_difference_operator_subset_structure():
     t23 = by_subset[(2, 3)]
     assert t23.left_sites == ((1, 2), (1, 3))
     assert t23.right_sites == ((3, 1), (2, 1))
+
+
+def right_block_reference(subset):
+    """The right block built slot by slot: t = k..1, each the ascending
+    Rbar_{i_t, j} over j < i_t not among the earlier members of I."""
+    right = []
+    for t in range(len(subset) - 1, -1, -1):
+        it = subset[t]
+        right += [(it, j) for j in range(1, it) if j not in subset[:t]]
+    return tuple(right)
+
+
+def f_minus_reference(subset, L):
+    """F- built block by block, apart from F+."""
+    k, inside, minus = len(subset), set(subset), []
+    for t in range(k):
+        earlier = set(subset[:t])
+        minus += [(m, subset[t], False) for m in range(subset[t] - 1, 0, -1) if m not in earlier]
+    for t in range(k - 1, -1, -1):
+        minus += [(subset[t], j, True) for j in range(1, L + 1) if j not in inside]
+    for t in range(k):
+        later = set(subset[t + 1:])
+        minus += [(l, subset[t], False) for l in range(L, subset[t], -1) if l not in later]
+    return minus
+
+
+@pytest.mark.parametrize("L", range(1, 9))
+def test_mirrored_strings_match_their_block_by_block_builds(L):
+    # the right block and F- are read off the left block and F+ mirrored
+    for k in range(1, L + 1):
+        for term in DifferenceOperator(k, L).subset_terms():
+            assert term.right_sites == right_block_reference(term.subset)
+            _, minus = qmrops._four_block_sites(term.subset, L)
+            assert minus == f_minus_reference(term.subset, L)
 
 
 def test_sign_function_values():

@@ -273,6 +273,12 @@ def test_battery_rejects_samples_below_one(samples):
         run_battery([spec_of(RFamily.UQ_GLNM, (1, 1))], seed=5, samples=samples)
 
 
+def test_battery_rejects_an_empty_spec_list():
+    # an empty list once gave a report of 0 rows whose passed() was True
+    with pytest.raises(ValueError, match="no specs"):
+        run_battery([], seed=5, samples=2)
+
+
 def test_battery_implied_qybe_for_zn():
     # whenever the associative equation, unitarity and skew-symmetry pass,
     # the quantum equation must pass as well
